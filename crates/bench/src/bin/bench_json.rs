@@ -103,12 +103,10 @@ fn machine_fingerprint() -> (String, usize, String) {
         })
         .unwrap_or_else(|| "unknown".into());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in cpu.bytes().chain(cores.to_string().bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (cpu, cores, format!("{h:016x}"))
+    let mut h = nn::envelope::Fnv::new();
+    h.update(cpu.as_bytes());
+    h.update(cores.to_string().as_bytes());
+    (cpu, cores, format!("{:016x}", h.finish()))
 }
 
 /// Frozen PR6 numbers (first release of the serving path; same
@@ -356,9 +354,9 @@ fn multiproc_rows() -> Vec<(&'static str, f64)> {
 fn outofcore_rows(quick: bool) -> Vec<(&'static str, f64)> {
     use debunk_core::artifact::ArtifactCache;
     use debunk_core::obs::measure_peak_rss;
-    use debunk_core::outofcore::{prepare_out_of_core, OutOfCoreOptions};
+    use debunk_core::outofcore::{prepare_out_of_core, OutOfCoreOptions, ShardDir};
     use shallow::features::FeatureConfig;
-    use traffic_synth::stream::{FlowPlan, ShardDir};
+    use traffic_synth::stream::FlowPlan;
     use traffic_synth::{DatasetKind, DatasetSpec};
 
     let (kind, seed) = (DatasetKind::UstcTfc, 42);

@@ -20,8 +20,8 @@
 //! bytes identical to serial generation at any thread count.
 
 use dataset::clean::clean_trace;
+use debunk_core::outofcore::ShardDir;
 use std::io::Write;
-use traffic_synth::stream::ShardDir;
 use traffic_synth::{DatasetKind, DatasetSpec};
 
 fn main() {

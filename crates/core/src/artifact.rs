@@ -23,14 +23,16 @@
 //! payload.
 
 use crate::obs::ObsSink;
-use encoders::checkpoint::stable_hash64;
+use nn::envelope::{self, AtomicFile, PayloadReader};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+use traffic_synth::stream::fnv64;
 
 /// A cacheable prepare-stage product: a stage name plus a byte codec.
 /// `from_bytes(to_bytes(x))` must reproduce `x` exactly — loaded
@@ -164,7 +166,7 @@ impl ArtifactCache {
     /// first build finishes; different keys proceed in parallel.
     pub fn get_or_build<A: Artifact>(&self, parts: &[&str], build: impl FnOnce() -> A) -> Arc<A> {
         let key = canonical_key(A::STAGE, parts);
-        let fingerprint = stable_hash64(&[&key]);
+        let fingerprint = fingerprint(&key);
         let slot = self.slots.lock().entry(fingerprint).or_default().clone();
         let mut invoked = false;
         let any = slot
@@ -189,7 +191,7 @@ impl ArtifactCache {
     /// closure (cell execution owns journaling and retries).
     pub fn lookup<A: Artifact>(&self, parts: &[&str]) -> Option<Arc<A>> {
         let key = canonical_key(A::STAGE, parts);
-        let fingerprint = stable_hash64(&[&key]);
+        let fingerprint = fingerprint(&key);
         let slot = self.slots.lock().entry(fingerprint).or_default().clone();
         if let Some(any) = slot.get() {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
@@ -197,13 +199,7 @@ impl ArtifactCache {
         }
         let dir = self.dir.as_ref()?;
         let path = dir.join(file_name(A::STAGE, fingerprint));
-        if !path.exists() {
-            return None;
-        }
-        match std::fs::read(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| decode_envelope::<A>(&bytes, &key))
-        {
+        match read_from_disk::<A>(&path, &key)? {
             Ok(value) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 let any =
@@ -226,7 +222,7 @@ impl ArtifactCache {
     /// racing insert wins, preserving single-flight sharing).
     pub fn store<A: Artifact>(&self, parts: &[&str], value: A) -> Arc<A> {
         let key = canonical_key(A::STAGE, parts);
-        let fingerprint = stable_hash64(&[&key]);
+        let fingerprint = fingerprint(&key);
         self.builds.fetch_add(1, Ordering::Relaxed);
         let slot = self.slots.lock().entry(fingerprint).or_default().clone();
         let any = slot.get_or_init(|| Arc::new(value) as Arc<dyn Any + Send + Sync>).clone();
@@ -238,29 +234,23 @@ impl ArtifactCache {
     fn save_to_disk<A: Artifact>(&self, key: &str, fingerprint: u64, value: &A) {
         let Some(dir) = &self.dir else { return };
         let path = dir.join(file_name(A::STAGE, fingerprint));
-        // Temp sibling + rename, like checkpoints and the manifest: a
-        // crash mid-save never leaves a torn file at the final path, and
-        // the loader would reject one anyway (checksum). The PID in the
-        // temp name keeps concurrent processes (which write identical
-        // bytes) from racing on one temp file.
-        let tmp = path.with_extension(format!("bin.{}.tmp", std::process::id()));
-        let saved = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(&tmp, encode_envelope(value, key)))
-            .and_then(|()| std::fs::rename(&tmp, &path));
+        let saved = self.writer_at(key, path.clone()).and_then(|mut w| {
+            for g in value.to_groups() {
+                w.push_group(g.rows, &g.bytes)?;
+            }
+            w.seal()
+        });
         match saved {
-            Ok(()) => self.obs().debug(
+            Ok(_) => self.obs().debug(
                 "artifact",
                 &format!("  [artifact] saved {}", path.display()),
                 &[("path", path.display().to_string().into())],
             ),
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                self.obs().warn(
-                    "artifact",
-                    &format!("  [artifact] could not save {}: {e}", path.display()),
-                    &[("path", path.display().to_string().into())],
-                );
-            }
+            Err(e) => self.obs().warn(
+                "artifact",
+                &format!("  [artifact] could not save {}: {e}", path.display()),
+                &[("path", path.display().to_string().into())],
+            ),
         }
     }
 
@@ -342,15 +332,20 @@ impl ArtifactCache {
 
 /// One disk probe: `None` when the file is absent, `Some(Err)` when it
 /// exists but fails to read or decode (corrupt / torn / mis-keyed).
+/// v2 files decode through [`RowGroupFile`]; a legacy v1 file is the
+/// shared single-payload envelope and still serves (the compatibility
+/// policy tested in `tests/artifact_rowgroup.rs`).
 fn read_from_disk<A: Artifact>(path: &Path, key: &str) -> Option<Result<A, String>> {
     if !path.exists() {
         return None;
     }
-    Some(
-        std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| decode_envelope::<A>(&bytes, key)),
-    )
+    let v2 = RowGroupFile::open(path, key).and_then(|mut f| f.decode::<A>());
+    Some(v2.or_else(|e| match std::fs::read(path) {
+        Ok(bytes) if bytes.get(4..8) == Some(&VERSION_V1.to_le_bytes()[..]) => {
+            envelope::open(&bytes, MAGIC, VERSION_V1, key).and_then(A::from_bytes)
+        }
+        _ => Err(e),
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -467,6 +462,11 @@ fn canonical_key(stage: &str, parts: &[&str]) -> String {
     key
 }
 
+/// The file-name fingerprint of a canonical key.
+fn fingerprint(key: &str) -> u64 {
+    fnv64(&[key.as_bytes()])
+}
+
 fn file_name(stage: &str, fingerprint: u64) -> String {
     format!("art-{stage}-{fingerprint:016x}.bin")
 }
@@ -488,12 +488,10 @@ const TRAILER_LEN: usize = 48;
 // DBAF envelopes
 // ---------------------------------------------------------------------
 //
-// v1 (legacy, still decoded — all integers little-endian):
-//
-//   "DBAF" | u32 version=1 | u32 key_len | key | u64 payload_len
-//   | payload | u64 fnv64(everything before this field)
-//
-// v2 (written by this version — row-group layout, DESIGN.md §6e):
+// Both versions open with the shared `nn::envelope` header under magic
+// "DBAF" and the canonical key. v1 (legacy, still decoded) is the
+// shared single-payload layout (`envelope::seal`/`open`). v2 (written
+// by this version — row-group layout, DESIGN.md "On-disk formats"):
 //
 //   header  := "DBAF" | u32 version=2 | u32 key_len | key
 //   body    := group[0] | group[1] | ... | group[n-1]      (contiguous)
@@ -527,15 +525,6 @@ pub struct GroupMeta {
     pub fnv: u64,
 }
 
-fn header_bytes(key: &str) -> Vec<u8> {
-    let mut h = Vec::with_capacity(12 + key.len());
-    h.extend_from_slice(MAGIC);
-    h.extend_from_slice(&VERSION_V2.to_le_bytes());
-    h.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    h.extend_from_slice(key.as_bytes());
-    h
-}
-
 fn footer_bytes(groups: &[GroupMeta], total_rows: u64) -> Vec<u8> {
     let mut f = Vec::with_capacity(4 + groups.len() * 32 + 8);
     f.extend_from_slice(&(groups.len() as u32).to_le_bytes());
@@ -560,77 +549,16 @@ fn trailer_bytes(
     t[0..8].copy_from_slice(&header_len.to_le_bytes());
     t[8..16].copy_from_slice(&footer_off.to_le_bytes());
     t[16..24].copy_from_slice(&footer_len.to_le_bytes());
-    t[24..32].copy_from_slice(&fnv64(header).to_le_bytes());
-    t[32..40].copy_from_slice(&fnv64(footer).to_le_bytes());
-    let check = fnv64(&t[..40]);
+    t[24..32].copy_from_slice(&envelope::fnv64(header).to_le_bytes());
+    t[32..40].copy_from_slice(&envelope::fnv64(footer).to_le_bytes());
+    let check = envelope::fnv64(&t[..40]);
     t[40..48].copy_from_slice(&check.to_le_bytes());
     t
 }
 
-/// Encode `groups` into a v2 envelope under `key`.
-fn encode_groups(groups: &[RowGroup], key: &str) -> Vec<u8> {
-    let header = header_bytes(key);
-    let body_len: usize = groups.iter().map(|g| g.bytes.len()).sum();
-    let mut out = Vec::with_capacity(header.len() + body_len + groups.len() * 32 + 64);
-    out.extend_from_slice(&header);
-    let mut metas = Vec::with_capacity(groups.len());
-    let mut total_rows = 0u64;
-    for g in groups {
-        metas.push(GroupMeta {
-            offset: out.len() as u64,
-            len: g.bytes.len() as u64,
-            rows: g.rows,
-            fnv: fnv64(&g.bytes),
-        });
-        total_rows += g.rows;
-        out.extend_from_slice(&g.bytes);
-    }
-    let footer_off = out.len() as u64;
-    let footer = footer_bytes(&metas, total_rows);
-    out.extend_from_slice(&footer);
-    let trailer =
-        trailer_bytes(header.len() as u64, footer_off, footer.len() as u64, &header, &footer);
-    out.extend_from_slice(&trailer);
-    out
-}
-
-fn encode_envelope<A: Artifact>(value: &A, key: &str) -> Vec<u8> {
-    encode_groups(&value.to_groups(), key)
-}
-
-/// Validated frame of a v2 envelope: where every row group lives.
-struct FrameV2 {
-    groups: Vec<GroupMeta>,
-}
-
-/// Verify a v2 header slice (magic, version, key) — `header` must be
-/// exactly the slice the trailer's `header_len` delimits.
-fn check_header(header: &[u8], key: &str) -> Result<(), String> {
-    let mut r = Reader { bytes: header, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err("bad magic".to_string());
-    }
-    let version = r.u32()?;
-    if version != VERSION_V2 {
-        return Err(format!("header version {version} inside a v2 frame"));
-    }
-    let key_len = r.u32()? as usize;
-    let stored_key = r.take(key_len)?;
-    if stored_key != key.as_bytes() {
-        return Err(format!(
-            "key mismatch: file is '{}', wanted '{key}'",
-            String::from_utf8_lossy(stored_key)
-        ));
-    }
-    if r.pos != header.len() {
-        return Err("trailing bytes after header key".to_string());
-    }
-    Ok(())
-}
-
 /// Verify and parse a v2 footer slice against the frame geometry.
 fn check_footer(footer: &[u8], header_len: u64, footer_off: u64) -> Result<Vec<GroupMeta>, String> {
-    let mut r = Reader { bytes: footer, pos: 0 };
+    let mut r = PayloadReader::new(footer);
     let n_groups = r.u32()? as usize;
     if footer.len() != 4 + n_groups * 32 + 8 {
         return Err(format!("footer length {} does not fit {n_groups} groups", footer.len()));
@@ -661,41 +589,11 @@ fn check_footer(footer: &[u8], header_len: u64, footer_off: u64) -> Result<Vec<G
     Ok(groups)
 }
 
-/// Parse + fully validate the frame of an in-memory v2 envelope.
-fn parse_v2_frame(bytes: &[u8], key: &str) -> Result<FrameV2, String> {
-    if bytes.len() < TRAILER_LEN {
-        return Err("truncated: shorter than the v2 trailer".to_string());
-    }
-    let trailer: &[u8; TRAILER_LEN] =
-        bytes[bytes.len() - TRAILER_LEN..].try_into().expect("48-byte tail");
-    let (header_len, footer_off, footer_len, header_fnv, footer_fnv) = parse_trailer(trailer)?;
-    let file_len = bytes.len() as u64;
-    if footer_off.checked_add(footer_len).and_then(|e| e.checked_add(TRAILER_LEN as u64))
-        != Some(file_len)
-    {
-        return Err("trailer geometry does not match file length".to_string());
-    }
-    if header_len > footer_off {
-        return Err("header overlaps footer".to_string());
-    }
-    let header = &bytes[..header_len as usize];
-    if fnv64(header) != header_fnv {
-        return Err("header checksum mismatch".to_string());
-    }
-    check_header(header, key)?;
-    let footer = &bytes[footer_off as usize..(footer_off + footer_len) as usize];
-    if fnv64(footer) != footer_fnv {
-        return Err("footer checksum mismatch".to_string());
-    }
-    let groups = check_footer(footer, header_len, footer_off)?;
-    Ok(FrameV2 { groups })
-}
-
 /// Verify the self-checksummed trailer and return
 /// `(header_len, footer_off, footer_len, header_fnv, footer_fnv)`.
 fn parse_trailer(t: &[u8; TRAILER_LEN]) -> Result<(u64, u64, u64, u64, u64), String> {
     let stored = u64::from_le_bytes(t[40..48].try_into().expect("8 bytes"));
-    if fnv64(&t[..40]) != stored {
+    if envelope::fnv64(&t[..40]) != stored {
         return Err("trailer checksum mismatch".to_string());
     }
     Ok((
@@ -705,68 +603,6 @@ fn parse_trailer(t: &[u8; TRAILER_LEN]) -> Result<(u64, u64, u64, u64, u64), Str
         u64::from_le_bytes(t[24..32].try_into().expect("8 bytes")),
         u64::from_le_bytes(t[32..40].try_into().expect("8 bytes")),
     ))
-}
-
-fn decode_envelope_v2<A: Artifact>(bytes: &[u8], key: &str) -> Result<A, String> {
-    let frame = parse_v2_frame(bytes, key)?;
-    let mut groups = Vec::with_capacity(frame.groups.len());
-    for (i, g) in frame.groups.iter().enumerate() {
-        let s = &bytes[g.offset as usize..(g.offset + g.len) as usize];
-        if fnv64(s) != g.fnv {
-            return Err(format!("row group {i} checksum mismatch"));
-        }
-        groups.push(s.to_vec());
-    }
-    A::from_groups(groups)
-}
-
-/// Decode either envelope version; `key` must match exactly.
-fn decode_envelope<A: Artifact>(bytes: &[u8], key: &str) -> Result<A, String> {
-    if bytes.len() < 8 {
-        return Err("truncated: shorter than the version field".to_string());
-    }
-    if &bytes[0..4] != MAGIC {
-        return Err("bad magic".to_string());
-    }
-    match u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) {
-        VERSION_V1 => decode_envelope_v1(bytes, key),
-        VERSION_V2 => decode_envelope_v2(bytes, key),
-        v => Err(format!("unsupported version {v}")),
-    }
-}
-
-/// Decode the legacy v1 envelope (whole-file checksum, single payload).
-/// Still supported so caches written before the v2 row-group layout
-/// stay warm — the chosen compatibility policy, tested in
-/// `tests/artifact_rowgroup.rs`.
-fn decode_envelope_v1<A: Artifact>(bytes: &[u8], key: &str) -> Result<A, String> {
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv64(body) != stored {
-        return Err("checksum mismatch".to_string());
-    }
-    let mut r = Reader { bytes: body, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err("bad magic".to_string());
-    }
-    let version = r.u32()?;
-    if version != VERSION_V1 {
-        return Err(format!("unsupported version {version}"));
-    }
-    let key_len = r.u32()? as usize;
-    let stored_key = r.take(key_len)?;
-    if stored_key != key.as_bytes() {
-        return Err(format!(
-            "key mismatch: file is '{}', wanted '{key}'",
-            String::from_utf8_lossy(stored_key)
-        ));
-    }
-    let payload_len = r.u64()? as usize;
-    let payload = r.take(payload_len)?;
-    if r.pos != body.len() {
-        return Err("trailing bytes after payload".to_string());
-    }
-    A::from_bytes(payload)
 }
 
 /// Lazy reader over an on-disk v2 artifact: opens with three bounded
@@ -813,14 +649,21 @@ impl RowGroupFile {
         let mut header = vec![0u8; header_len as usize];
         file.seek(SeekFrom::Start(0)).map_err(io)?;
         file.read_exact(&mut header).map_err(io)?;
-        if fnv64(&header) != header_fnv {
+        if envelope::fnv64(&header) != header_fnv {
             return Err("header checksum mismatch".to_string());
         }
-        check_header(&header, key)?;
+        let mut rest = &header[..];
+        let stored = envelope::read_header(&mut rest, MAGIC, VERSION_V2)?;
+        if stored != key {
+            return Err(envelope::key_mismatch(&stored, key));
+        }
+        if !rest.is_empty() {
+            return Err("trailing bytes after header key".to_string());
+        }
         let mut footer = vec![0u8; footer_len as usize];
         file.seek(SeekFrom::Start(footer_off)).map_err(io)?;
         file.read_exact(&mut footer).map_err(io)?;
-        if fnv64(&footer) != footer_fnv {
+        if envelope::fnv64(&footer) != footer_fnv {
             return Err("footer checksum mismatch".to_string());
         }
         let groups = check_footer(&footer, header_len, footer_off)?;
@@ -852,7 +695,7 @@ impl RowGroupFile {
         let mut bytes = vec![0u8; g.len as usize];
         self.file.seek(SeekFrom::Start(g.offset)).map_err(io)?;
         self.file.read_exact(&mut bytes).map_err(io)?;
-        if fnv64(&bytes) != g.fnv {
+        if envelope::fnv64(&bytes) != g.fnv {
             return Err(format!("row group {i} checksum mismatch"));
         }
         Ok(bytes)
@@ -871,12 +714,11 @@ impl RowGroupFile {
 
 /// Streaming v2 writer: groups are appended one at a time (bounded
 /// memory — the whole artifact never exists in RAM), then `finish`
-/// seals footer + trailer and renames the temp sibling into place.
-/// Obtained from [`ArtifactCache::group_writer`].
+/// seals footer + trailer and publishes the file atomically. Obtained
+/// from [`ArtifactCache::group_writer`].
 pub struct ArtifactGroupWriter<'a> {
     cache: &'a ArtifactCache,
-    file: std::io::BufWriter<std::fs::File>,
-    tmp: PathBuf,
+    file: AtomicFile,
     path: PathBuf,
     pos: u64,
     header: Vec<u8>,
@@ -887,57 +729,52 @@ pub struct ArtifactGroupWriter<'a> {
 impl<'a> ArtifactGroupWriter<'a> {
     /// Append one row group.
     pub fn push_group(&mut self, rows: u64, bytes: &[u8]) -> Result<(), String> {
-        use std::io::Write;
         self.metas.push(GroupMeta {
             offset: self.pos,
             len: bytes.len() as u64,
             rows,
-            fnv: fnv64(bytes),
+            fnv: envelope::fnv64(bytes),
         });
         self.total_rows += rows;
         self.file
             .write_all(bytes)
-            .map_err(|e| format!("cannot write {}: {e}", self.tmp.display()))?;
+            .map_err(|e| format!("cannot write {}: {e}", self.file.tmp_path().display()))?;
         self.pos += bytes.len() as u64;
         Ok(())
     }
 
-    /// Seal the envelope (footer + trailer), fsync-free rename into the
-    /// final path, and count the build. The artifact becomes visible to
-    /// `lookup`/`load_or_build` atomically — a crash mid-stream leaves
-    /// only a `.tmp` sibling the loader never reads.
-    pub fn finish(mut self) -> Result<PathBuf, String> {
-        use std::io::Write;
-        let footer_off = self.pos;
+    /// Seal the envelope (footer + trailer) and publish it at the final
+    /// path. A failed or abandoned writer leaves only its own `.tmp`
+    /// sibling behind for as long as it lives, which loaders never read.
+    fn seal(mut self) -> Result<PathBuf, String> {
         let footer = footer_bytes(&self.metas, self.total_rows);
         let trailer = trailer_bytes(
             self.header.len() as u64,
-            footer_off,
+            self.pos,
             footer.len() as u64,
             &self.header,
             &footer,
         );
-        let sealed = self
-            .file
+        self.file
             .write_all(&footer)
             .and_then(|()| self.file.write_all(&trailer))
-            .and_then(|()| self.file.flush());
-        if let Err(e) = sealed {
-            std::fs::remove_file(&self.tmp).ok();
-            return Err(format!("cannot seal {}: {e}", self.tmp.display()));
-        }
-        drop(self.file);
-        if let Err(e) = std::fs::rename(&self.tmp, &self.path) {
-            std::fs::remove_file(&self.tmp).ok();
-            return Err(format!("cannot rename {}: {e}", self.path.display()));
-        }
-        self.cache.builds.fetch_add(1, Ordering::Relaxed);
-        self.cache.obs().debug(
-            "artifact",
-            &format!("  [artifact] streamed {}", self.path.display()),
-            &[("path", self.path.display().to_string().into())],
-        );
+            .and_then(|()| self.file.commit())
+            .map_err(|e| format!("cannot publish {}: {e}", self.path.display()))?;
         Ok(self.path)
+    }
+
+    /// Seal and publish the envelope, and count the build. The artifact
+    /// becomes visible to `lookup`/`load_or_build` atomically.
+    pub fn finish(self) -> Result<PathBuf, String> {
+        let cache = self.cache;
+        let path = self.seal()?;
+        cache.builds.fetch_add(1, Ordering::Relaxed);
+        cache.obs().debug(
+            "artifact",
+            &format!("  [artifact] streamed {}", path.display()),
+            &[("path", path.display().to_string().into())],
+        );
+        Ok(path)
     }
 }
 
@@ -946,8 +783,7 @@ impl ArtifactCache {
     /// at, if a disk tier is configured (the file may not exist yet).
     pub fn artifact_path<A: Artifact>(&self, parts: &[&str]) -> Option<PathBuf> {
         let dir = self.dir.as_ref()?;
-        let key = canonical_key(A::STAGE, parts);
-        Some(dir.join(file_name(A::STAGE, stable_hash64(&[&key]))))
+        Some(dir.join(file_name(A::STAGE, fingerprint(&canonical_key(A::STAGE, parts)))))
     }
 
     /// Begin streaming the v2 artifact addressed by `parts` into the
@@ -959,61 +795,31 @@ impl ArtifactCache {
         &self,
         parts: &[&str],
     ) -> Result<ArtifactGroupWriter<'_>, String> {
-        use std::io::Write;
-        let dir = self.dir.as_ref().ok_or("group_writer needs a disk tier (--cache-dir)")?;
-        let key = canonical_key(A::STAGE, parts);
-        let path = dir.join(file_name(A::STAGE, stable_hash64(&[&key])));
-        let tmp = path.with_extension("bin.tmp");
+        let path =
+            self.artifact_path::<A>(parts).ok_or("group_writer needs a disk tier (--cache-dir)")?;
+        self.writer_at(&canonical_key(A::STAGE, parts), path)
+    }
+
+    fn writer_at(&self, key: &str, path: PathBuf) -> Result<ArtifactGroupWriter<'_>, String> {
+        let dir = path.parent().expect("artifact paths live in the cache dir");
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        let file = std::fs::File::create(&tmp)
-            .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-        let mut file = std::io::BufWriter::with_capacity(1 << 16, file);
-        let header = header_bytes(&key);
-        file.write_all(&header).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        let pos = header.len() as u64;
+        let mut header = Vec::new();
+        envelope::write_header(&mut header, MAGIC, VERSION_V2, key)
+            .expect("writing to a Vec cannot fail");
+        let mut file = AtomicFile::create(&path)
+            .map_err(|e| format!("cannot create a temp file for {}: {e}", path.display()))?;
+        file.write_all(&header)
+            .map_err(|e| format!("cannot write {}: {e}", file.tmp_path().display()))?;
         Ok(ArtifactGroupWriter {
             cache: self,
             file,
-            tmp,
             path,
-            pos,
+            pos: header.len() as u64,
             header,
             metas: Vec::new(),
             total_rows: 0,
         })
-    }
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let end = end.ok_or_else(|| format!("truncated at offset {}", self.pos))?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 }
 
@@ -1105,7 +911,7 @@ mod tests {
         let dir = temp_dir("debunk-artifact-stale-lock");
         std::fs::create_dir_all(&dir).unwrap();
         let key = canonical_key(Blob::STAGE, &["k"]);
-        let path = dir.join(file_name(Blob::STAGE, stable_hash64(&[key.as_str()])));
+        let path = dir.join(file_name(Blob::STAGE, fingerprint(&key)));
         // u32::MAX is far above any kernel pid_max, so this holder can
         // never be alive.
         std::fs::write(PathLock::lock_path(&path), u32::MAX.to_string()).unwrap();
@@ -1212,10 +1018,15 @@ mod tests {
 
     #[test]
     fn envelope_rejects_wrong_key() {
-        let blob = Blob(vec![5]);
-        let bytes = encode_envelope(&blob, "test-blob|a");
-        assert!(decode_envelope::<Blob>(&bytes, "test-blob|b").unwrap_err().contains("key"));
-        assert_eq!(decode_envelope::<Blob>(&bytes, "test-blob|a").unwrap().0, vec![5]);
+        let dir = temp_dir("debunk-artifact-wrong-key");
+        let cache = ArtifactCache::new(Some(dir.clone()));
+        cache.store(&["a"], Blob(vec![5]));
+        let path = cache.artifact_path::<Blob>(&["a"]).unwrap();
+        let err = RowGroupFile::open(&path, "test-blob|b").err().expect("wrong key refused");
+        assert!(err.contains("key mismatch"), "{err}");
+        let mut f = RowGroupFile::open(&path, "test-blob|a").unwrap();
+        assert_eq!(f.decode::<Blob>().unwrap().0, vec![5]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A row-chunked artifact: each chunk is one group, groups carry
@@ -1264,46 +1075,53 @@ mod tests {
 
     #[test]
     fn grouped_envelope_round_trips_preserving_group_boundaries() {
+        let dir = temp_dir("debunk-artifact-groups");
+        let cache = ArtifactCache::new(Some(dir.clone()));
         let value = Chunks(vec![vec![1, 2, 3], vec![], vec![9; 100]]);
-        let bytes = encode_envelope(&value, "test-chunks|k");
-        let back = decode_envelope::<Chunks>(&bytes, "test-chunks|k").unwrap();
-        assert_eq!(back, value);
-        let frame = parse_v2_frame(&bytes, "test-chunks|k").unwrap();
-        assert_eq!(frame.groups.len(), 3);
-        assert_eq!(frame.groups.iter().map(|g| g.rows).sum::<u64>(), 103);
+        cache.store(&["k"], Chunks(value.0.clone()));
+        let path = cache.artifact_path::<Chunks>(&["k"]).unwrap();
+        let mut f = RowGroupFile::open(&path, "test-chunks|k").unwrap();
+        assert_eq!(f.n_groups(), 3);
+        assert_eq!(f.total_rows(), 103);
+        assert_eq!(f.decode::<Chunks>().unwrap(), value);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Two writers streaming the same key at once (two processes
+    /// preparing into one --cache-dir) each write their own temp file;
+    /// both publish, and the survivor is a complete, decodable file.
     #[test]
-    fn stream_writer_is_byte_identical_to_in_memory_encode() {
-        let dir = temp_dir("debunk-artifact-stream");
+    fn concurrent_group_writers_for_one_key_both_publish() {
+        let dir = temp_dir("debunk-artifact-two-writers");
         let cache = ArtifactCache::new(Some(dir.clone()));
         let value = Chunks(vec![vec![5; 10], vec![6; 20], vec![7; 30]]);
-
-        let mut w = cache.group_writer::<Chunks>(&["k"]).unwrap();
+        let mut a = cache.group_writer::<Chunks>(&["k"]).unwrap();
+        let mut b = cache.group_writer::<Chunks>(&["k"]).unwrap();
         for g in value.to_groups() {
-            w.push_group(g.rows, &g.bytes).unwrap();
+            a.push_group(g.rows, &g.bytes).unwrap();
+            b.push_group(g.rows, &g.bytes).unwrap();
         }
-        let path = w.finish().unwrap();
-        assert_eq!(cache.stats().builds, 1, "a sealed stream counts as a build");
-
-        let streamed = std::fs::read(&path).unwrap();
-        let key = canonical_key(Chunks::STAGE, &["k"]);
-        assert_eq!(streamed, encode_envelope(&value, &key), "one format, two writers");
-
-        // And the cache serves it as a plain disk hit.
-        let loaded = cache.lookup::<Chunks>(&["k"]).expect("disk hit");
-        assert_eq!(*loaded, value);
+        let path = a.finish().expect("first writer publishes");
+        assert_eq!(b.finish().expect("second writer publishes"), path);
+        let mut f = RowGroupFile::open(&path, "test-chunks|k").unwrap();
+        assert_eq!(f.decode::<Chunks>().unwrap(), value);
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn row_group_file_reads_single_groups_lazily() {
         let dir = temp_dir("debunk-artifact-rgf");
-        std::fs::create_dir_all(&dir).unwrap();
+        let cache = ArtifactCache::new(Some(dir.clone()));
         let value = Chunks(vec![vec![1; 8], vec![2; 16]]);
+        cache.store(&["k"], Chunks(value.0.clone()));
         let key = canonical_key(Chunks::STAGE, &["k"]);
-        let path = dir.join("grouped.bin");
-        std::fs::write(&path, encode_envelope(&value, &key)).unwrap();
+        let path = cache.artifact_path::<Chunks>(&["k"]).unwrap();
 
         let mut f = RowGroupFile::open(&path, &key).unwrap();
         assert_eq!(f.n_groups(), 2);
@@ -1316,27 +1134,15 @@ mod tests {
 
     #[test]
     fn v1_envelopes_stay_readable() {
-        // Hand-rolled v1 bytes per the legacy layout — a cache written
-        // before the v2 row-group upgrade must keep serving.
+        // A cache written before the v2 row-group upgrade holds v1
+        // single-payload envelopes; planted as a disk artifact, one
+        // must keep serving as a hit.
         let key = "test-blob|k";
         let payload = vec![3u8, 1, 4, 1, 5];
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        v1.extend_from_slice(key.as_bytes());
-        v1.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        v1.extend_from_slice(&payload);
-        let checksum = fnv64(&v1);
-        v1.extend_from_slice(&checksum.to_le_bytes());
-
-        assert_eq!(decode_envelope::<Blob>(&v1, key).unwrap().0, payload);
-
-        // Planted as a disk artifact, it serves as a hit — and a rewrite
-        // through store() upgrades the file to v2.
+        let v1 = envelope::seal(MAGIC, VERSION_V1, key, &payload);
         let dir = temp_dir("debunk-artifact-v1compat");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(file_name(Blob::STAGE, stable_hash64(&[key])));
+        let path = dir.join(file_name(Blob::STAGE, fingerprint(key)));
         std::fs::write(&path, &v1).unwrap();
         let cache = ArtifactCache::new(Some(dir.clone()));
         let hit = cache.lookup::<Blob>(&["k"]).expect("v1 disk hit");

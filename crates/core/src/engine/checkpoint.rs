@@ -104,27 +104,22 @@ impl EncoderStore {
                 );
                 let model =
                     obs.time_stage("pretrain", build.take().expect("builder invoked at most once"));
-                // Write to a temp sibling and rename so a crash mid-save
-                // never leaves a torn checkpoint at the final path — the
-                // loader would otherwise trust a half-written file.
-                let tmp = path.with_extension(format!("json.{}.tmp", std::process::id()));
+                // save_checkpoint publishes atomically, so a crash
+                // mid-save never leaves a torn checkpoint at the final
+                // path for the loader to trust.
                 let saved = std::fs::create_dir_all(&dir)
-                    .and_then(|()| save_checkpoint(&tmp, key, &model))
-                    .and_then(|()| std::fs::rename(&tmp, &path));
+                    .and_then(|()| save_checkpoint(&path, key, &model));
                 match saved {
                     Ok(()) => obs.debug(
                         "checkpoint",
                         &format!("  [checkpoint] saved {}", path.display()),
                         &[("path", path.display().to_string().into())],
                     ),
-                    Err(e) => {
-                        std::fs::remove_file(&tmp).ok();
-                        obs.warn(
-                            "checkpoint",
-                            &format!("  [checkpoint] could not save {}: {e}", path.display()),
-                            &[("path", path.display().to_string().into())],
-                        );
-                    }
+                    Err(e) => obs.warn(
+                        "checkpoint",
+                        &format!("  [checkpoint] could not save {}: {e}", path.display()),
+                        &[("path", path.display().to_string().into())],
+                    ),
                 }
                 return model;
             }

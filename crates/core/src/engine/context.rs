@@ -6,11 +6,12 @@ use crate::experiment::{build_encoder, CellConfig};
 use crate::obs::ObsSink;
 use crate::pipeline::{PreparedTask, TaskCache};
 use dataset::Task;
-use encoders::checkpoint::{stable_hash64, PretrainKey};
+use encoders::checkpoint::PretrainKey;
 use encoders::model::{EncoderModel, ModelKind};
 use encoders::pcap_encoder::{pretrain_pcap_encoder, PcapEncoderVariant, PretrainBudget};
 use std::path::PathBuf;
 use std::sync::Arc;
+use traffic_synth::stream::fnv64;
 
 /// Compute-budget preset shared by `repro` and the calibration probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,11 +250,11 @@ impl RunContext {
     /// would silently mix incompatible cells into one record set, so
     /// the journal refuses to replay across fingerprints.
     pub fn run_fingerprint(&self) -> u64 {
-        stable_hash64(&[
-            &format!("{:016x}", self.seed),
-            &format!("{:016x}", self.scale.to_bits()),
-            &format!("{:?}", self.budget),
-            &format!("{:?}", self.cfg),
+        fnv64(&[
+            format!("{:016x}", self.seed).as_bytes(),
+            format!("{:016x}", self.scale.to_bits()).as_bytes(),
+            format!("{:?}", self.budget).as_bytes(),
+            format!("{:?}", self.cfg).as_bytes(),
         ])
     }
 
@@ -264,7 +265,8 @@ impl RunContext {
     /// worker thread. (Fold-level seeds are derived from this inside
     /// `run_cell` by adding the fold index.)
     pub fn cell_seed(&self, experiment: &str, task: &str, model: &str, setting: &str) -> u64 {
-        stable_hash64(&[experiment, task, model, setting]) ^ self.seed
+        fnv64(&[experiment.as_bytes(), task.as_bytes(), model.as_bytes(), setting.as_bytes()])
+            ^ self.seed
     }
 
     /// Per-cell configuration: the shared hyper-parameters with the

@@ -33,13 +33,14 @@
 
 use crate::engine::context::RunContext;
 use crate::engine::journal::{
-    atomic_write, parse_json, CellId, Journal, JournalEntry, JournalError, JournalState, Json,
-    RunManifest, JOURNAL_FILE,
+    parse_json, CellId, Journal, JournalEntry, JournalError, JournalState, Json, RunManifest,
+    JOURNAL_FILE,
 };
 use crate::engine::registry::{CellOutput, Experiment, RecordStats, Registry};
 use crate::engine::runner::{start_worker_session, RunError, RunOptions, RunSummary};
 use crate::obs;
 use crate::report::{records_json_pretty, ResultRecord};
+use nn::envelope::atomic_write;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};

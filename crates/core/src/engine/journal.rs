@@ -30,13 +30,13 @@
 //!   depend on scheduling or the clock, matching the record contract.
 
 use crate::engine::registry::{CellOutput, RecordStats};
-use encoders::checkpoint::stable_hash64;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use traffic_synth::stream::fnv64;
 
 /// Journal file name under `--out-dir`.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
@@ -331,19 +331,6 @@ impl Parser<'_> {
     }
 }
 
-/// Write `bytes` to `path` atomically: write a sibling temp file, flush,
-/// then rename over the target. Readers never observe a torn file.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.flush()?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
 // ---------------------------------------------------------------------------
 // Cell identity and journal entries
 // ---------------------------------------------------------------------------
@@ -368,12 +355,12 @@ impl CellId {
     /// Identity hash used as the journal key. Seed participates, so a
     /// journal written under one base seed never replays into another.
     pub fn hash(&self) -> u64 {
-        stable_hash64(&[
-            &self.experiment,
-            &self.task,
-            &self.model,
-            &self.setting,
-            &format!("{:016x}", self.seed),
+        fnv64(&[
+            self.experiment.as_bytes(),
+            self.task.as_bytes(),
+            self.model.as_bytes(),
+            self.setting.as_bytes(),
+            format!("{:016x}", self.seed).as_bytes(),
         ])
     }
 }
@@ -852,7 +839,7 @@ impl Journal {
     /// in the manifest so a journal/manifest pair is self-checking).
     pub fn content_hash(&self) -> io::Result<u64> {
         let content = std::fs::read_to_string(&self.path)?;
-        Ok(stable_hash64(&[&content]))
+        Ok(fnv64(&[content.as_bytes()]))
     }
 }
 
@@ -951,7 +938,7 @@ impl RunManifest {
         let path = dir.join(MANIFEST_FILE);
         let mut body = self.to_json();
         body.push('\n');
-        atomic_write(&path, body.as_bytes())?;
+        nn::envelope::atomic_write(&path, body.as_bytes())?;
         Ok(path)
     }
 }
@@ -1186,7 +1173,12 @@ mod tests {
         assert_eq!(path.file_name().unwrap(), MANIFEST_FILE);
         let on_disk = RunManifest::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(on_disk, manifest);
-        assert!(!dir.join("run-manifest.tmp").exists(), "temp file renamed away");
+        let residue: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        assert!(residue.is_empty(), "no temp sibling may remain: {residue:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

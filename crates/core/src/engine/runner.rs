@@ -21,19 +21,19 @@
 use crate::artifact::{ArtifactCache, ArtifactStats};
 use crate::engine::context::RunContext;
 use crate::engine::journal::{
-    atomic_write, CellId, Journal, JournalEntry, JournalError, JournalState, RunManifest,
-    JOURNAL_FILE,
+    CellId, Journal, JournalEntry, JournalError, JournalState, RunManifest, JOURNAL_FILE,
 };
 use crate::engine::registry::{CellOutput, CellSpec, Experiment, RecordStats};
 use crate::obs::{self, CellOutcome, ObsSink};
 use crate::report::{records_json_pretty, ResultRecord};
-use encoders::checkpoint::stable_hash64;
+use nn::envelope::atomic_write;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use traffic_synth::stream::fnv64;
 
 /// How the runner executes an experiment.
 #[derive(Debug, Clone)]
@@ -728,7 +728,7 @@ impl RunSession {
 /// attempt with a seed-derived jitter, capped well under a second. No
 /// wall-clock feeds into it, so retry schedules are reproducible.
 fn backoff_ms(cell: u64, attempt: u32) -> u64 {
-    let jitter = stable_hash64(&[&format!("{cell:016x}"), &attempt.to_string()]) % 20;
+    let jitter = fnv64(&[format!("{cell:016x}").as_bytes(), attempt.to_string().as_bytes()]) % 20;
     (1u64 << attempt.min(5)) * 5 + jitter
 }
 

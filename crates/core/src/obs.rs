@@ -25,7 +25,8 @@
 //! a session (front-end banners, standalone cache use) fall back to the
 //! process-global stderr sink ([`global`]/[`set_global`]).
 
-use crate::engine::journal::{atomic_write, escape_json, format_f64, parse_json, Json};
+use crate::engine::journal::{escape_json, format_f64, parse_json, Json};
+use nn::envelope::atomic_write;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Write};

@@ -6,26 +6,8 @@
 
 use crate::model::EncoderModel;
 use crate::pcap_encoder::{PcapEncoderVariant, PretrainBudget};
-use std::io::Write;
 use std::path::Path;
-
-/// Stable FNV-1a 64-bit hash over a list of string parts. Unlike
-/// `std::hash::DefaultHasher` this is guaranteed identical across Rust
-/// releases and processes, so it is safe to use for on-disk cache keys
-/// and seed derivation.
-pub fn stable_hash64(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in part.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // separator so ["ab","c"] != ["a","bc"]
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use traffic_synth::stream::fnv64;
 
 /// Everything that determines the weights of a pre-trained encoder.
 /// Two [`PretrainKey`]s with equal [`PretrainKey::provenance`] strings
@@ -63,7 +45,7 @@ impl PretrainKey {
 
     /// Stable cache key for this pre-training run.
     pub fn cache_key(&self) -> u64 {
-        stable_hash64(&[&self.provenance()])
+        fnv64(&[self.provenance().as_bytes()])
     }
 
     /// File name under which the checkpoint is stored in a cache dir.
@@ -117,7 +99,9 @@ impl std::fmt::Display for CheckpointError {
 }
 impl std::error::Error for CheckpointError {}
 
-/// Write `model` to `path` as a provenance-stamped checkpoint.
+/// Publish `model` at `path` as a provenance-stamped checkpoint. The
+/// write is atomic, so concurrent runs sharing a cache dir never
+/// observe a half-written checkpoint.
 pub fn save_checkpoint(
     path: &Path,
     key: &PretrainKey,
@@ -125,14 +109,7 @@ pub fn save_checkpoint(
 ) -> std::io::Result<()> {
     let ckpt = EncoderCheckpoint { provenance: key.provenance(), model: model.clone() };
     let json = serde_json::to_string(&ckpt).expect("checkpoint serialises");
-    // Write via a temp file + rename so concurrent runs sharing a cache
-    // dir never observe a half-written checkpoint.
-    let tmp = path.with_extension("json.tmp");
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(json.as_bytes())?;
-    f.flush()?;
-    drop(f);
-    std::fs::rename(&tmp, path)
+    nn::envelope::atomic_write(path, json.as_bytes())
 }
 
 /// Load a checkpoint from `path`, verifying it matches `key`.
@@ -178,13 +155,6 @@ mod tests {
             budget: PretrainBudget::default(),
             seed,
         }
-    }
-
-    #[test]
-    fn stable_hash_is_stable_and_separator_sensitive() {
-        assert_eq!(stable_hash64(&["abc"]), stable_hash64(&["abc"]));
-        assert_ne!(stable_hash64(&["ab", "c"]), stable_hash64(&["a", "bc"]));
-        assert_ne!(stable_hash64(&["abc"]), stable_hash64(&["abd"]));
     }
 
     #[test]

@@ -7,7 +7,8 @@ use crate::model::ModelKind;
 use crate::tokenizer::TokenizerConfig;
 use dataset::record::PacketRecord;
 use dataset::transform::InputAblation;
-use nn::frozen::{FrozenArtifact, FrozenDense, FrozenEmbedding, PayloadReader, PayloadWriter};
+use nn::envelope::{PayloadReader, PayloadWriter};
+use nn::frozen::{FrozenArtifact, FrozenDense, FrozenEmbedding};
 use nn::{Int8Matrix, Tensor};
 
 fn kind_from_name(name: &str) -> Option<ModelKind> {

@@ -38,8 +38,8 @@ pub mod tokenize;
 pub mod tokenizer;
 
 pub use checkpoint::{
-    export_frozen, load_checkpoint, save_checkpoint, stable_hash64, CheckpointError,
-    EncoderCheckpoint, PretrainKey,
+    export_frozen, load_checkpoint, save_checkpoint, CheckpointError, EncoderCheckpoint,
+    PretrainKey,
 };
 pub use frozen::{EncodeScratch, FrozenInt8Encoder, FrozenPcapEncoder};
 pub use model::{EncoderModel, ModelKind};

@@ -8,40 +8,20 @@
 //! `forward_inference` code, so a frozen model's outputs are
 //! *bit-identical* to the trained model it was frozen from.
 //!
-//! The on-disk format follows the `DBAF` artifact-envelope discipline
-//! from `debunk_core::artifact` (which this crate cannot depend on —
-//! the dependency arrow points the other way — so the envelope is
-//! reimplemented here under its own magic):
-//!
-//! `DBFZ` · version u32 LE · kind (u32 len + bytes) · payload
-//! (u64 len + bytes) · FNV-64 checksum of everything before it.
-//!
-//! Writes go to a temp sibling and are renamed into place; a corrupt,
-//! truncated or wrong-kind file is refused with a specific error and
-//! never decoded into a wrong model.
+//! The on-disk format is the shared single-payload envelope of
+//! [`crate::envelope`] under magic `DBFZ`, keyed by the model's kind
+//! tag (`"mlp"`, `"forest"`, ...). Saves are published atomically; a
+//! corrupt, truncated or wrong-kind file is refused with a specific
+//! error and never decoded into a wrong model.
 
+use crate::envelope::{self, PayloadReader, PayloadWriter, MAX_ELEMS};
 use crate::tensor::Tensor;
-use std::io::Write;
 use std::path::Path;
 
 /// Magic bytes opening every frozen-model file.
 pub const FROZEN_MAGIC: &[u8; 4] = b"DBFZ";
 /// Current envelope version.
 pub const FROZEN_VERSION: u32 = 1;
-
-/// Cap on elements decoded into one buffer, so a corrupt length field
-/// that survives the checksum (i.e. a deliberately crafted file) cannot
-/// request an absurd allocation.
-const MAX_ELEMS: u64 = 1 << 28;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Errors from loading a frozen model file.
 #[derive(Debug)]
@@ -61,214 +41,6 @@ impl std::fmt::Display for FrozenError {
     }
 }
 impl std::error::Error for FrozenError {}
-
-// ---------------------------------------------------------------------------
-// Payload codec
-// ---------------------------------------------------------------------------
-
-/// Little-endian payload writer for frozen-model bodies.
-#[derive(Default)]
-pub struct PayloadWriter {
-    buf: Vec<u8>,
-}
-
-impl PayloadWriter {
-    /// Empty writer.
-    pub fn new() -> PayloadWriter {
-        PayloadWriter::default()
-    }
-
-    /// Finish and take the bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `f32` as its raw bits (bit-exact round-trip).
-    pub fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Append an `f64` as its raw bits.
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Append a length-prefixed (u32) UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append a length-prefixed (u64) `f32` slice.
-    pub fn f32s(&mut self, vs: &[f32]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f32(v);
-        }
-    }
-
-    /// Append a length-prefixed (u64) `f64` slice.
-    pub fn f64s(&mut self, vs: &[f64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-
-    /// Append a length-prefixed (u64) `u16` slice.
-    pub fn u16s(&mut self, vs: &[u16]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u16(v);
-        }
-    }
-
-    /// Append a length-prefixed (u64) `i8` slice (raw two's-complement
-    /// bytes).
-    pub fn i8s(&mut self, vs: &[i8]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.push(v as u8);
-        }
-    }
-}
-
-/// Little-endian payload reader; every accessor fails loudly on
-/// truncation instead of guessing.
-pub struct PayloadReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    /// Reader over a decoded payload.
-    pub fn new(bytes: &'a [u8]) -> PayloadReader<'a> {
-        PayloadReader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let end = end.ok_or_else(|| format!("payload truncated at offset {}", self.pos))?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a `u16`.
-    pub fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    /// Read a `u32`.
-    pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    /// Read a `u64`.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Read an `f32` from its raw bits.
-    pub fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    /// Read an `f64` from its raw bits.
-    pub fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a length (u64) and check it is a sane element count.
-    pub fn read_len(&mut self) -> Result<usize, String> {
-        let n = self.u64()?;
-        if n > MAX_ELEMS {
-            return Err(format!("implausible element count {n}"));
-        }
-        Ok(n as usize)
-    }
-
-    /// Read a length-prefixed (u32) UTF-8 string.
-    pub fn str(&mut self) -> Result<String, String> {
-        let n = self.u32()? as usize;
-        if n as u64 > MAX_ELEMS {
-            return Err(format!("implausible string length {n}"));
-        }
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
-    }
-
-    /// Read a length-prefixed (u64) `f32` slice.
-    pub fn f32s(&mut self) -> Result<Vec<f32>, String> {
-        let n = self.read_len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f32()?);
-        }
-        Ok(out)
-    }
-
-    /// Read a length-prefixed (u64) `f64` slice.
-    pub fn f64s(&mut self) -> Result<Vec<f64>, String> {
-        let n = self.read_len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-
-    /// Read a length-prefixed (u64) `u16` slice.
-    pub fn u16s(&mut self) -> Result<Vec<u16>, String> {
-        let n = self.read_len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u16()?);
-        }
-        Ok(out)
-    }
-
-    /// Read a length-prefixed (u64) `i8` slice.
-    pub fn i8s(&mut self) -> Result<Vec<i8>, String> {
-        let n = self.read_len()?;
-        let bytes = self.take(n)?;
-        Ok(bytes.iter().map(|&b| b as i8).collect())
-    }
-
-    /// Fail if undecoded bytes remain — a payload must be consumed
-    /// exactly, or the file was written by something else.
-    pub fn finish(&self) -> Result<(), String> {
-        if self.pos != self.bytes.len() {
-            return Err(format!("{} trailing bytes after payload", self.bytes.len() - self.pos));
-        }
-        Ok(())
-    }
-}
 
 /// Write a tensor as rows · cols · raw `f32` bits.
 pub fn write_tensor(w: &mut PayloadWriter, t: &Tensor) {
@@ -395,60 +167,9 @@ impl Int8Matrix {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Envelope
-// ---------------------------------------------------------------------------
-
-/// Wrap a payload in the `DBFZ` envelope under `kind`.
-pub fn encode_frozen(kind: &str, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + kind.len() + 32);
-    out.extend_from_slice(FROZEN_MAGIC);
-    out.extend_from_slice(&FROZEN_VERSION.to_le_bytes());
-    out.extend_from_slice(&(kind.len() as u32).to_le_bytes());
-    out.extend_from_slice(kind.as_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let checksum = fnv64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
-}
-
-/// Unwrap a `DBFZ` envelope, verifying checksum, magic, version and
-/// kind. Returns the payload slice.
-pub fn decode_frozen<'a>(bytes: &'a [u8], kind: &str) -> Result<&'a [u8], String> {
-    if bytes.len() < 8 {
-        return Err("truncated: shorter than the checksum".to_string());
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv64(body) != stored {
-        return Err("checksum mismatch".to_string());
-    }
-    let mut r = PayloadReader::new(body);
-    if r.take(4)? != FROZEN_MAGIC {
-        return Err("bad magic (not a frozen model file)".to_string());
-    }
-    let version = r.u32()?;
-    if version != FROZEN_VERSION {
-        return Err(format!("unsupported frozen format version {version}"));
-    }
-    let kind_len = r.u32()? as usize;
-    let stored_kind = r.take(kind_len)?;
-    if stored_kind != kind.as_bytes() {
-        return Err(format!(
-            "kind mismatch: file is '{}', wanted '{kind}'",
-            String::from_utf8_lossy(stored_kind)
-        ));
-    }
-    let payload_len = r.u64()? as usize;
-    let payload = r.take(payload_len)?;
-    r.finish()?;
-    Ok(payload)
-}
-
 /// A model with a frozen binary export: a stable kind tag plus a
 /// payload codec. The provided methods handle the envelope and the
-/// tmp+rename file discipline.
+/// atomic publish.
 pub trait FrozenArtifact: Sized {
     /// Stable kind tag stored in the envelope (e.g. `"mlp"`).
     const KIND: &'static str;
@@ -464,33 +185,22 @@ pub trait FrozenArtifact: Sized {
     fn to_frozen_bytes(&self) -> Vec<u8> {
         let mut w = PayloadWriter::new();
         self.write_payload(&mut w);
-        encode_frozen(Self::KIND, &w.into_bytes())
+        envelope::seal(FROZEN_MAGIC, FROZEN_VERSION, Self::KIND, &w.into_bytes())
     }
 
     /// Decode file bytes produced by [`FrozenArtifact::to_frozen_bytes`].
     fn from_frozen_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let payload = decode_frozen(bytes, Self::KIND)?;
+        let payload = envelope::open(bytes, FROZEN_MAGIC, FROZEN_VERSION, Self::KIND)?;
         let mut r = PayloadReader::new(payload);
         let v = Self::read_payload(&mut r)?;
         r.finish()?;
         Ok(v)
     }
 
-    /// Write to `path` via a temp sibling + rename, so a crash mid-save
-    /// never leaves a torn file at the final path.
+    /// Publish to `path` atomically ([`envelope::atomic_write`]), so a
+    /// crash mid-save never leaves a torn file at the final path.
     fn save_frozen(&self, path: &Path) -> Result<(), FrozenError> {
-        let tmp = path.with_extension("frozen.tmp");
-        let write = || -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.to_frozen_bytes())?;
-            f.flush()?;
-            drop(f);
-            std::fs::rename(&tmp, path)
-        };
-        write().map_err(|e| {
-            std::fs::remove_file(&tmp).ok();
-            FrozenError::Io(e)
-        })
+        envelope::atomic_write(path, &self.to_frozen_bytes()).map_err(FrozenError::Io)
     }
 
     /// Load from `path`, refusing corrupt or mismatched files.
@@ -786,7 +496,7 @@ mod tests {
         let d = Dense::new(2, 2, 1).freeze();
         let bytes = d.to_frozen_bytes();
         let err = FrozenMlp::from_frozen_bytes(&bytes).unwrap_err();
-        assert!(err.contains("kind mismatch"), "{err}");
+        assert!(err.contains("key mismatch"), "{err}");
     }
 
     #[test]
@@ -797,7 +507,12 @@ mod tests {
         let mlp = trained_mlp();
         let frozen = mlp.freeze();
         frozen.save_frozen(&path).expect("save");
-        assert!(!path.with_extension("frozen.tmp").exists(), "no temp residue");
+        let residue: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        assert!(residue.is_empty(), "temp residue: {residue:?}");
         let back = FrozenMlp::load_frozen(&path).expect("load");
         assert_eq!(back, frozen);
         // corrupt file on disk is refused, not mis-decoded
@@ -807,23 +522,5 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(FrozenMlp::load_frozen(&path), Err(FrozenError::Format(_))));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reader_rejects_trailing_bytes_and_bad_lengths() {
-        let mut w = PayloadWriter::new();
-        w.f32s(&[1.0, 2.0]);
-        w.u8(0); // trailing byte
-        let payload = w.into_bytes();
-        let bytes = encode_frozen("blob", &payload);
-        let got = decode_frozen(&bytes, "blob").expect("envelope ok");
-        let mut r = PayloadReader::new(got);
-        let _ = r.f32s().unwrap();
-        assert!(r.finish().is_err(), "trailing bytes must be refused");
-        // an implausible length is rejected before allocating
-        let mut w = PayloadWriter::new();
-        w.u64(u64::MAX);
-        let bytes = w.into_bytes();
-        assert!(PayloadReader::new(&bytes).read_len().is_err());
     }
 }

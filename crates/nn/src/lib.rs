@@ -33,6 +33,7 @@ pub mod adam;
 pub mod dense;
 pub mod dropout;
 pub mod embedding;
+pub mod envelope;
 pub mod frozen;
 pub mod kernel;
 pub mod loss;

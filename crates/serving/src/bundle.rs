@@ -101,9 +101,9 @@ impl ModelBundle {
         self.encoder_int8 = Some(self.encoder.quantize());
     }
 
-    /// Write every artifact under `dir` (created if needed). Each file
-    /// lands via the frozen tmp+rename discipline; `labels.txt` uses
-    /// the same pattern.
+    /// Write every artifact under `dir` (created if needed). Each file,
+    /// `labels.txt` included, is published atomically
+    /// ([`nn::envelope::AtomicFile`]).
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
         let frozen = |e: nn::frozen::FrozenError| match e {
@@ -120,15 +120,11 @@ impl ModelBundle {
         self.forest.save_frozen(&dir.join("forest.frozen")).map_err(frozen)?;
         self.gbdt.save_frozen(&dir.join("gbdt.frozen")).map_err(frozen)?;
         self.knn.save_frozen(&dir.join("knn.frozen")).map_err(frozen)?;
-        let labels_path = dir.join("labels.txt");
-        let tmp = dir.join("labels.txt.tmp");
-        let mut f = std::fs::File::create(&tmp)?;
+        let mut f = nn::envelope::AtomicFile::create(&dir.join("labels.txt"))?;
         for name in &self.labels {
             writeln!(f, "{name}")?;
         }
-        f.flush()?;
-        drop(f);
-        std::fs::rename(&tmp, &labels_path)
+        f.commit()
     }
 
     /// Load a bundle from `dir`. Any missing, corrupt or mutually

@@ -37,24 +37,17 @@ use std::time::Instant;
 /// small enough that verdict merging stays pipelined with ingest.
 const EVENT_BATCH: usize = 256;
 
-/// FNV-1a 64 over the canonical flow-key bytes — the repo-wide stable
-/// hash (same constants as `traffic_synth::stream::fnv64`), so shard
-/// placement is a pure function of the key, never of memory layout or
-/// `std` hasher seeds.
+/// FNV-1a 64 ([`nn::envelope::Fnv`]) over the canonical flow-key
+/// bytes, so shard placement is a pure function of the key, never of
+/// memory layout or `std` hasher seeds.
 pub fn flow_shard(key: &FlowKey, n_workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&key.lo_ip.to_be_bytes());
-    eat(&key.hi_ip.to_be_bytes());
-    eat(&key.lo_port.to_be_bytes());
-    eat(&key.hi_port.to_be_bytes());
-    eat(&[key.protocol]);
-    (h % n_workers.max(1) as u64) as usize
+    let mut h = nn::envelope::Fnv::new();
+    h.update(&key.lo_ip.to_be_bytes());
+    h.update(&key.hi_ip.to_be_bytes());
+    h.update(&key.lo_port.to_be_bytes());
+    h.update(&key.hi_port.to_be_bytes());
+    h.update(&[key.protocol]);
+    (h.finish() % n_workers.max(1) as u64) as usize
 }
 
 /// One dispatcher→worker event, delivered in stream order.

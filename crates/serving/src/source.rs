@@ -36,7 +36,7 @@ pub fn from_pcap_file(path: &Path) -> Result<Vec<ReplayPacket>, String> {
 /// only one record per run in memory — the replay is byte-identical to
 /// replaying the serial trace, at any shard count.
 pub fn from_shard_dir(path: &Path) -> Result<impl Iterator<Item = ReplayPacket>, String> {
-    let shards = traffic_synth::stream::ShardDir::discover(path)?;
+    let shards = debunk_core::outofcore::ShardDir::discover(path)?;
     Ok(shards.merged()?.map(|r| ReplayPacket { ts: r.ts, frame: r.frame }))
 }
 
@@ -156,7 +156,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let s = SynthSpec::parse("ustc:7:2").unwrap();
         let spec = DatasetSpec { kind: s.kind, seed: s.seed, flows_per_class: s.flows_per_class };
-        traffic_synth::stream::ShardDir::ensure(&dir, &spec, 3).unwrap();
+        debunk_core::outofcore::ShardDir::ensure(&dir, &spec, 3).unwrap();
         let streamed: Vec<ReplayPacket> = from_shard_dir(&dir).unwrap().collect();
         let direct = s.replay();
         assert_eq!(streamed.len(), direct.len());

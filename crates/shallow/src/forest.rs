@@ -118,7 +118,7 @@ impl RandomForest {
 impl nn::frozen::FrozenArtifact for RandomForest {
     const KIND: &'static str = "forest";
 
-    fn write_payload(&self, w: &mut nn::frozen::PayloadWriter) {
+    fn write_payload(&self, w: &mut nn::envelope::PayloadWriter) {
         w.u32(self.n_classes as u32);
         w.u32(self.n_features as u32);
         w.u64(self.trees.len() as u64);
@@ -127,7 +127,7 @@ impl nn::frozen::FrozenArtifact for RandomForest {
         }
     }
 
-    fn read_payload(r: &mut nn::frozen::PayloadReader) -> Result<RandomForest, String> {
+    fn read_payload(r: &mut nn::envelope::PayloadReader) -> Result<RandomForest, String> {
         let n_classes = r.u32()? as usize;
         let n_features = r.u32()? as usize;
         if n_classes == 0 {

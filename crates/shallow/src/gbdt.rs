@@ -375,7 +375,7 @@ impl GradientBoosting {
     }
 }
 
-fn write_reg_tree(w: &mut nn::frozen::PayloadWriter, tree: &RegTree) {
+fn write_reg_tree(w: &mut nn::envelope::PayloadWriter, tree: &RegTree) {
     w.u8(u8::from(tree.root_is_leaf));
     w.u64(tree.nodes.len() as u64);
     for node in &tree.nodes {
@@ -388,7 +388,7 @@ fn write_reg_tree(w: &mut nn::frozen::PayloadWriter, tree: &RegTree) {
     w.f32s(&tree.leaf_values);
 }
 
-fn read_reg_tree(r: &mut nn::frozen::PayloadReader) -> Result<RegTree, String> {
+fn read_reg_tree(r: &mut nn::envelope::PayloadReader) -> Result<RegTree, String> {
     let root_is_leaf = match r.u8()? {
         0 => false,
         1 => true,
@@ -438,7 +438,7 @@ fn read_reg_tree(r: &mut nn::frozen::PayloadReader) -> Result<RegTree, String> {
 impl nn::frozen::FrozenArtifact for GradientBoosting {
     const KIND: &'static str = "gbdt";
 
-    fn write_payload(&self, w: &mut nn::frozen::PayloadWriter) {
+    fn write_payload(&self, w: &mut nn::envelope::PayloadWriter) {
         w.u32(self.n_classes as u32);
         w.f32(self.eta);
         w.u64(self.trees.len() as u64);
@@ -449,7 +449,7 @@ impl nn::frozen::FrozenArtifact for GradientBoosting {
         }
     }
 
-    fn read_payload(r: &mut nn::frozen::PayloadReader) -> Result<GradientBoosting, String> {
+    fn read_payload(r: &mut nn::envelope::PayloadReader) -> Result<GradientBoosting, String> {
         let n_classes = r.u32()? as usize;
         if n_classes == 0 || n_classes > 1 << 16 {
             return Err(format!("implausible class count {n_classes}"));

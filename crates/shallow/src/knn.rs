@@ -84,7 +84,7 @@ impl KnnClassifier {
 impl nn::frozen::FrozenArtifact for KnnClassifier {
     const KIND: &'static str = "knn";
 
-    fn write_payload(&self, w: &mut nn::frozen::PayloadWriter) {
+    fn write_payload(&self, w: &mut nn::envelope::PayloadWriter) {
         w.u32(self.k as u32);
         w.u32(self.mean.len() as u32);
         w.f32s(&self.mean);
@@ -94,7 +94,7 @@ impl nn::frozen::FrozenArtifact for KnnClassifier {
         w.f32s(&flat);
     }
 
-    fn read_payload(r: &mut nn::frozen::PayloadReader) -> Result<KnnClassifier, String> {
+    fn read_payload(r: &mut nn::envelope::PayloadReader) -> Result<KnnClassifier, String> {
         let k = r.u32()? as usize;
         if k == 0 {
             return Err("k must be at least 1".into());

@@ -288,7 +288,7 @@ impl DecisionTree {
 impl nn::frozen::FrozenArtifact for DecisionTree {
     const KIND: &'static str = "tree";
 
-    fn write_payload(&self, w: &mut nn::frozen::PayloadWriter) {
+    fn write_payload(&self, w: &mut nn::envelope::PayloadWriter) {
         w.u64(self.nodes.len() as u64);
         for node in &self.nodes {
             match node {
@@ -308,7 +308,7 @@ impl nn::frozen::FrozenArtifact for DecisionTree {
         w.f64s(&self.importance);
     }
 
-    fn read_payload(r: &mut nn::frozen::PayloadReader) -> Result<DecisionTree, String> {
+    fn read_payload(r: &mut nn::envelope::PayloadReader) -> Result<DecisionTree, String> {
         let n = r.u64()? as usize;
         if n == 0 || n > 1 << 24 {
             return Err(format!("implausible tree size {n}"));

@@ -19,26 +19,22 @@
 //! - [`merge_sorted`] k-way-merges sorted runs with a stable tie-break
 //!   (earliest run first), reproducing exactly the stable global
 //!   time-sort of the in-RAM generator;
-//! - [`write_shard_dir`] / [`ShardDir`] persist the runs as `.dbsr`
-//!   files — length-prefixed records guarded by an FNV-64 checksum and
-//!   a canonical key, verified in a streaming pass *before* any record
-//!   is served, so a corrupt file is refused (and deterministically
-//!   rebuilt), never mis-decoded.
+//! - `debunk_core::outofcore` persists the runs as checksummed `.dbsr`
+//!   files (`write_shard_dir` / `ShardDir`) on the workspace's shared
+//!   envelope.
 
 use crate::flow::synth_flow;
 use crate::profile::AppProfile;
-use crate::recipes::{DatasetKind, DatasetSpec};
+use crate::recipes::DatasetSpec;
 use crate::trace::{spurious_run, ClassMeta, TraceRecord};
 use net_packet::ipv4::Ipv4Addr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
 
-/// FNV-1a over a sequence of byte strings — the repo-wide stable hash
-/// (same constants as `encoders::checkpoint::stable_hash64` and the
-/// artifact-cache fingerprints, which this crate cannot depend on).
+/// FNV-1a over a sequence of byte strings — the repo-wide stable parts
+/// hash. Per-flow RNG seeds, artifact-cache fingerprints, cell seeds
+/// and journal ids all derive from it, so it is identical across Rust
+/// releases and processes.
 pub fn fnv64(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
@@ -115,6 +111,28 @@ impl FlowPlan {
         start..(start + len).min(n)
     }
 
+    /// The records of flow shard `shard` out of `n_shards`, stably
+    /// sorted by timestamp: ties keep flow-major order, exactly like the
+    /// global stable sort over the flow-major full trace.
+    pub fn shard_records(&self, shard: usize, n_shards: usize) -> Vec<TraceRecord> {
+        let mut records = Vec::new();
+        for flow in self.shard_span(shard, n_shards) {
+            self.flow_records(flow as u32, &mut records);
+        }
+        records.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+        records
+    }
+
+    /// The time-sorted spurious run, which depends on the whole labelled
+    /// trace only through its record count and latest timestamp — so it
+    /// must come after every flow shard.
+    pub fn spurious_records(&self, labelled: usize, t_max: f64) -> Vec<TraceRecord> {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5f5f);
+        let mut records = spurious_run(labelled, self.spurious_fraction, t_max, &mut rng);
+        records.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+        records
+    }
+
     /// Append the packets of `flow_id` to `out`, drawn from the flow's
     /// own RNG.
     pub fn flow_records(&self, flow_id: u32, out: &mut Vec<TraceRecord>) {
@@ -189,14 +207,7 @@ impl Iterator for StreamingTrace {
 
     fn next(&mut self) -> Option<Shard> {
         if self.next < self.n_shards {
-            let span = self.plan.shard_span(self.next, self.n_shards);
-            let mut records = Vec::new();
-            for flow in span {
-                self.plan.flow_records(flow as u32, &mut records);
-            }
-            // Stable: ties keep flow-major order, exactly like the
-            // global stable sort over the flow-major full trace.
-            records.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+            let records = self.plan.shard_records(self.next, self.n_shards);
             self.labelled += records.len();
             self.t_max = records.iter().map(|r| r.ts).fold(self.t_max, f64::max);
             let index = self.next;
@@ -204,10 +215,7 @@ impl Iterator for StreamingTrace {
             Some(Shard { index, records })
         } else if !self.spurious_done {
             self.spurious_done = true;
-            let mut rng = StdRng::seed_from_u64(self.plan.seed ^ 0x5f5f);
-            let mut records =
-                spurious_run(self.labelled, self.plan.spurious_fraction, self.t_max, &mut rng);
-            records.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+            let records = self.plan.spurious_records(self.labelled, self.t_max);
             Some(Shard { index: self.n_shards, records })
         } else {
             None
@@ -248,456 +256,10 @@ impl<I: Iterator<Item = TraceRecord>> Iterator for MergeSorted<I> {
     }
 }
 
-// ---------------------------------------------------------------------
-// On-disk shard runs (`.dbsr`)
-// ---------------------------------------------------------------------
-//
-// One file per run:
-//
-//   "DBSR" | u32 version=1 | u32 key_len | key bytes | u64 n_records
-//   | records... | u64 fnv64(everything before this field)
-//
-//   record := f64 ts | u16 class | u32 flow_id | u8 from_client
-//             | u32 frame_len | frame bytes
-//
-// The key spells out everything the bytes depend on —
-// `shards|<kind>|<seed>|<flows_per_class>|<n_shards>|<run index>` — so
-// a file can never be served for the wrong spec, shard layout or slot.
-// Readers verify the whole file (structure + checksum) in a buffered
-// streaming pass before yielding a single record: refuse-or-rebuild,
-// never mis-decode.
-
-const RUN_MAGIC: &[u8; 4] = b"DBSR";
-const RUN_VERSION: u32 = 1;
-
-fn kind_tag(kind: DatasetKind) -> &'static str {
-    match kind {
-        DatasetKind::IscxVpn => "iscx",
-        DatasetKind::UstcTfc => "ustc",
-        DatasetKind::CstnetTls120 => "cstnet",
-    }
-}
-
-fn kind_from_tag(tag: &str) -> Option<DatasetKind> {
-    match tag {
-        "iscx" => Some(DatasetKind::IscxVpn),
-        "ustc" => Some(DatasetKind::UstcTfc),
-        "cstnet" => Some(DatasetKind::CstnetTls120),
-        _ => None,
-    }
-}
-
-fn run_key(spec: &DatasetSpec, n_shards: usize, run: usize) -> String {
-    format!(
-        "shards|{}|{:016x}|{}|{}|{}",
-        kind_tag(spec.kind),
-        spec.seed,
-        spec.flows_per_class,
-        n_shards,
-        run
-    )
-}
-
-fn run_file_name(run: usize) -> String {
-    format!("run-{run:04}.dbsr")
-}
-
-/// Writer that hashes as it goes, so the trailer checksum covers the
-/// whole file without a second pass.
-struct HashingWriter<W: Write> {
-    w: W,
-    h: u64,
-}
-
-impl<W: Write> HashingWriter<W> {
-    fn new(w: W) -> HashingWriter<W> {
-        HashingWriter { w, h: 0xcbf2_9ce4_8422_2325 }
-    }
-
-    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        for &b in bytes {
-            self.h ^= u64::from(b);
-            self.h = self.h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.w.write_all(bytes)
-    }
-}
-
-fn write_run(path: &Path, key: &str, records: &[TraceRecord]) -> Result<(), String> {
-    let tmp = path.with_extension("dbsr.tmp");
-    let io = |e: std::io::Error| format!("cannot write {}: {e}", tmp.display());
-    let file = File::create(&tmp).map_err(io)?;
-    let mut w = HashingWriter::new(BufWriter::new(file));
-    let res = (|| -> std::io::Result<()> {
-        w.put(RUN_MAGIC)?;
-        w.put(&RUN_VERSION.to_le_bytes())?;
-        w.put(&(key.len() as u32).to_le_bytes())?;
-        w.put(key.as_bytes())?;
-        w.put(&(records.len() as u64).to_le_bytes())?;
-        for r in records {
-            w.put(&r.ts.to_le_bytes())?;
-            w.put(&r.class.to_le_bytes())?;
-            w.put(&r.flow_id.to_le_bytes())?;
-            w.put(&[u8::from(r.from_client)])?;
-            w.put(&(r.frame.len() as u32).to_le_bytes())?;
-            w.put(&r.frame)?;
-        }
-        let checksum = w.h;
-        w.w.write_all(&checksum.to_le_bytes())?;
-        w.w.flush()
-    })();
-    res.map_err(io)?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        std::fs::remove_file(&tmp).ok();
-        format!("cannot rename {}: {e}", path.display())
-    })
-}
-
-/// Reader over one verified run file, yielding records in file order.
-/// Construction ([`RunReader::verify_open`]) streams the entire file
-/// once — structure, record framing and trailing FNV-64 — and refuses
-/// it on any inconsistency; only then is a second buffered pass handed
-/// out, so downstream consumers can trust every record they see.
-pub struct RunReader {
-    r: BufReader<File>,
-    remaining: u64,
-    path: PathBuf,
-}
-
-fn read_exact(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), String> {
-    r.read_exact(buf).map_err(|e| format!("truncated {what}: {e}"))
-}
-
-/// Parse + verify the header of `r`, returning `(key, n_records)` and
-/// folding the consumed bytes into `h`.
-fn read_run_header(r: &mut impl Read, h: &mut u64) -> Result<(String, u64), String> {
-    let fold = |bytes: &[u8], h: &mut u64| {
-        for &b in bytes {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    let mut magic = [0u8; 4];
-    read_exact(r, &mut magic, "magic")?;
-    if &magic != RUN_MAGIC {
-        return Err("bad shard-run magic".to_string());
-    }
-    fold(&magic, h);
-    let mut u32b = [0u8; 4];
-    read_exact(r, &mut u32b, "version")?;
-    fold(&u32b, h);
-    let version = u32::from_le_bytes(u32b);
-    if version != RUN_VERSION {
-        return Err(format!("unsupported shard-run version {version}"));
-    }
-    read_exact(r, &mut u32b, "key length")?;
-    fold(&u32b, h);
-    let key_len = u32::from_le_bytes(u32b) as usize;
-    if key_len > 4096 {
-        return Err(format!("implausible key length {key_len}"));
-    }
-    let mut key = vec![0u8; key_len];
-    read_exact(r, &mut key, "key")?;
-    fold(&key, h);
-    let key = String::from_utf8(key).map_err(|e| format!("key not utf-8: {e}"))?;
-    let mut u64b = [0u8; 8];
-    read_exact(r, &mut u64b, "record count")?;
-    fold(&u64b, h);
-    Ok((key, u64::from_le_bytes(u64b)))
-}
-
-impl RunReader {
-    /// Verify the whole file against `expected_key`, then return a
-    /// reader positioned at the first record.
-    pub fn verify_open(path: &Path, expected_key: &str) -> Result<RunReader, String> {
-        let open = || File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()));
-        // Pass 1: stream-verify structure and checksum.
-        let mut r = BufReader::with_capacity(1 << 16, open()?);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let (key, n_records) = read_run_header(&mut r, &mut h)?;
-        if key != expected_key {
-            return Err(format!("key mismatch: file is '{key}', wanted '{expected_key}'"));
-        }
-        let mut buf = vec![0u8; 1 << 16];
-        for i in 0..n_records {
-            let mut fixed = [0u8; 19]; // ts(8) class(2) flow(4) dir(1) len(4)
-            read_exact(&mut r, &mut fixed, &format!("record {i}"))?;
-            if fixed[14] > 1 {
-                return Err(format!("record {i}: invalid direction byte {}", fixed[14]));
-            }
-            for &b in &fixed {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            let mut frame_len =
-                u32::from_le_bytes(fixed[15..19].try_into().expect("4 bytes")) as usize;
-            if frame_len > (1 << 24) {
-                return Err(format!("record {i}: implausible frame length {frame_len}"));
-            }
-            while frame_len > 0 {
-                let take = frame_len.min(buf.len());
-                read_exact(&mut r, &mut buf[..take], &format!("record {i} frame"))?;
-                for &b in &buf[..take] {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                frame_len -= take;
-            }
-        }
-        let mut tail = [0u8; 8];
-        read_exact(&mut r, &mut tail, "checksum")?;
-        if u64::from_le_bytes(tail) != h {
-            return Err("shard-run checksum mismatch".to_string());
-        }
-        if r.read(&mut [0u8; 1]).map_err(|e| e.to_string())? != 0 {
-            return Err("trailing bytes after checksum".to_string());
-        }
-        // Pass 2: re-open for consumption (cheap: header only).
-        let mut r = BufReader::with_capacity(1 << 16, open()?);
-        let mut h2 = 0u64;
-        let (_, n) = read_run_header(&mut r, &mut h2)?;
-        Ok(RunReader { r, remaining: n, path: path.to_path_buf() })
-    }
-}
-
-impl Iterator for RunReader {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // The file was fully verified at open; a read error here means
-        // it changed underneath us mid-stream — fail loudly rather than
-        // truncate the dataset silently.
-        let mut fixed = [0u8; 19];
-        self.r
-            .read_exact(&mut fixed)
-            .unwrap_or_else(|e| panic!("verified shard run {} changed: {e}", self.path.display()));
-        let frame_len = u32::from_le_bytes(fixed[15..19].try_into().expect("4 bytes")) as usize;
-        let mut frame = vec![0u8; frame_len];
-        self.r
-            .read_exact(&mut frame)
-            .unwrap_or_else(|e| panic!("verified shard run {} changed: {e}", self.path.display()));
-        Some(TraceRecord {
-            ts: f64::from_le_bytes(fixed[0..8].try_into().expect("8 bytes")),
-            frame,
-            class: u16::from_le_bytes(fixed[8..10].try_into().expect("2 bytes")),
-            flow_id: u32::from_le_bytes(fixed[10..14].try_into().expect("4 bytes")),
-            from_client: fixed[14] == 1,
-        })
-    }
-}
-
-/// Write all runs of `spec` sharded `n_shards` ways into `dir`,
-/// returning the opened [`ShardDir`]. Peak memory is one shard of
-/// packets. Existing files are overwritten (generation is deterministic,
-/// so rewriting is always byte-identical).
-pub fn write_shard_dir(
-    dir: &Path,
-    spec: &DatasetSpec,
-    n_shards: usize,
-) -> Result<ShardDir, String> {
-    let n_shards = n_shards.max(1);
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let plan = FlowPlan::new(spec);
-    let classes = plan.classes().to_vec();
-    let mut counts = Vec::with_capacity(n_shards + 1);
-    for shard in StreamingTrace::new(plan, n_shards) {
-        let key = run_key(spec, n_shards, shard.index);
-        write_run(&dir.join(run_file_name(shard.index)), &key, &shard.records)?;
-        counts.push(shard.records.len() as u64);
-    }
-    Ok(ShardDir { dir: dir.to_path_buf(), spec: spec.clone(), n_shards, counts, classes })
-}
-
-/// [`write_shard_dir`] with `threads` generator threads. Byte-identical
-/// output at any thread count: flow shards draw only from per-flow
-/// FNV-seeded RNG streams, so they are order-independent, and the
-/// spurious run's inputs (total labelled record count, global max
-/// timestamp) are a sum and a max — both invariant under the
-/// per-shard→global fold. Peak memory is `threads` shards of packets.
-pub fn write_shard_dir_threads(
-    dir: &Path,
-    spec: &DatasetSpec,
-    n_shards: usize,
-    threads: usize,
-) -> Result<ShardDir, String> {
-    let n_shards = n_shards.max(1);
-    let threads = threads.max(1).min(n_shards);
-    if threads == 1 {
-        return write_shard_dir(dir, spec, n_shards);
-    }
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let plan = FlowPlan::new(spec);
-    let classes = plan.classes().to_vec();
-    // Claim-the-next-shard work stealing: shard sizes are uneven (class
-    // volume weights), so static striping would leave threads idle.
-    type ShardStats = (u64, f64);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let done: Vec<(usize, Result<ShardStats, String>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let plan = &plan;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n_shards {
-                            return out;
-                        }
-                        let mut records = Vec::new();
-                        for flow in plan.shard_span(i, n_shards) {
-                            plan.flow_records(flow as u32, &mut records);
-                        }
-                        records.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-                        let t_max = records.iter().map(|r| r.ts).fold(0.0f64, f64::max);
-                        let res = write_run(
-                            &dir.join(run_file_name(i)),
-                            &run_key(spec, n_shards, i),
-                            &records,
-                        )
-                        .map(|()| (records.len() as u64, t_max));
-                        out.push((i, res));
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("shard generator panicked")).collect()
-    });
-    let mut counts = vec![0u64; n_shards];
-    let mut t_max = 0.0f64;
-    for (i, res) in done {
-        let (count, shard_t_max) = res?;
-        counts[i] = count;
-        t_max = t_max.max(shard_t_max);
-    }
-    let labelled: u64 = counts.iter().sum();
-    // The spurious run depends on every flow shard (record total, time
-    // span), so it is generated serially after the fan-out — exactly
-    // like StreamingTrace yields it last.
-    let mut rng = StdRng::seed_from_u64(plan.seed ^ 0x5f5f);
-    let mut records = spurious_run(labelled as usize, plan.spurious_fraction, t_max, &mut rng);
-    records.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-    write_run(&dir.join(run_file_name(n_shards)), &run_key(spec, n_shards, n_shards), &records)?;
-    counts.push(records.len() as u64);
-    Ok(ShardDir { dir: dir.to_path_buf(), spec: spec.clone(), n_shards, counts, classes })
-}
-
-/// A validated on-disk sharded trace: `n_shards` flow runs plus the
-/// spurious run, all keyed to one spec.
-pub struct ShardDir {
-    dir: PathBuf,
-    spec: DatasetSpec,
-    n_shards: usize,
-    counts: Vec<u64>,
-    classes: Vec<ClassMeta>,
-}
-
-impl ShardDir {
-    /// Open an existing shard dir, verifying every run file end to end.
-    /// Any missing, truncated, corrupted or mis-keyed file is an error.
-    pub fn open(dir: &Path, spec: &DatasetSpec, n_shards: usize) -> Result<ShardDir, String> {
-        let n_shards = n_shards.max(1);
-        let mut counts = Vec::with_capacity(n_shards + 1);
-        for run in 0..=n_shards {
-            let path = dir.join(run_file_name(run));
-            let reader = RunReader::verify_open(&path, &run_key(spec, n_shards, run))
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            counts.push(reader.remaining);
-        }
-        let classes = FlowPlan::new(spec).classes().to_vec();
-        Ok(ShardDir { dir: dir.to_path_buf(), spec: spec.clone(), n_shards, counts, classes })
-    }
-
-    /// Open `dir` if it validates, else (re)generate every run —
-    /// refuse-or-rebuild for the whole layout. Returns the dir plus
-    /// whether a rebuild happened.
-    pub fn ensure(
-        dir: &Path,
-        spec: &DatasetSpec,
-        n_shards: usize,
-    ) -> Result<(ShardDir, bool), String> {
-        ShardDir::ensure_threads(dir, spec, n_shards, 1)
-    }
-
-    /// [`ShardDir::ensure`] with a rebuild fan-out of `threads`
-    /// generator threads ([`write_shard_dir_threads`]); the regenerated
-    /// bytes are identical at any thread count.
-    pub fn ensure_threads(
-        dir: &Path,
-        spec: &DatasetSpec,
-        n_shards: usize,
-        threads: usize,
-    ) -> Result<(ShardDir, bool), String> {
-        match ShardDir::open(dir, spec, n_shards) {
-            Ok(d) => Ok((d, false)),
-            Err(_) => write_shard_dir_threads(dir, spec, n_shards, threads).map(|d| (d, true)),
-        }
-    }
-
-    /// Discover the spec and shard count from the first run's header,
-    /// then open with full verification — how `serve` attaches to a
-    /// shard dir without re-stating the generation parameters.
-    pub fn discover(dir: &Path) -> Result<ShardDir, String> {
-        let path = dir.join(run_file_name(0));
-        let file = File::open(&path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-        let mut r = BufReader::new(file);
-        let mut h = 0u64;
-        let (key, _) = read_run_header(&mut r, &mut h)?;
-        let parts: Vec<&str> = key.split('|').collect();
-        let ["shards", kind, seed, fpc, n_shards, _run] = parts[..] else {
-            return Err(format!("unrecognised shard-run key '{key}'"));
-        };
-        let kind = kind_from_tag(kind).ok_or_else(|| format!("unknown dataset tag '{kind}'"))?;
-        let seed = u64::from_str_radix(seed, 16).map_err(|e| format!("bad seed in key: {e}"))?;
-        let flows_per_class =
-            fpc.parse::<usize>().map_err(|e| format!("bad flow count in key: {e}"))?;
-        let n_shards =
-            n_shards.parse::<usize>().map_err(|e| format!("bad shard count in key: {e}"))?;
-        ShardDir::open(dir, &DatasetSpec { kind, seed, flows_per_class }, n_shards)
-    }
-
-    /// The generating spec.
-    pub fn spec(&self) -> &DatasetSpec {
-        &self.spec
-    }
-
-    /// Number of flow shards (excluding the spurious run).
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Total records across all runs.
-    pub fn n_records(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The class table of the generated trace.
-    pub fn classes(&self) -> &[ClassMeta] {
-        &self.classes
-    }
-
-    /// Stream the full trace in canonical (time-sorted) order, reading
-    /// one buffered record per run at a time. Every run is re-verified
-    /// end to end before the first record is yielded.
-    pub fn merged(&self) -> Result<MergeSorted<RunReader>, String> {
-        let mut runs = Vec::with_capacity(self.n_shards + 1);
-        for run in 0..=self.n_shards {
-            let path = self.dir.join(run_file_name(run));
-            let reader = RunReader::verify_open(&path, &run_key(&self.spec, self.n_shards, run))
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            runs.push(reader);
-        }
-        Ok(merge_sorted(runs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recipes::DatasetKind;
 
     fn spec() -> DatasetSpec {
         DatasetSpec { kind: DatasetKind::UstcTfc, seed: 11, flows_per_class: 3 }
@@ -753,89 +315,6 @@ mod tests {
         let merged: Vec<TraceRecord> = merge_sorted(runs).collect();
         assert_records_eq(&merged, &reference.records);
         assert!(merged.iter().any(|r| r.class == crate::trace::SPURIOUS_CLASS));
-    }
-
-    #[test]
-    fn shard_dir_round_trips_and_counts() {
-        let dir = std::env::temp_dir().join("debunk-sharddir-roundtrip");
-        std::fs::remove_dir_all(&dir).ok();
-        let sd = write_shard_dir(&dir, &spec(), 3).unwrap();
-        let reference = spec().generate();
-        assert_eq!(sd.n_records() as usize, reference.records.len());
-        let merged: Vec<TraceRecord> = sd.merged().unwrap().collect();
-        assert_records_eq(&merged, &reference.records);
-        // Re-open validates and agrees.
-        let re = ShardDir::open(&dir, &spec(), 3).unwrap();
-        assert_eq!(re.n_records(), sd.n_records());
-        // Discovery from headers alone.
-        let disc = ShardDir::discover(&dir).unwrap();
-        assert_eq!(disc.n_shards(), 3);
-        assert_eq!(disc.spec().flows_per_class, 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parallel_shard_generation_is_byte_identical_to_serial() {
-        let serial_dir = std::env::temp_dir().join("debunk-sharddir-gen-serial");
-        std::fs::remove_dir_all(&serial_dir).ok();
-        write_shard_dir(&serial_dir, &spec(), 5).unwrap();
-        for threads in [2usize, 4, 16] {
-            let par_dir = std::env::temp_dir().join(format!("debunk-sharddir-gen-t{threads}"));
-            std::fs::remove_dir_all(&par_dir).ok();
-            let sd = write_shard_dir_threads(&par_dir, &spec(), 5, threads).unwrap();
-            assert_eq!(sd.n_shards(), 5);
-            for run in 0..=5 {
-                let name = run_file_name(run);
-                assert_eq!(
-                    std::fs::read(serial_dir.join(&name)).unwrap(),
-                    std::fs::read(par_dir.join(&name)).unwrap(),
-                    "{name} differs between serial and {threads}-thread generation"
-                );
-            }
-            std::fs::remove_dir_all(&par_dir).ok();
-        }
-        std::fs::remove_dir_all(&serial_dir).ok();
-    }
-
-    #[test]
-    fn corrupt_runs_are_refused_and_rebuilt_identically() {
-        let dir = std::env::temp_dir().join("debunk-sharddir-corrupt");
-        std::fs::remove_dir_all(&dir).ok();
-        write_shard_dir(&dir, &spec(), 2).unwrap();
-        let reference: Vec<TraceRecord> =
-            ShardDir::open(&dir, &spec(), 2).unwrap().merged().unwrap().collect();
-        let victim = dir.join(run_file_name(1));
-        let good = std::fs::read(&victim).unwrap();
-
-        // Every offset class: magic, version, key, count, record body,
-        // checksum — plus truncation and deletion.
-        let mut variants: Vec<Vec<u8>> = vec![
-            good[..good.len() / 2].to_vec(), // truncated
-            Vec::new(),                      // empty
-        ];
-        for off in [0usize, 5, 14, good.len() / 2, good.len() - 4] {
-            let mut bad = good.clone();
-            bad[off] ^= 0xff;
-            variants.push(bad);
-        }
-        for (i, bad) in variants.iter().enumerate() {
-            std::fs::write(&victim, bad).unwrap();
-            assert!(
-                ShardDir::open(&dir, &spec(), 2).is_err(),
-                "variant {i} must be refused, not decoded"
-            );
-            let (sd, rebuilt) = ShardDir::ensure(&dir, &spec(), 2).unwrap();
-            assert!(rebuilt, "variant {i} must trigger a rebuild");
-            let merged: Vec<TraceRecord> = sd.merged().unwrap().collect();
-            assert_records_eq(&merged, &reference);
-        }
-
-        // Wrong spec (different seed) is refused by the key check.
-        let other = DatasetSpec { seed: 12, ..spec() };
-        assert!(ShardDir::open(&dir, &other, 2).is_err());
-        // Wrong shard count is refused too (different layout key).
-        assert!(ShardDir::open(&dir, &spec(), 3).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

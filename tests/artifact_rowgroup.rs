@@ -8,19 +8,9 @@
 
 use debunk::debunk_core::artifact::{artifact_key, Artifact, ArtifactCache, RowGroupFile};
 use debunk::debunk_core::pipeline::FeatureMatrix;
+use debunk::nn::envelope::fnv64;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-
-/// FNV-1a over one byte slice — must match the envelope's checksum
-/// function (standard offset basis / prime).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("debunk-rowgroup-{tag}"));
