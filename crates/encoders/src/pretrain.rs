@@ -17,6 +17,7 @@ use nn::{Dense, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use traffic_synth::flow::synth_flow;
 use traffic_synth::profile::{AppProfile, TransportKind};
 
@@ -185,8 +186,9 @@ pub fn sbp_pretrain(
     if corpus.len() < 4 {
         return f32::NAN;
     }
-    // index packets by flow for positive pairs
-    let mut by_flow: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
+    // Index packets by flow for positive pairs. A BTreeMap, so pairs are
+    // drawn in flow order, not a per-map random hash order.
+    let mut by_flow: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     for (i, r) in corpus.iter().enumerate() {
         by_flow.entry(r.flow_id).or_default().push(i);
     }
@@ -260,7 +262,9 @@ pub fn interval_pretrain(
         let us = (gap * 1e6).clamp(0.0, 4e9) as u32;
         (crate::tokenize::log_bucket(us, BUCKETS as u32) as u16).min(BUCKETS as u16 - 1)
     };
-    let mut by_flow: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
+    // Flow order (BTreeMap) fixes the sample order before the seeded
+    // shuffle, so equal seeds give equal weights.
+    let mut by_flow: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     for (i, r) in corpus.iter().enumerate() {
         by_flow.entry(r.flow_id).or_default().push(i);
     }
@@ -356,5 +360,21 @@ mod tests {
         // SBP is learnable (implicit flow IDs!) so loss should drop
         // below chance-level ln(2) ≈ 0.693 at least a little.
         assert!(loss.is_finite());
+    }
+
+    #[test]
+    fn sbp_and_interval_pretraining_are_deterministic_per_seed() {
+        let corpus = pretrain_corpus(4, 12);
+        let run = |kind: ModelKind, sbp: bool| {
+            let mut m = EncoderModel::new(kind, 4);
+            if sbp {
+                sbp_pretrain(&mut m, &corpus, 64, 0.01, 9);
+            } else {
+                interval_pretrain(&mut m, &corpus, 1, 0.01, 9);
+            }
+            m.to_json()
+        };
+        assert_eq!(run(ModelKind::EtBert, true), run(ModelKind::EtBert, true), "SBP");
+        assert_eq!(run(ModelKind::Ptu, false), run(ModelKind::Ptu, false), "HIP/FIP");
     }
 }
