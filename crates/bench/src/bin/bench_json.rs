@@ -377,7 +377,8 @@ fn outofcore_rows(quick: bool) -> Vec<(&'static str, f64)> {
 
     let ((gen, prepare), peak) = measure_peak_rss(|| {
         let t0 = Instant::now();
-        let (shards, _) = ShardDir::ensure(&shard_dir, &spec, n_shards).expect("shard generation");
+        let (shards, _) =
+            ShardDir::ensure(&shard_dir, &spec, n_shards, 1).expect("shard generation");
         let gen = (shards.n_records() as f64, t0.elapsed().as_secs_f64());
         eprintln!(
             "  out-of-core: generated {} records across {n_shards} shards in {:.1}s",

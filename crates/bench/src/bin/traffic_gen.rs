@@ -26,17 +26,12 @@ use traffic_synth::{DatasetKind, DatasetSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kind = match args.first().map(String::as_str) {
-        Some("iscx") => DatasetKind::IscxVpn,
-        Some("ustc") => DatasetKind::UstcTfc,
-        Some("cstnet") => DatasetKind::CstnetTls120,
-        _ => {
-            eprintln!(
-                "usage: traffic-gen <iscx|ustc|cstnet> [--seed N] \
-                 [--flows-per-class N] [--out trace.pcap] [--labels labels.csv] [--clean]"
-            );
-            std::process::exit(2);
-        }
+    let Some(kind) = args.first().and_then(|a| DatasetKind::from_tag(a)) else {
+        eprintln!(
+            "usage: traffic-gen <iscx|ustc|cstnet> [--seed N] \
+             [--flows-per-class N] [--out trace.pcap] [--labels labels.csv] [--clean]"
+        );
+        std::process::exit(2);
     };
     let get_flag = |name: &str| -> Option<String> {
         args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
@@ -66,7 +61,7 @@ fn main() {
             spec.flows_per_class
         );
         let (shards, rebuilt) =
-            ShardDir::ensure_threads(std::path::Path::new(&out_dir), &spec, n_shards, gen_threads)
+            ShardDir::ensure(std::path::Path::new(&out_dir), &spec, n_shards, gen_threads)
                 .unwrap_or_else(|e| {
                     eprintln!("error: {e}");
                     std::process::exit(1);

@@ -1173,12 +1173,10 @@ mod tests {
         assert_eq!(path.file_name().unwrap(), MANIFEST_FILE);
         let on_disk = RunManifest::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(on_disk, manifest);
-        let residue: Vec<_> = std::fs::read_dir(&dir)
+        let tmp_left = std::fs::read_dir(&dir)
             .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".tmp"))
-            .collect();
-        assert!(residue.is_empty(), "no temp sibling may remain: {residue:?}");
+            .any(|e| e.unwrap().path().extension() == Some("tmp".as_ref()));
+        assert!(!tmp_left, "no temp sibling may remain");
         std::fs::remove_dir_all(&dir).ok();
     }
 

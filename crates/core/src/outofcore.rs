@@ -46,7 +46,7 @@ use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use traffic_synth::stream::{merge_sorted, FlowPlan, MergeSorted, StreamingTrace};
+use traffic_synth::stream::{merge_sorted, FlowPlan, MergeSorted};
 use traffic_synth::trace::{ClassMeta, TraceRecord};
 use traffic_synth::{DatasetKind, DatasetSpec};
 
@@ -135,7 +135,7 @@ pub fn prepare_out_of_core(
     let mut report = OutOfCoreReport::default();
 
     // Phase 0: generation — ensure the on-disk sharded trace.
-    let (shards, rebuilt) = ShardDir::ensure(shard_root, &spec, n_shards)?;
+    let (shards, rebuilt) = ShardDir::ensure(shard_root, &spec, n_shards, 1)?;
     report.rebuilt_shards = rebuilt;
     report.shard_records = shards.n_records();
 
@@ -307,28 +307,11 @@ const RUN_VERSION: u32 = 1;
 /// Fixed-size part of a record: ts(8) class(2) flow(4) dir(1) len(4).
 const RECORD_FIXED: usize = 19;
 
-fn kind_tag(kind: DatasetKind) -> &'static str {
-    match kind {
-        DatasetKind::IscxVpn => "iscx",
-        DatasetKind::UstcTfc => "ustc",
-        DatasetKind::CstnetTls120 => "cstnet",
-    }
-}
-
-fn kind_from_tag(tag: &str) -> Option<DatasetKind> {
-    match tag {
-        "iscx" => Some(DatasetKind::IscxVpn),
-        "ustc" => Some(DatasetKind::UstcTfc),
-        "cstnet" => Some(DatasetKind::CstnetTls120),
-        _ => None,
-    }
-}
-
 /// The canonical key of run `run` of `spec` sharded `n_shards` ways.
 pub fn run_key(spec: &DatasetSpec, n_shards: usize, run: usize) -> String {
     format!(
         "shards|{}|{:016x}|{}|{}|{}",
-        kind_tag(spec.kind),
+        spec.kind.tag(),
         spec.seed,
         spec.flows_per_class,
         n_shards,
@@ -407,7 +390,7 @@ impl RunReader {
         let head = run_head(&key, n_records);
         let mut h = Fnv::new();
         h.update(&head);
-        let mut buf = vec![0u8; 1 << 16];
+        let mut frame = Vec::new();
         for i in 0..n_records {
             let mut fixed = [0u8; RECORD_FIXED];
             read_exact(&mut r, &mut fixed, &format!("record {i}"))?;
@@ -415,17 +398,13 @@ impl RunReader {
                 return Err(format!("record {i}: invalid direction byte {}", fixed[14]));
             }
             h.update(&fixed);
-            let mut frame_len =
-                u32::from_le_bytes(fixed[15..19].try_into().expect("4 bytes")) as usize;
+            let frame_len = u32::from_le_bytes(fixed[15..19].try_into().expect("4 bytes")) as usize;
             if frame_len > (1 << 24) {
                 return Err(format!("record {i}: implausible frame length {frame_len}"));
             }
-            while frame_len > 0 {
-                let take = frame_len.min(buf.len());
-                read_exact(&mut r, &mut buf[..take], &format!("record {i} frame"))?;
-                h.update(&buf[..take]);
-                frame_len -= take;
-            }
+            frame.resize(frame_len, 0);
+            read_exact(&mut r, &mut frame, &format!("record {i} frame"))?;
+            h.update(&frame);
         }
         let mut tail = [0u8; 8];
         read_exact(&mut r, &mut tail, "checksum")?;
@@ -480,17 +459,7 @@ pub fn write_shard_dir(
     spec: &DatasetSpec,
     n_shards: usize,
 ) -> Result<ShardDir, String> {
-    let n_shards = n_shards.max(1);
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let plan = FlowPlan::new(spec);
-    let classes = plan.classes().to_vec();
-    let mut counts = Vec::with_capacity(n_shards + 1);
-    for shard in StreamingTrace::new(plan, n_shards) {
-        let key = run_key(spec, n_shards, shard.index);
-        write_run(&dir.join(run_file_name(shard.index)), &key, &shard.records)?;
-        counts.push(shard.records.len() as u64);
-    }
-    Ok(ShardDir { dir: dir.to_path_buf(), spec: spec.clone(), n_shards, counts, classes })
+    write_shard_dir_threads(dir, spec, n_shards, 1)
 }
 
 /// [`write_shard_dir`] with `threads` generator threads. Byte-identical
@@ -507,9 +476,6 @@ pub fn write_shard_dir_threads(
 ) -> Result<ShardDir, String> {
     let n_shards = n_shards.max(1);
     let threads = threads.max(1).min(n_shards);
-    if threads == 1 {
-        return write_shard_dir(dir, spec, n_shards);
-    }
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let plan = FlowPlan::new(spec);
     let classes = plan.classes().to_vec();
@@ -576,32 +542,16 @@ impl ShardDir {
     /// Any missing, truncated, corrupted or mis-keyed file is an error.
     pub fn open(dir: &Path, spec: &DatasetSpec, n_shards: usize) -> Result<ShardDir, String> {
         let n_shards = n_shards.max(1);
-        let mut counts = Vec::with_capacity(n_shards + 1);
-        for run in 0..=n_shards {
-            let path = dir.join(run_file_name(run));
-            let reader = RunReader::verify_open(&path, &run_key(spec, n_shards, run))
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            counts.push(reader.remaining);
-        }
+        let counts = verified_runs(dir, spec, n_shards)?.iter().map(|r| r.remaining).collect();
         let classes = FlowPlan::new(spec).classes().to_vec();
         Ok(ShardDir { dir: dir.to_path_buf(), spec: spec.clone(), n_shards, counts, classes })
     }
 
-    /// Open `dir` if it validates, else (re)generate every run —
-    /// refuse-or-rebuild for the whole layout. Returns the dir plus
-    /// whether a rebuild happened.
+    /// Open `dir` if it validates, else (re)generate every run with
+    /// `threads` generator threads ([`write_shard_dir_threads`]; the
+    /// bytes are identical at any thread count) — refuse-or-rebuild for
+    /// the whole layout. Returns the dir plus whether a rebuild happened.
     pub fn ensure(
-        dir: &Path,
-        spec: &DatasetSpec,
-        n_shards: usize,
-    ) -> Result<(ShardDir, bool), String> {
-        ShardDir::ensure_threads(dir, spec, n_shards, 1)
-    }
-
-    /// [`ShardDir::ensure`] with a rebuild fan-out of `threads`
-    /// generator threads ([`write_shard_dir_threads`]); the regenerated
-    /// bytes are identical at any thread count.
-    pub fn ensure_threads(
         dir: &Path,
         spec: &DatasetSpec,
         n_shards: usize,
@@ -624,7 +574,8 @@ impl ShardDir {
         let ["shards", kind, seed, fpc, n_shards, _run] = parts[..] else {
             return Err(format!("unrecognised shard-run key '{key}'"));
         };
-        let kind = kind_from_tag(kind).ok_or_else(|| format!("unknown dataset tag '{kind}'"))?;
+        let kind =
+            DatasetKind::from_tag(kind).ok_or_else(|| format!("unknown dataset tag '{kind}'"))?;
         let seed = u64::from_str_radix(seed, 16).map_err(|e| format!("bad seed in key: {e}"))?;
         let flows_per_class =
             fpc.parse::<usize>().map_err(|e| format!("bad flow count in key: {e}"))?;
@@ -657,15 +608,23 @@ impl ShardDir {
     /// one buffered record per run at a time. Every run is re-verified
     /// end to end before the first record is yielded.
     pub fn merged(&self) -> Result<MergeSorted<RunReader>, String> {
-        let mut runs = Vec::with_capacity(self.n_shards + 1);
-        for run in 0..=self.n_shards {
-            let path = self.dir.join(run_file_name(run));
-            let reader = RunReader::verify_open(&path, &run_key(&self.spec, self.n_shards, run))
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            runs.push(reader);
-        }
-        Ok(merge_sorted(runs))
+        Ok(merge_sorted(verified_runs(&self.dir, &self.spec, self.n_shards)?))
     }
+}
+
+/// Open and fully verify every run of `spec` sharded `n_shards` ways.
+fn verified_runs(
+    dir: &Path,
+    spec: &DatasetSpec,
+    n_shards: usize,
+) -> Result<Vec<RunReader>, String> {
+    (0..=n_shards)
+        .map(|run| {
+            let path = dir.join(run_file_name(run));
+            RunReader::verify_open(&path, &run_key(spec, n_shards, run))
+                .map_err(|e| format!("{}: {e}", path.display()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -835,17 +794,12 @@ mod tests {
         DatasetSpec { kind: DatasetKind::UstcTfc, seed: 11, flows_per_class: 3 }
     }
 
-    fn assert_records_eq(a: &[TraceRecord], b: &[TraceRecord]) {
-        assert_eq!(a.len(), b.len(), "record counts differ");
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(x.ts.to_bits(), y.ts.to_bits(), "ts differs at {i}");
-            assert_eq!(x.frame, y.frame, "frame differs at {i}");
-            assert_eq!(
-                (x.class, x.flow_id, x.from_client),
-                (y.class, y.flow_id, y.from_client),
-                "labels differ at {i}"
-            );
-        }
+    /// Records as comparable tuples (timestamps by bit pattern).
+    fn flat(records: impl IntoIterator<Item = TraceRecord>) -> Vec<(u64, u16, u32, bool, Vec<u8>)> {
+        records
+            .into_iter()
+            .map(|r| (r.ts.to_bits(), r.class, r.flow_id, r.from_client, r.frame))
+            .collect()
     }
 
     #[test]
@@ -855,8 +809,7 @@ mod tests {
         let sd = write_shard_dir(&dir, &spec(), 3).unwrap();
         let reference = spec().generate();
         assert_eq!(sd.n_records() as usize, reference.records.len());
-        let merged: Vec<TraceRecord> = sd.merged().unwrap().collect();
-        assert_records_eq(&merged, &reference.records);
+        assert!(flat(sd.merged().unwrap()) == flat(reference.records));
         // Re-open validates and agrees.
         let re = ShardDir::open(&dir, &spec(), 3).unwrap();
         assert_eq!(re.n_records(), sd.n_records());
@@ -895,8 +848,7 @@ mod tests {
         let dir = std::env::temp_dir().join("debunk-sharddir-corrupt");
         std::fs::remove_dir_all(&dir).ok();
         write_shard_dir(&dir, &spec(), 2).unwrap();
-        let reference: Vec<TraceRecord> =
-            ShardDir::open(&dir, &spec(), 2).unwrap().merged().unwrap().collect();
+        let reference = flat(ShardDir::open(&dir, &spec(), 2).unwrap().merged().unwrap());
         let victim = dir.join(run_file_name(1));
         let good = std::fs::read(&victim).unwrap();
 
@@ -917,10 +869,9 @@ mod tests {
                 ShardDir::open(&dir, &spec(), 2).is_err(),
                 "variant {i} must be refused, not decoded"
             );
-            let (sd, rebuilt) = ShardDir::ensure(&dir, &spec(), 2).unwrap();
+            let (sd, rebuilt) = ShardDir::ensure(&dir, &spec(), 2, 1).unwrap();
             assert!(rebuilt, "variant {i} must trigger a rebuild");
-            let merged: Vec<TraceRecord> = sd.merged().unwrap().collect();
-            assert_records_eq(&merged, &reference);
+            assert!(flat(sd.merged().unwrap()) == reference, "variant {i} rebuilt other records");
         }
 
         // Wrong spec (different seed) is refused by the key check.

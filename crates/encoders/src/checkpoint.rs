@@ -132,14 +132,9 @@ pub fn export_frozen(
     key: &PretrainKey,
     out_path: &Path,
 ) -> Result<(), CheckpointError> {
-    use nn::frozen::{FrozenArtifact, FrozenError};
+    use nn::frozen::FrozenArtifact;
     let model = load_checkpoint(ckpt_path, key)?;
-    model.freeze().save_frozen(out_path).map_err(|e| match e {
-        FrozenError::Io(io) => CheckpointError::Io(io),
-        FrozenError::Format(msg) => {
-            CheckpointError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, msg))
-        }
-    })
+    model.freeze().save_frozen(out_path).map_err(CheckpointError::Io)
 }
 
 #[cfg(test)]

@@ -199,8 +199,8 @@ pub trait FrozenArtifact: Sized {
 
     /// Publish to `path` atomically ([`envelope::atomic_write`]), so a
     /// crash mid-save never leaves a torn file at the final path.
-    fn save_frozen(&self, path: &Path) -> Result<(), FrozenError> {
-        envelope::atomic_write(path, &self.to_frozen_bytes()).map_err(FrozenError::Io)
+    fn save_frozen(&self, path: &Path) -> std::io::Result<()> {
+        envelope::atomic_write(path, &self.to_frozen_bytes())
     }
 
     /// Load from `path`, refusing corrupt or mismatched files.
@@ -507,12 +507,10 @@ mod tests {
         let mlp = trained_mlp();
         let frozen = mlp.freeze();
         frozen.save_frozen(&path).expect("save");
-        let residue: Vec<_> = std::fs::read_dir(&dir)
+        let tmp_left = std::fs::read_dir(&dir)
             .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".tmp"))
-            .collect();
-        assert!(residue.is_empty(), "temp residue: {residue:?}");
+            .any(|e| e.unwrap().path().extension() == Some("tmp".as_ref()));
+        assert!(!tmp_left, "no temp sibling may remain");
         let back = FrozenMlp::load_frozen(&path).expect("load");
         assert_eq!(back, frozen);
         // corrupt file on disk is refused, not mis-decoded

@@ -106,20 +106,14 @@ impl ModelBundle {
     /// ([`nn::envelope::AtomicFile`]).
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let frozen = |e: nn::frozen::FrozenError| match e {
-            nn::frozen::FrozenError::Io(io) => io,
-            nn::frozen::FrozenError::Format(msg) => {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-            }
-        };
-        self.encoder.save_frozen(&dir.join("encoder.frozen")).map_err(frozen)?;
+        self.encoder.save_frozen(&dir.join("encoder.frozen"))?;
         if let Some(q) = &self.encoder_int8 {
-            q.save_frozen(&dir.join("encoder_int8.frozen")).map_err(frozen)?;
+            q.save_frozen(&dir.join("encoder_int8.frozen"))?;
         }
-        self.head.save_frozen(&dir.join("head.frozen")).map_err(frozen)?;
-        self.forest.save_frozen(&dir.join("forest.frozen")).map_err(frozen)?;
-        self.gbdt.save_frozen(&dir.join("gbdt.frozen")).map_err(frozen)?;
-        self.knn.save_frozen(&dir.join("knn.frozen")).map_err(frozen)?;
+        self.head.save_frozen(&dir.join("head.frozen"))?;
+        self.forest.save_frozen(&dir.join("forest.frozen"))?;
+        self.gbdt.save_frozen(&dir.join("gbdt.frozen"))?;
+        self.knn.save_frozen(&dir.join("knn.frozen"))?;
         let mut f = nn::envelope::AtomicFile::create(&dir.join("labels.txt"))?;
         for name in &self.labels {
             writeln!(f, "{name}")?;

@@ -84,12 +84,8 @@ impl SynthSpec {
         let [kind, seed, fpc] = parts[..] else {
             return Err(format!("bad synth spec '{spec}': want <dataset>:<seed>:<flows>"));
         };
-        let kind = match kind {
-            "iscx" => DatasetKind::IscxVpn,
-            "ustc" => DatasetKind::UstcTfc,
-            "cstnet" => DatasetKind::CstnetTls120,
-            other => return Err(format!("unknown dataset '{other}' (iscx|ustc|cstnet)")),
-        };
+        let kind = DatasetKind::from_tag(kind)
+            .ok_or_else(|| format!("unknown dataset '{kind}' (iscx|ustc|cstnet)"))?;
         let seed = seed.parse::<u64>().map_err(|_| format!("bad seed '{seed}'"))?;
         let flows_per_class =
             fpc.parse::<usize>().map_err(|_| format!("bad flow count '{fpc}'"))?;
@@ -156,7 +152,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let s = SynthSpec::parse("ustc:7:2").unwrap();
         let spec = DatasetSpec { kind: s.kind, seed: s.seed, flows_per_class: s.flows_per_class };
-        debunk_core::outofcore::ShardDir::ensure(&dir, &spec, 3).unwrap();
+        debunk_core::outofcore::ShardDir::ensure(&dir, &spec, 3, 1).unwrap();
         let streamed: Vec<ReplayPacket> = from_shard_dir(&dir).unwrap().collect();
         let direct = s.replay();
         assert_eq!(streamed.len(), direct.len());

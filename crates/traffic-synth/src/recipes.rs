@@ -35,6 +35,23 @@ impl DatasetKind {
         }
     }
 
+    /// Short tag naming the dataset on command lines and in shard-run
+    /// keys: `iscx`, `ustc` or `cstnet`.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            DatasetKind::IscxVpn => "iscx",
+            DatasetKind::UstcTfc => "ustc",
+            DatasetKind::CstnetTls120 => "cstnet",
+        }
+    }
+
+    /// The dataset whose [`DatasetKind::tag`] is `tag`.
+    pub fn from_tag(tag: &str) -> Option<DatasetKind> {
+        [DatasetKind::IscxVpn, DatasetKind::UstcTfc, DatasetKind::CstnetTls120]
+            .into_iter()
+            .find(|k| k.tag() == tag)
+    }
+
     /// Fraction of spurious traffic contaminating the raw trace
     /// (paper §4.1: ISCX ≈ 5%, USTC ≈ 10%, CSTNET already clean).
     pub fn spurious_fraction(&self) -> f64 {
