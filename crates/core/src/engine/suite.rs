@@ -9,7 +9,7 @@ use crate::engine::registry::{CellOutput, CellSpec, Experiment, RecordStats, Reg
 use crate::experiment::{embeddings_for_purity, run_cell, CellConfig, FlowIdAblation, SplitPolicy};
 use crate::flow_experiment::{run_flow_cell, run_flow_cell_majority_vote};
 use crate::metrics::{accuracy, macro_f1};
-use crate::pipeline::{PreparedTask, TokenVariant};
+use crate::pipeline::{DatasetArtifact, PreparedTask, TokenVariant};
 use crate::report::{bar_chart, TableBuilder};
 use crate::shallow_baselines::{run_shallow, ShallowModel};
 use dataset::record::PacketRecord;
@@ -26,7 +26,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use shallow::features::{feature_names, FeatureConfig};
 use shallow::purity::knn_purity;
-use std::sync::Arc;
 
 /// The two packet-classification tasks most tables focus on.
 const PACKET_TASKS: [Task; 2] = [Task::VpnApp, Task::Tls120];
@@ -1396,14 +1395,9 @@ impl Experiment for Robustness {
                         let mut trace = spec.generate();
                         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xfa17);
                         inject_faults(&mut trace, FaultConfig::capture_loss(loss), &mut rng);
-                        dataset::clean::clean_trace(&mut trace);
-                        let data = dataset::record::Prepared::from_trace(&trace);
-                        let prep = PreparedTask::from_parts(
-                            Task::UstcApp,
-                            Arc::new(data),
-                            Arc::new(Default::default()),
-                            ctx.seed,
-                        );
+                        let art = DatasetArtifact::from_trace(trace);
+                        let prep =
+                            PreparedTask::from_parts(Task::UstcApp, art.data, art.clean, ctx.seed);
                         run_shallow(
                             &prep,
                             ShallowModel::Rf,

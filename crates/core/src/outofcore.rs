@@ -1,46 +1,30 @@
-//! Out-of-core prepare: the generate → clean → tokenize → featurize →
-//! split chain for datasets that must never be resident in RAM at once.
+//! Out-of-core prepare, for datasets that must never be resident in RAM:
 //!
-//! The in-RAM chain ([`crate::pipeline::TaskCache`]) materialises the
-//! whole trace, cleans it in place, and derives whole-dataset matrices.
-//! This module produces **byte-identical artifact files** while holding
-//! only O(row-group) state:
+//! - the on-disk flow-sharded trace ([`ShardDir`]): checksummed `.dbsr`
+//!   run files on the shared [`nn::envelope`] header, verified in a
+//!   streaming pass before any record is served (a corrupt run is
+//!   refused and rebuilt, never mis-decoded), whose k-way merge replays
+//!   the serial trace exactly;
+//! - [`prepare_out_of_core`], which runs the [`crate::pipeline`] stages
+//!   into their disk sink: the merged shard stream through the dataset
+//!   stage, then every per-record stage one dataset row group at a time.
+//!   Same stages, keys and codecs as [`crate::pipeline::TaskCache`], so
+//!   the same files, with O(row-group) state.
 //!
-//! - generation streams through an on-disk flow-sharded trace
-//!   ([`ShardDir`]) whose k-way merge replays the serial trace exactly;
-//!   its `.dbsr` run files are checksummed on the shared
-//!   [`nn::envelope`] header and verified in a streaming pass *before*
-//!   any record is served, so a corrupt run is refused (and
-//!   deterministically rebuilt), never mis-decoded;
-//! - cleaning mirrors `clean_trace` record-by-record through
-//!   [`StreamingCleaner`] (the batch cleaner delegates to the same
-//!   code, so the tallies cannot drift);
-//! - the cleaned dataset, feature matrix and token matrix are written
-//!   group-by-group with [`ArtifactCache::group_writer`], using the
-//!   same [`ROW_GROUP_ROWS`] chunking as the in-RAM `to_groups`
-//!   codecs — one format, two writers;
-//! - splits are computed on a [`FlowClassView`] (6 bytes per record)
-//!   that the in-RAM split entry points also delegate to.
-//!
-//! Warm calls validate the existing artifact's v2 frame (trailer,
-//! header, footer checksums — three bounded reads) without decoding the
-//! body, so a warm million-flow prepare touches kilobytes. Builds are
-//! single-flight per (cache dir, dataset key): concurrent callers block
-//! on one streaming build and then take the warm path.
+//! Warm calls validate each artifact's v2 frame (trailer, header and
+//! footer checksums: three bounded reads) without decoding the body.
+//! Builds are single-flight per (cache dir, dataset key).
 
-use crate::artifact::{artifact_key, ArtifactCache, RowGroupFile, ROW_GROUP_ROWS};
-use crate::experiment::SplitPolicy;
+use crate::artifact::{artifact_key, Artifact, ArtifactCache, ArtifactGroupWriter, RowGroupFile};
 use crate::pipeline::{
-    dataset_meta_group, DatasetArtifact, FeatureMatrix, TokenMatrix, TokenVariant,
+    dataset_key, derived_key, push_rows, stage_rows, DatasetArtifact, FeatureMatrix, RowStage,
+    SplitRequest, TokenMatrix, TokenVariant,
 };
-use dataset::clean::StreamingCleaner;
-use dataset::record::{records_from_bytes, records_to_bytes, PacketRecord};
-use dataset::split::{per_flow_split_on, per_packet_split_on, FlowClassView, Split};
+use dataset::split::{FlowClassView, Split};
 use encoders::model::EncoderModel;
-use encoders::tokenize::token_rows_to_bytes;
 use nn::envelope::{self, AtomicFile, Fnv};
 use parking_lot::Mutex;
-use shallow::features::{extract_features, features_to_bytes, FeatureConfig};
+use shallow::features::FeatureConfig;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -61,20 +45,6 @@ pub struct OutOfCoreOptions<'m> {
     pub tokens: Option<(&'m EncoderModel, TokenVariant)>,
     /// Splits to ensure.
     pub splits: Vec<SplitRequest>,
-}
-
-/// One split artifact to ensure, mirroring
-/// [`crate::pipeline::PreparedTask::split`]'s parameters and key.
-#[derive(Debug, Clone, Copy)]
-pub struct SplitRequest {
-    /// Per-flow (correct) or per-packet (leaky) assignment.
-    pub policy: SplitPolicy,
-    /// Train fraction (keyed by its exact bit pattern).
-    pub train_frac: f64,
-    /// Per-flow cap (per-flow policy only; ignored per-packet).
-    pub max_flow_packets: usize,
-    /// Split RNG seed.
-    pub seed: u64,
 }
 
 /// What one out-of-core prepare call did (per stage: built fresh, or
@@ -119,168 +89,85 @@ pub fn prepare_out_of_core(
     opts: &OutOfCoreOptions,
 ) -> Result<OutOfCoreReport, String> {
     let spec = DatasetSpec::new(kind, seed).scaled(scale);
-    // Exactly TaskCache::get's dataset key — same content address, so
-    // the two paths serve each other's files.
-    let dataset_key =
-        [kind.name().to_string(), format!("{seed:016x}"), ((scale * 1000.0) as u64).to_string()];
-    let parts: Vec<&str> = dataset_key.iter().map(String::as_str).collect();
-    let ds_key = artifact_key::<DatasetArtifact>(&parts);
+    let key = dataset_key(kind, seed, scale);
+    let parts = key.each_ref().map(String::as_str);
     let ds_path = cache
         .artifact_path::<DatasetArtifact>(&parts)
         .ok_or("out-of-core prepare needs a disk tier (--cache-dir)")?;
-
-    let lock = stream_lock(&format!("{}|{ds_key}", ds_path.display()));
+    // The path carries the key's fingerprint, so it names the build.
+    let lock = stream_lock(&ds_path.to_string_lossy());
     let _guard = lock.lock();
 
-    let mut report = OutOfCoreReport::default();
-
-    // Phase 0: generation — ensure the on-disk sharded trace.
-    let (shards, rebuilt) = ShardDir::ensure(shard_root, &spec, n_shards, 1)?;
-    report.rebuilt_shards = rebuilt;
-    report.shard_records = shards.n_records();
-
-    // Phase A: the cleaned dataset artifact.
-    if ds_path.exists() && RowGroupFile::open(&ds_path, &ds_key).is_ok() {
-        cache.note_disk_hit();
-    } else {
-        stream_dataset_artifact(cache, &shards, &parts)?;
-        report.dataset_built = true;
-    }
-    let mut ds_file = RowGroupFile::open(&ds_path, &ds_key)?;
-    report.kept_records = ds_file.total_rows();
-    // The trailing group is the metadata (class table + clean report);
-    // everything before it is record chunks.
-    let record_groups =
-        ds_file.n_groups().checked_sub(1).ok_or("dataset artifact has no groups")?;
-
-    // Phase B: shallow feature matrix, group-aligned with the records.
+    let (shards, rebuilt_shards) = ShardDir::ensure(shard_root, &spec, n_shards, 1)?;
+    let dataset_built = ensure::<DatasetArtifact>(cache, &parts, |w| {
+        DatasetArtifact::write(shards.merged()?, shards.classes(), w)
+    })?;
+    let mut ds = RowGroupFile::open(&ds_path, &artifact_key::<DatasetArtifact>(&parts))?;
+    let mut report = OutOfCoreReport {
+        rebuilt_shards,
+        shard_records: shards.n_records(),
+        kept_records: ds.total_rows(),
+        dataset_built,
+        ..OutOfCoreReport::default()
+    };
     if let Some(cfg) = opts.features {
-        let ip = if cfg.with_ip { "ip" } else { "no-ip" };
-        let mut fparts = parts.clone();
-        fparts.push(ip);
-        report.features_built = ensure_derived::<FeatureMatrix>(cache, &fparts, || {
-            let mut w = cache.group_writer::<FeatureMatrix>(&fparts)?;
-            for gi in 0..record_groups {
-                let records = records_from_bytes(&ds_file.read_group(gi)?)?;
-                let rows: Vec<_> = records.iter().map(|r| extract_features(r, cfg)).collect();
-                w.push_group(rows.len() as u64, &features_to_bytes(&rows))?;
-            }
-            w.finish()?;
-            Ok(())
-        })?;
+        report.features_built = ensure_rows::<FeatureMatrix>(cache, &key, &mut ds, cfg)?;
+    }
+    if let Some(cfg) = opts.tokens {
+        report.tokens_built = ensure_rows::<TokenMatrix>(cache, &key, &mut ds, cfg)?;
     }
 
-    // Phase C: token matrix.
-    if let Some((encoder, variant)) = opts.tokens {
-        let mut tparts = parts.clone();
-        tparts.extend([encoder.kind.name(), encoder.ablation.cache_tag(), variant.tag()]);
-        report.tokens_built = ensure_derived::<TokenMatrix>(cache, &tparts, || {
-            let mut w = cache.group_writer::<TokenMatrix>(&tparts)?;
-            for gi in 0..record_groups {
-                let records = records_from_bytes(&ds_file.read_group(gi)?)?;
-                let rows: Vec<Vec<u32>> = records
-                    .iter()
-                    .map(|rec| match variant {
-                        TokenVariant::Repeated => encoder.tokenize_packet_repeated(rec),
-                        TokenVariant::Padded => encoder.tokenize_packet_padded(rec),
-                    })
-                    .collect();
-                w.push_group(rows.len() as u64, &token_rows_to_bytes(&rows))?;
-            }
-            w.finish()?;
-            Ok(())
-        })?;
-    }
-
-    // Phase D: splits, on the 6-byte-per-record view.
+    // Splits, on the split view (10 bytes per record), read at most once.
     let mut view: Option<FlowClassView> = None;
     for req in &opts.splits {
-        let frac = format!("{:016x}", req.train_frac.to_bits());
-        let seed_hex = format!("{:016x}", req.seed);
-        let mfp = req.max_flow_packets.to_string();
-        let mut sparts = parts.clone();
-        match req.policy {
-            SplitPolicy::PerFlow => {
-                sparts.extend(["per-flow", frac.as_str(), mfp.as_str(), seed_hex.as_str()])
-            }
-            SplitPolicy::PerPacket => {
-                sparts.extend(["per-packet", frac.as_str(), seed_hex.as_str()])
-            }
-        }
-        let built = ensure_derived::<Split>(cache, &sparts, || {
+        let built = ensure::<Split>(cache, &derived_key(&key, &req.parts()), |w| {
             if view.is_none() {
                 let mut v = FlowClassView::default();
-                for gi in 0..record_groups {
-                    for rec in records_from_bytes(&ds_file.read_group(gi)?)? {
-                        v.push(rec.class, rec.flow_id);
-                    }
+                for chunk in DatasetArtifact::record_chunks(&mut ds)? {
+                    v.push_records(&chunk?);
                 }
                 view = Some(v);
             }
-            let v = view.as_ref().expect("view just built");
-            let split = match req.policy {
-                SplitPolicy::PerFlow => {
-                    per_flow_split_on(v, req.train_frac, req.max_flow_packets, req.seed)
-                }
-                SplitPolicy::PerPacket => per_packet_split_on(v, req.train_frac, req.seed),
-            };
-            cache.store::<Split>(&sparts, split);
-            Ok(())
+            let split = req.build(view.as_ref().expect("view just built"));
+            split.to_groups().iter().try_for_each(|g| w.push_group(g.rows, &g.bytes))
         })?;
         report.splits_built += usize::from(built);
     }
-
     Ok(report)
 }
 
-/// Warm-or-build for one derived artifact: a valid v2 frame on disk is
-/// a hit (no body decode); anything else runs `build`. Returns whether
-/// `build` ran.
-fn ensure_derived<A: crate::artifact::Artifact>(
+/// Warm-or-stream for one artifact: a valid v2 frame on disk is a hit
+/// (no body decode); anything else streams it through `write` into a
+/// fresh group writer and publishes it. Returns whether it was built.
+fn ensure<A: Artifact>(
     cache: &ArtifactCache,
     parts: &[&str],
-    build: impl FnOnce() -> Result<(), String>,
+    write: impl FnOnce(&mut ArtifactGroupWriter) -> Result<(), String>,
 ) -> Result<bool, String> {
-    let key = artifact_key::<A>(parts);
     let path = cache.artifact_path::<A>(parts).ok_or("derived artifact needs a disk tier")?;
-    if path.exists() && RowGroupFile::open(&path, &key).is_ok() {
+    if RowGroupFile::open(&path, &artifact_key::<A>(parts)).is_ok() {
         cache.note_disk_hit();
         return Ok(false);
     }
-    build()?;
+    let mut w = cache.group_writer::<A>(parts)?;
+    write(&mut w)?;
+    w.finish()?;
     Ok(true)
 }
 
-/// Stream the merged shard trace through the clean mirror into a
-/// grouped dataset artifact: record chunks of [`ROW_GROUP_ROWS`], then
-/// the metadata group (class table + clean report) last — the exact
-/// byte layout of `DatasetArtifact::to_groups`.
-fn stream_dataset_artifact(
+/// [`ensure`] stage `S`, run one dataset row group at a time.
+fn ensure_rows<S: RowStage>(
     cache: &ArtifactCache,
-    shards: &ShardDir,
-    parts: &[&str],
-) -> Result<(), String> {
-    let mut writer = cache.group_writer::<DatasetArtifact>(parts)?;
-    let mut cleaner = StreamingCleaner::new();
-    let mut chunk: Vec<PacketRecord> = Vec::with_capacity(ROW_GROUP_ROWS);
-    for rec in shards.merged()? {
-        if !cleaner.accept(&rec.frame) {
-            continue;
+    dataset: &[String],
+    ds: &mut RowGroupFile,
+    cfg: S::Config<'_>,
+) -> Result<bool, String> {
+    ensure::<S>(cache, &derived_key(dataset, &S::parts(cfg)), |w| {
+        for chunk in DatasetArtifact::record_chunks(ds)? {
+            push_rows(w, &stage_rows::<S>(cfg, &chunk?))?;
         }
-        if let Some(pr) = PacketRecord::from_trace_record(&rec) {
-            chunk.push(pr);
-            if chunk.len() == ROW_GROUP_ROWS {
-                writer.push_group(chunk.len() as u64, &records_to_bytes(&chunk))?;
-                chunk.clear();
-            }
-        }
-    }
-    if !chunk.is_empty() {
-        writer.push_group(chunk.len() as u64, &records_to_bytes(&chunk))?;
-    }
-    writer.push_group(0, &dataset_meta_group(shards.classes(), &cleaner.finish()))?;
-    writer.finish()?;
-    Ok(())
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -519,8 +406,7 @@ pub fn write_shard_dir_threads(
     }
     let labelled: u64 = counts.iter().sum();
     // The spurious run depends on every flow shard, so it is generated
-    // serially after the fan-out — exactly like StreamingTrace yields
-    // it last.
+    // serially after the fan-out and stored as the last run.
     let records = plan.spurious_records(labelled as usize, t_max);
     write_run(&dir.join(run_file_name(n_shards)), &run_key(spec, n_shards, n_shards), &records)?;
     counts.push(records.len() as u64);
@@ -630,149 +516,6 @@ fn verified_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::TaskCache;
-    use dataset::task::Task;
-    use encoders::model::{EncoderModel, ModelKind};
-    use std::path::PathBuf;
-
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(name);
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn artifact_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
-        let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with("art-"))
-            .map(|p| {
-                (p.file_name().unwrap().to_str().unwrap().to_string(), std::fs::read(&p).unwrap())
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn out_of_core_artifacts_are_byte_identical_to_in_ram() {
-        let (seed, scale) = (5, 0.15);
-        let enc = EncoderModel::new(ModelKind::EtBert, 1);
-
-        // In-RAM reference: full prepare + derived products on disk.
-        let ram_dir = temp_dir("debunk-ooc-ram");
-        let cache = TaskCache::with_artifacts(Arc::new(ArtifactCache::new(Some(ram_dir.clone()))));
-        let prep = cache.get(Task::UstcBinary, seed, scale);
-        prep.features(FeatureConfig::default());
-        prep.tokens(&enc, TokenVariant::Repeated);
-        prep.split(SplitPolicy::PerFlow, 7.0 / 8.0, 1000, 9);
-        prep.split(SplitPolicy::PerPacket, 7.0 / 8.0, 0, 9);
-
-        // Out-of-core: same key space, different disk tier, sharded gen.
-        let ooc_dir = temp_dir("debunk-ooc-stream");
-        let shard_dir = temp_dir("debunk-ooc-shards");
-        let ooc = ArtifactCache::new(Some(ooc_dir.clone()));
-        let opts = OutOfCoreOptions {
-            features: Some(FeatureConfig::default()),
-            tokens: Some((&enc, TokenVariant::Repeated)),
-            splits: vec![
-                SplitRequest {
-                    policy: SplitPolicy::PerFlow,
-                    train_frac: 7.0 / 8.0,
-                    max_flow_packets: 1000,
-                    seed: 9,
-                },
-                SplitRequest {
-                    policy: SplitPolicy::PerPacket,
-                    train_frac: 7.0 / 8.0,
-                    max_flow_packets: 0,
-                    seed: 9,
-                },
-            ],
-        };
-        let report =
-            prepare_out_of_core(&ooc, &shard_dir, DatasetKind::UstcTfc, seed, scale, 3, &opts)
-                .unwrap();
-        assert!(report.dataset_built && report.features_built && report.tokens_built);
-        assert_eq!(report.splits_built, 2);
-        assert_eq!(report.kept_records as usize, prep.data.records.len());
-
-        let ram_files = artifact_files(&ram_dir);
-        let ooc_files = artifact_files(&ooc_dir);
-        assert_eq!(
-            ram_files.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
-            ooc_files.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
-            "same content addresses"
-        );
-        assert_eq!(ram_files.len(), 5, "prepared + features + tokens + two splits");
-        for ((name, ram), (_, ooc)) in ram_files.iter().zip(&ooc_files) {
-            assert_eq!(ram, ooc, "{name} differs between in-RAM and out-of-core writers");
-        }
-
-        std::fs::remove_dir_all(&ram_dir).ok();
-        std::fs::remove_dir_all(&ooc_dir).ok();
-        std::fs::remove_dir_all(&shard_dir).ok();
-    }
-
-    #[test]
-    fn warm_calls_validate_without_rebuilding() {
-        let ooc_dir = temp_dir("debunk-ooc-warm");
-        let shard_dir = temp_dir("debunk-ooc-warm-shards");
-        let cache = ArtifactCache::new(Some(ooc_dir.clone()));
-        let opts = OutOfCoreOptions {
-            features: Some(FeatureConfig::default()),
-            ..OutOfCoreOptions::default()
-        };
-        let cold = prepare_out_of_core(&cache, &shard_dir, DatasetKind::IscxVpn, 3, 0.1, 2, &opts)
-            .unwrap();
-        assert!(cold.rebuilt_shards && cold.dataset_built && cold.features_built);
-        let builds_after_cold = cache.stats().builds;
-
-        let warm = prepare_out_of_core(&cache, &shard_dir, DatasetKind::IscxVpn, 3, 0.1, 2, &opts)
-            .unwrap();
-        assert!(!warm.rebuilt_shards && !warm.dataset_built && !warm.features_built);
-        assert_eq!(warm.kept_records, cold.kept_records);
-        assert_eq!(cache.stats().builds, builds_after_cold, "warm call builds nothing");
-        assert!(cache.stats().disk_hits >= 2, "dataset + features validated as disk hits");
-
-        std::fs::remove_dir_all(&ooc_dir).ok();
-        std::fs::remove_dir_all(&shard_dir).ok();
-    }
-
-    #[test]
-    fn concurrent_out_of_core_builds_are_single_flight() {
-        let ooc_dir = temp_dir("debunk-ooc-flight");
-        let shard_dir = temp_dir("debunk-ooc-flight-shards");
-        let cache = ArtifactCache::new(Some(ooc_dir.clone()));
-        let reports: Vec<OutOfCoreReport> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(|| {
-                        prepare_out_of_core(
-                            &cache,
-                            &shard_dir,
-                            DatasetKind::UstcTfc,
-                            7,
-                            0.1,
-                            2,
-                            &OutOfCoreOptions::default(),
-                        )
-                        .unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(
-            reports.iter().filter(|r| r.dataset_built).count(),
-            1,
-            "exactly one thread streamed the dataset"
-        );
-        assert!(reports.iter().all(|r| r.kept_records == reports[0].kept_records));
-        std::fs::remove_dir_all(&ooc_dir).ok();
-        std::fs::remove_dir_all(&shard_dir).ok();
-    }
 
     #[test]
     fn missing_disk_tier_is_an_error() {

@@ -1,40 +1,145 @@
-//! Dataset preparation for one task: generate → clean → parse, plus the
-//! derived per-dataset products (token matrices, feature matrices, split
-//! index sets), all served by the content-addressed
-//! [`ArtifactCache`](crate::artifact::ArtifactCache).
+//! The prepare chain — generate → clean → parse, then the derived
+//! token matrices, feature matrices and split index sets — served by
+//! the content-addressed [`ArtifactCache`](crate::artifact::ArtifactCache).
 //!
-//! The cache is keyed by *dataset*, not task: `Task::VpnApp` and
-//! `Task::VpnService` are different label functions over the same
-//! ISCX-VPN trace, so they share one `Arc<Prepared>`. Builds are
-//! single-flight — concurrent misses under `--jobs N` block on one
-//! build instead of duplicating it — and row-level work inside a build
-//! is partitioned across the kernel-thread budget with the bit-identical
-//! pattern from `nn::kernel` (each row a pure function of its record),
-//! so records stay byte-identical at any thread count.
+//! Each stage is defined once here: its key, its per-record row and its
+//! row-group codec. [`PreparedTask`] runs a stage with the whole dataset
+//! as one chunk and keeps the rows in memory;
+//! [`crate::outofcore::prepare_out_of_core`] runs it one on-disk row
+//! group at a time into an [`ArtifactGroupWriter`]. Both write the same
+//! bytes under the same keys.
+//!
+//! Keys name the *dataset*, not the task, so `Task::VpnApp` and
+//! `Task::VpnService` share one `Arc<Prepared>`. Builds are single-flight
+//! under `--jobs N`, and rows inside a chunk are partitioned across the
+//! kernel-thread budget (each row a pure function of its record), so
+//! records stay byte-identical at any thread count.
 
-use crate::artifact::{Artifact, ArtifactCache, RowGroup, ROW_GROUP_ROWS};
+use crate::artifact::{
+    Artifact, ArtifactCache, ArtifactGroupWriter, RowGroup, RowGroupFile, ROW_GROUP_ROWS,
+};
 use crate::experiment::SplitPolicy;
-use dataset::clean::{clean_trace, CleanReport};
-use dataset::codec::{ByteReader, ByteWriter};
-use dataset::record::{read_classes, read_records, records_to_bytes, write_classes, Prepared};
-use dataset::split::{per_flow_split, per_packet_split, Split};
+use dataset::clean::{CleanReport, StreamingCleaner};
+use dataset::codec::{rows_from_bytes, rows_to_bytes, ByteReader, ByteWriter, Row};
+use dataset::record::{read_classes, write_classes, PacketRecord, Prepared};
+use dataset::split::{per_flow_split_on, per_packet_split_on, FlowClassView, Split};
 use dataset::task::Task;
 use encoders::model::EncoderModel;
-use encoders::tokenize::{token_rows_from_bytes, token_rows_to_bytes};
-use shallow::features::{
-    extract_features, features_from_bytes, features_to_bytes, FeatureConfig, N_FEATURES,
-};
+use shallow::features::{extract_features, FeatureConfig, N_FEATURES};
 use std::sync::Arc;
-use traffic_synth::DatasetSpec;
+use traffic_synth::trace::{ClassMeta, Trace, TraceRecord};
+use traffic_synth::{DatasetKind, DatasetSpec};
 
-/// The product of the generate → clean → parse chain for one
-/// (dataset kind, seed, scale): cleaned records plus the cleaning
-/// report, cached as a single artifact.
+/// The content address of the dataset generated for `(kind, seed,
+/// scale)`; every derived product's key extends it.
+pub(crate) fn dataset_key(kind: DatasetKind, seed: u64, scale: f64) -> [String; 3] {
+    [kind.name().to_string(), format!("{seed:016x}"), ((scale * 1000.0) as u64).to_string()]
+}
+
+/// The key parts of a product derived from `dataset`.
+pub(crate) fn derived_key<'a>(dataset: &'a [String], extra: &'a [impl AsRef<str>]) -> Vec<&'a str> {
+    dataset.iter().map(String::as_str).chain(extra.iter().map(AsRef::as_ref)).collect()
+}
+
+/// Split `rows` into row groups of at most [`ROW_GROUP_ROWS`] rows,
+/// each encoded on its own.
+fn encode_groups<R: Row>(rows: &[R]) -> impl Iterator<Item = RowGroup> + '_ {
+    rows.chunks(ROW_GROUP_ROWS).map(|c| RowGroup { rows: c.len() as u64, bytes: rows_to_bytes(c) })
+}
+
+/// Decode row groups and concatenate their rows.
+fn decode_groups<R: Row>(groups: &[Vec<u8>]) -> Result<Vec<R>, String> {
+    let mut rows = Vec::new();
+    for (i, g) in groups.iter().enumerate() {
+        rows.extend(rows_from_bytes(g).map_err(|e| format!("row group {i}: {e}"))?);
+    }
+    Ok(rows)
+}
+
+/// Encode `rows` into row groups of the artifact `w` is writing.
+pub(crate) fn push_rows<R: Row>(w: &mut ArtifactGroupWriter, rows: &[R]) -> Result<(), String> {
+    encode_groups(rows).try_for_each(|g| w.push_group(g.rows, &g.bytes))
+}
+
+/// The product of the generate → clean → parse chain for one dataset:
+/// cleaned records plus the cleaning report, cached as a single
+/// artifact.
 pub struct DatasetArtifact {
     /// Cleaned, parsed dataset.
     pub data: Arc<Prepared>,
     /// What cleaning removed (Table 13 inputs).
     pub clean: Arc<CleanReport>,
+}
+
+/// The dataset stage: clean `trace` with [`StreamingCleaner`], parse
+/// the kept frames, and hand the records to `sink` in chunks of
+/// [`ROW_GROUP_ROWS`]. Returns the cleaning report.
+fn clean_into(
+    trace: impl IntoIterator<Item = TraceRecord>,
+    mut sink: impl FnMut(Vec<PacketRecord>) -> Result<(), String>,
+) -> Result<CleanReport, String> {
+    let mut cleaner = StreamingCleaner::new();
+    let mut chunk = Vec::with_capacity(ROW_GROUP_ROWS);
+    for rec in trace {
+        if !cleaner.accept(&rec.frame) {
+            continue;
+        }
+        if let Some(record) = PacketRecord::from_trace_record(&rec) {
+            chunk.push(record);
+            if chunk.len() == ROW_GROUP_ROWS {
+                sink(std::mem::replace(&mut chunk, Vec::with_capacity(ROW_GROUP_ROWS)))?;
+            }
+        }
+    }
+    if !chunk.is_empty() {
+        sink(chunk)?;
+    }
+    Ok(cleaner.finish())
+}
+
+/// Encode the trailing metadata group of a dataset artifact.
+fn meta_group(classes: &[ClassMeta], clean: &CleanReport) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    write_classes(&mut w, classes);
+    w.bytes(&clean.to_bytes());
+    w.into_bytes()
+}
+
+impl DatasetArtifact {
+    /// Clean and parse `trace` into memory, consuming it record by
+    /// record.
+    pub fn from_trace(trace: Trace) -> DatasetArtifact {
+        let mut records = Vec::new();
+        let clean = clean_into(trace.records, |chunk| {
+            records.extend(chunk);
+            Ok(())
+        })
+        .expect("the memory sink cannot fail");
+        DatasetArtifact {
+            data: Arc::new(Prepared { records, classes: trace.classes }),
+            clean: Arc::new(clean),
+        }
+    }
+
+    /// Stream `trace` into the dataset artifact `w` is writing: the
+    /// record groups, then the metadata group.
+    pub(crate) fn write(
+        trace: impl IntoIterator<Item = TraceRecord>,
+        classes: &[ClassMeta],
+        w: &mut ArtifactGroupWriter,
+    ) -> Result<(), String> {
+        let clean = clean_into(trace, |chunk| push_rows(w, &chunk))?;
+        w.push_group(0, &meta_group(classes, &clean))
+    }
+
+    /// The record chunks of a dataset artifact on disk, one row group
+    /// at a time.
+    pub(crate) fn record_chunks(
+        file: &mut RowGroupFile,
+    ) -> Result<impl Iterator<Item = Result<Vec<PacketRecord>, String>> + '_, String> {
+        let n = file.n_groups().checked_sub(1).ok_or("dataset artifact has no groups")?;
+        Ok((0..n).map(|i| rows_from_bytes(&file.read_group(i)?)))
+    }
 }
 
 impl Artifact for DatasetArtifact {
@@ -57,24 +162,17 @@ impl Artifact for DatasetArtifact {
 
     /// v2 grouping: record chunks first, then one metadata group
     /// (class table + clean report). The metadata goes **last** because
-    /// the streaming out-of-core writer only knows the clean report
-    /// after the final record chunk has been tallied.
+    /// the streaming writer only knows the clean report after the final
+    /// record chunk has been tallied.
     fn to_groups(&self) -> Vec<RowGroup> {
-        let mut groups = dataset_record_groups(&self.data.records);
-        groups
-            .push(RowGroup { rows: 0, bytes: dataset_meta_group(&self.data.classes, &self.clean) });
-        groups
+        let meta = RowGroup { rows: 0, bytes: meta_group(&self.data.classes, &self.clean) };
+        encode_groups(&self.data.records).chain([meta]).collect()
     }
 
     fn from_groups(groups: Vec<Vec<u8>>) -> Result<DatasetArtifact, String> {
         let (meta, chunks) =
             groups.split_last().ok_or("prepared artifact needs a metadata group")?;
-        let mut records = Vec::new();
-        for (i, chunk) in chunks.iter().enumerate() {
-            let mut r = ByteReader::new(chunk);
-            records.extend(read_records(&mut r).map_err(|e| format!("record group {i}: {e}"))?);
-            r.finish().map_err(|e| format!("record group {i}: {e}"))?;
-        }
+        let records = decode_groups(chunks)?;
         let mut r = ByteReader::new(meta);
         let classes = read_classes(&mut r)?;
         let clean = CleanReport::from_bytes(r.bytes()?)?;
@@ -86,24 +184,54 @@ impl Artifact for DatasetArtifact {
     }
 }
 
-/// Chunk cleaned records into self-contained row groups of
-/// [`ROW_GROUP_ROWS`] records each.
-pub(crate) fn dataset_record_groups(records: &[dataset::record::PacketRecord]) -> Vec<RowGroup> {
-    records
-        .chunks(ROW_GROUP_ROWS)
-        .map(|chunk| RowGroup { rows: chunk.len() as u64, bytes: records_to_bytes(chunk) })
-        .collect()
+/// A per-record stage: a whole-dataset matrix with one row per record,
+/// the key parts that address it after the dataset key, and the row
+/// each record maps to.
+pub trait RowStage: Send + Sync + Sized + 'static {
+    /// Artifact stage name, part of the content address.
+    const STAGE: &'static str;
+    /// The `obs` stage an in-RAM build is timed under.
+    const TIMER: &'static str;
+    /// What configures the rows.
+    type Config<'a>: Copy + Sync;
+    /// The row of one record.
+    type Row: Row + Send + Sync;
+    /// Key parts after the dataset key.
+    fn parts(cfg: Self::Config<'_>) -> Vec<&'static str>;
+    /// The row of `rec`.
+    fn row(cfg: Self::Config<'_>, rec: &PacketRecord) -> Self::Row;
+    /// Wrap rows in record order.
+    fn from_rows(rows: Vec<Self::Row>) -> Self;
+    /// The rows in record order.
+    fn rows(&self) -> &[Self::Row];
 }
 
-/// Encode the trailing metadata group of a prepared-dataset artifact.
-pub(crate) fn dataset_meta_group(
-    classes: &[traffic_synth::ClassMeta],
-    clean: &CleanReport,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_classes(&mut w, classes);
-    w.bytes(&clean.to_bytes());
-    w.into_bytes()
+/// The rows of one chunk of records: the whole dataset in RAM, one row
+/// group out of core. Rows are partitioned across the kernel-thread
+/// budget.
+pub(crate) fn stage_rows<S: RowStage>(cfg: S::Config<'_>, records: &[PacketRecord]) -> Vec<S::Row> {
+    par_rows(records.len(), |i| S::row(cfg, &records[i]))
+}
+
+/// Every per-record stage stores its rows in [`ROW_GROUP_ROWS`] groups.
+impl<S: RowStage> Artifact for S {
+    const STAGE: &'static str = <S as RowStage>::STAGE;
+
+    fn to_bytes(&self) -> Vec<u8> {
+        rows_to_bytes(self.rows())
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Result<S, String> {
+        rows_from_bytes(bytes).map(S::from_rows)
+    }
+
+    fn to_groups(&self) -> Vec<RowGroup> {
+        encode_groups(self.rows()).collect()
+    }
+
+    fn from_groups(groups: Vec<Vec<u8>>) -> Result<S, String> {
+        decode_groups(&groups).map(S::from_rows)
+    }
 }
 
 /// Whole-dataset token matrix: one token row per record for a fixed
@@ -117,30 +245,25 @@ impl std::ops::Deref for TokenMatrix {
     }
 }
 
-impl Artifact for TokenMatrix {
+/// Tokenisation depends only on the model *kind* (its hash salt and
+/// byte view) and the input ablation — never on weights — so the key is
+/// (kind, ablation, variant).
+impl RowStage for TokenMatrix {
     const STAGE: &'static str = "tokens";
-
-    fn to_bytes(&self) -> Vec<u8> {
-        token_rows_to_bytes(&self.0)
+    const TIMER: &'static str = "tokenize";
+    type Config<'a> = (&'a EncoderModel, TokenVariant);
+    type Row = Vec<u32>;
+    fn parts((encoder, variant): Self::Config<'_>) -> Vec<&'static str> {
+        vec![encoder.kind.name(), encoder.ablation.cache_tag(), variant.tag()]
     }
-
-    fn from_bytes(bytes: &[u8]) -> Result<TokenMatrix, String> {
-        token_rows_from_bytes(bytes).map(TokenMatrix)
+    fn row((encoder, variant): Self::Config<'_>, rec: &PacketRecord) -> Vec<u32> {
+        variant.tokenize(encoder, rec)
     }
-
-    fn to_groups(&self) -> Vec<RowGroup> {
-        self.0
-            .chunks(ROW_GROUP_ROWS)
-            .map(|c| RowGroup { rows: c.len() as u64, bytes: token_rows_to_bytes(c) })
-            .collect()
+    fn from_rows(rows: Vec<Vec<u32>>) -> TokenMatrix {
+        TokenMatrix(rows)
     }
-
-    fn from_groups(groups: Vec<Vec<u8>>) -> Result<TokenMatrix, String> {
-        let mut rows = Vec::new();
-        for (i, g) in groups.iter().enumerate() {
-            rows.extend(token_rows_from_bytes(g).map_err(|e| format!("token group {i}: {e}"))?);
-        }
-        Ok(TokenMatrix(rows))
+    fn rows(&self) -> &[Vec<u32>] {
+        &self.0
     }
 }
 
@@ -154,30 +277,23 @@ impl std::ops::Deref for FeatureMatrix {
     }
 }
 
-impl Artifact for FeatureMatrix {
+/// Keyed by whether the IP fields are kept.
+impl RowStage for FeatureMatrix {
     const STAGE: &'static str = "features";
-
-    fn to_bytes(&self) -> Vec<u8> {
-        features_to_bytes(&self.0)
+    const TIMER: &'static str = "featurize";
+    type Config<'a> = FeatureConfig;
+    type Row = [f32; N_FEATURES];
+    fn parts(cfg: FeatureConfig) -> Vec<&'static str> {
+        vec![if cfg.with_ip { "ip" } else { "no-ip" }]
     }
-
-    fn from_bytes(bytes: &[u8]) -> Result<FeatureMatrix, String> {
-        features_from_bytes(bytes).map(FeatureMatrix)
+    fn row(cfg: FeatureConfig, rec: &PacketRecord) -> [f32; N_FEATURES] {
+        extract_features(rec, cfg)
     }
-
-    fn to_groups(&self) -> Vec<RowGroup> {
-        self.0
-            .chunks(ROW_GROUP_ROWS)
-            .map(|c| RowGroup { rows: c.len() as u64, bytes: features_to_bytes(c) })
-            .collect()
+    fn from_rows(rows: Vec<[f32; N_FEATURES]>) -> FeatureMatrix {
+        FeatureMatrix(rows)
     }
-
-    fn from_groups(groups: Vec<Vec<u8>>) -> Result<FeatureMatrix, String> {
-        let mut rows = Vec::new();
-        for (i, g) in groups.iter().enumerate() {
-            rows.extend(features_from_bytes(g).map_err(|e| format!("feature group {i}: {e}"))?);
-        }
-        Ok(FeatureMatrix(rows))
+    fn rows(&self) -> &[[f32; N_FEATURES]] {
+        &self.0
     }
 }
 
@@ -210,6 +326,14 @@ impl TokenVariant {
             TokenVariant::Padded => "padded",
         }
     }
+
+    /// The token row of `rec` under this variant.
+    pub fn tokenize(self, encoder: &EncoderModel, rec: &PacketRecord) -> Vec<u32> {
+        match self {
+            TokenVariant::Repeated => encoder.tokenize_packet_repeated(rec),
+            TokenVariant::Padded => encoder.tokenize_packet_padded(rec),
+        }
+    }
 }
 
 /// Build one output row per record index, partitioning rows across the
@@ -235,6 +359,45 @@ fn par_rows<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
         }
     });
     out.into_iter().map(|o| o.expect("every row filled")).collect()
+}
+
+/// One split artifact: the parameters of [`PreparedTask::split`], which
+/// also address it.
+#[derive(Debug, Clone, Copy)]
+pub struct SplitRequest {
+    /// Per-flow (correct) or per-packet (leaky) assignment.
+    pub policy: SplitPolicy,
+    /// Train fraction (keyed by its exact bit pattern).
+    pub train_frac: f64,
+    /// Per-flow cap (per-flow policy only; ignored per-packet).
+    pub max_flow_packets: usize,
+    /// Split RNG seed.
+    pub seed: u64,
+}
+
+impl SplitRequest {
+    /// Key parts after the dataset key. The per-packet policy ignores
+    /// `max_flow_packets`, so its key leaves it out.
+    pub fn parts(&self) -> Vec<String> {
+        let frac = format!("{:016x}", self.train_frac.to_bits());
+        let seed = format!("{:016x}", self.seed);
+        match self.policy {
+            SplitPolicy::PerFlow => {
+                vec!["per-flow".to_string(), frac, self.max_flow_packets.to_string(), seed]
+            }
+            SplitPolicy::PerPacket => vec!["per-packet".to_string(), frac, seed],
+        }
+    }
+
+    /// Compute the split on a dataset's split view.
+    pub fn build(&self, view: &FlowClassView) -> Split {
+        match self.policy {
+            SplitPolicy::PerFlow => {
+                per_flow_split_on(view, self.train_frac, self.max_flow_packets, self.seed)
+            }
+            SplitPolicy::PerPacket => per_packet_split_on(view, self.train_frac, self.seed),
+        }
+    }
 }
 
 /// A task together with its prepared (cleaned, parsed) dataset and a
@@ -289,44 +452,22 @@ impl PreparedTask {
         self.task.labels(&self.data, indices)
     }
 
-    fn derived_parts<'a>(&'a self, extra: &[&'a str]) -> Vec<&'a str> {
-        let mut parts: Vec<&str> = self.dataset_key.iter().map(String::as_str).collect();
-        parts.extend_from_slice(extra);
-        parts
-    }
-
     /// Whole-dataset shallow feature matrix for `cfg`, cached.
     pub fn features(&self, cfg: FeatureConfig) -> Arc<FeatureMatrix> {
-        let ip = if cfg.with_ip { "ip" } else { "no-ip" };
-        let data = self.data.clone();
-        let obs = self.artifacts.obs();
-        self.artifacts.get_or_build(&self.derived_parts(&[ip]), || {
-            obs.time_stage("featurize", || {
-                FeatureMatrix(par_rows(data.records.len(), |i| {
-                    extract_features(&data.records[i], cfg)
-                }))
-            })
-        })
+        self.rows::<FeatureMatrix>(cfg)
     }
 
-    /// Whole-dataset token matrix for `encoder`, cached. Tokenisation
-    /// depends only on the model *kind* (its hash salt and byte view)
-    /// and the input ablation — never on weights — so the key is
-    /// (dataset, kind, ablation, variant).
+    /// Whole-dataset token matrix for `encoder`, cached.
     pub fn tokens(&self, encoder: &EncoderModel, variant: TokenVariant) -> Arc<TokenMatrix> {
-        let parts = [encoder.kind.name(), encoder.ablation.cache_tag(), variant.tag()];
+        self.rows::<TokenMatrix>((encoder, variant))
+    }
+
+    /// Run stage `S` over the whole dataset as one chunk, cached.
+    fn rows<S: RowStage>(&self, cfg: S::Config<'_>) -> Arc<S> {
         let data = self.data.clone();
         let obs = self.artifacts.obs();
-        self.artifacts.get_or_build(&self.derived_parts(&parts), || {
-            obs.time_stage("tokenize", || {
-                TokenMatrix(par_rows(data.records.len(), |i| {
-                    let rec = &data.records[i];
-                    match variant {
-                        TokenVariant::Repeated => encoder.tokenize_packet_repeated(rec),
-                        TokenVariant::Padded => encoder.tokenize_packet_padded(rec),
-                    }
-                }))
-            })
+        self.artifacts.get_or_build(&derived_key(&self.dataset_key, &S::parts(cfg)), || {
+            obs.time_stage(S::TIMER, || S::from_rows(stage_rows::<S>(cfg, &data.records)))
         })
     }
 
@@ -338,33 +479,18 @@ impl PreparedTask {
         max_flow_packets: usize,
         seed: u64,
     ) -> Arc<Split> {
-        let frac = format!("{:016x}", train_frac.to_bits());
-        let seed_hex = format!("{seed:016x}");
+        let request = SplitRequest { policy, train_frac, max_flow_packets, seed };
         let data = self.data.clone();
         let obs = self.artifacts.obs();
-        match policy {
-            SplitPolicy::PerFlow => {
-                let mfp = max_flow_packets.to_string();
-                let parts = ["per-flow", frac.as_str(), mfp.as_str(), seed_hex.as_str()];
-                self.artifacts.get_or_build(&self.derived_parts(&parts), || {
-                    obs.time_stage("split", || {
-                        per_flow_split(&data, train_frac, max_flow_packets, seed)
-                    })
-                })
-            }
-            SplitPolicy::PerPacket => {
-                let parts = ["per-packet", frac.as_str(), seed_hex.as_str()];
-                self.artifacts.get_or_build(&self.derived_parts(&parts), || {
-                    obs.time_stage("split", || per_packet_split(&data, train_frac, seed))
-                })
-            }
-        }
+        self.artifacts.get_or_build(&derived_key(&self.dataset_key, &request.parts()), || {
+            obs.time_stage("split", || request.build(&FlowClassView::of(&data)))
+        })
     }
 }
 
 /// Process-wide cache over the prepare chain. Thin handle around an
-/// [`ArtifactCache`]: keyed by (dataset kind, seed, scale-in-milli) —
-/// *not* by `Task`, so tasks sharing a dataset share one build — with
+/// [`ArtifactCache`]: keyed by dataset ([`dataset_key`]) — *not* by
+/// `Task`, so tasks sharing a dataset share one build — with
 /// single-flight misses and an optional disk tier.
 #[derive(Default)]
 pub struct TaskCache {
@@ -391,24 +517,12 @@ impl TaskCache {
     /// Get or build the prepared dataset for a task. Concurrent misses
     /// for the same dataset block on a single build.
     pub fn get(&self, task: Task, seed: u64, scale: f64) -> PreparedTask {
-        let kind = task.dataset();
-        let dataset_key = [
-            kind.name().to_string(),
-            format!("{seed:016x}"),
-            ((scale * 1000.0) as u64).to_string(),
-        ];
-        let parts: Vec<&str> = dataset_key.iter().map(String::as_str).collect();
+        let spec = DatasetSpec::new(task.dataset(), seed).scaled(scale);
+        let dataset_key = dataset_key(spec.kind, seed, scale);
         let obs = self.artifacts.obs();
-        let art = self.artifacts.get_or_build::<DatasetArtifact>(&parts, || {
-            let spec = DatasetSpec::new(kind, seed).scaled(scale);
-            let mut trace = obs.time_stage("trace", || spec.generate());
-            obs.time_stage("clean", || {
-                let report = clean_trace(&mut trace);
-                DatasetArtifact {
-                    data: Arc::new(Prepared::from_trace(&trace)),
-                    clean: Arc::new(report),
-                }
-            })
+        let art = self.artifacts.get_or_build(&dataset_key.each_ref().map(String::as_str), || {
+            let trace = obs.time_stage("trace", || spec.generate());
+            obs.time_stage("clean", || DatasetArtifact::from_trace(trace))
         });
         PreparedTask {
             task,

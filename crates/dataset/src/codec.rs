@@ -165,6 +165,87 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// One row of a row run — `u64 n`, then `n` rows back to back — the
+/// layout of every row-chunked payload: packet records, shallow feature
+/// rows and token rows.
+pub trait Row: Sized {
+    /// Fewest bytes one row encodes to; bounds the count a reader trusts.
+    const MIN_BYTES: usize;
+    /// Append this row.
+    fn write(&self, w: &mut ByteWriter);
+    /// Read one row.
+    fn read(r: &mut ByteReader) -> Result<Self, String>;
+}
+
+/// Append a row run.
+pub fn write_rows<R: Row>(w: &mut ByteWriter, rows: &[R]) {
+    w.u64(rows.len() as u64);
+    for row in rows {
+        row.write(w);
+    }
+}
+
+/// Read a [`write_rows`] run.
+pub fn read_rows<R: Row>(r: &mut ByteReader) -> Result<Vec<R>, String> {
+    let n = r.count(R::MIN_BYTES)?;
+    let mut rows = Vec::with_capacity(n);
+    for i in 0..n {
+        rows.push(R::read(r).map_err(|e| format!("row {i}: {e}"))?);
+    }
+    Ok(rows)
+}
+
+/// Encode a standalone row run.
+pub fn rows_to_bytes<R: Row>(rows: &[R]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    write_rows(&mut w, rows);
+    w.into_bytes()
+}
+
+/// Decode a standalone [`rows_to_bytes`] run (rejects trailing bytes).
+pub fn rows_from_bytes<R: Row>(bytes: &[u8]) -> Result<Vec<R>, String> {
+    let mut r = ByteReader::new(bytes);
+    let rows = read_rows(&mut r)?;
+    r.finish()?;
+    Ok(rows)
+}
+
+/// A feature row: its `f32` bit patterns.
+impl<const N: usize> Row for [f32; N] {
+    const MIN_BYTES: usize = 4 * N;
+    fn write(&self, w: &mut ByteWriter) {
+        for &v in self {
+            w.f32(v);
+        }
+    }
+    fn read(r: &mut ByteReader) -> Result<[f32; N], String> {
+        let mut row = [0.0f32; N];
+        for v in &mut row {
+            *v = r.f32()?;
+        }
+        Ok(row)
+    }
+}
+
+/// A token row: a `u64` length, then the raw `u32` tokens.
+impl Row for Vec<u32> {
+    const MIN_BYTES: usize = 8;
+    fn write(&self, w: &mut ByteWriter) {
+        w.u64(self.len() as u64);
+        for &t in self {
+            w.u32(t);
+        }
+    }
+    fn read(r: &mut ByteReader) -> Result<Vec<u32>, String> {
+        let len = r.count(4)?;
+        let mut row = Vec::with_capacity(len);
+        for _ in 0..len {
+            row.push(r.u32()?);
+        }
+        Ok(row)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +288,24 @@ mod tests {
         let mut r = ByteReader::new(&buf);
         r.u32().unwrap();
         assert!(r.finish().is_err(), "trailing bytes must be rejected");
+    }
+
+    #[test]
+    fn row_runs_round_trip_and_refuse_truncation() {
+        let tokens = vec![vec![1u32, 2, 65535], vec![], vec![7]];
+        let bytes = rows_to_bytes(&tokens);
+        assert_eq!(rows_from_bytes::<Vec<u32>>(&bytes).unwrap(), tokens);
+        assert!(rows_from_bytes::<Vec<u32>>(&bytes[..bytes.len() - 2]).is_err());
+        assert!(rows_from_bytes::<Vec<u32>>(&[0xff; 9]).is_err());
+
+        let features = vec![[1.5f32, -0.0, f32::NAN], [0.0, 2.0, 3.0]];
+        let bytes = rows_to_bytes(&features);
+        let back = rows_from_bytes::<[f32; 3]>(&bytes).unwrap();
+        let bits = |rows: &[[f32; 3]]| -> Vec<u32> {
+            rows.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&back), bits(&features));
+        assert!(rows_from_bytes::<[f32; 3]>(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

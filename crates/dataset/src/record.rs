@@ -1,6 +1,6 @@
 //! Packet records: the unit the downstream pipeline operates on.
 
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{read_rows, write_rows, ByteReader, ByteWriter, Row};
 use net_packet::frame::ParsedFrame;
 use traffic_synth::trace::{ClassMeta, Trace, TraceRecord, SPURIOUS_CLASS};
 
@@ -84,7 +84,7 @@ impl Prepared {
     /// drift from the parser.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        write_records(&mut w, &self.records);
+        write_rows(&mut w, &self.records);
         write_classes(&mut w, &self.classes);
         w.into_bytes()
     }
@@ -95,7 +95,7 @@ impl Prepared {
     /// silently shorter dataset.
     pub fn from_bytes(bytes: &[u8]) -> Result<Prepared, String> {
         let mut r = ByteReader::new(bytes);
-        let records = read_records(&mut r)?;
+        let records = read_rows(&mut r)?;
         let classes = read_classes(&mut r)?;
         r.finish()?;
         Ok(Prepared { records, classes })
@@ -122,37 +122,29 @@ impl Prepared {
     }
 }
 
-/// Write `u64 n` + `n` records — the record half of the
-/// [`Prepared::to_bytes`] layout, exposed so row-chunked artifact
-/// encodings (DBAF v2 groups, the out-of-core prepare path) can emit
-/// self-contained record chunks that concatenate consistently with the
-/// whole-dataset codec.
-pub fn write_records(w: &mut ByteWriter, records: &[PacketRecord]) {
-    w.u64(records.len() as u64);
-    for r in records {
-        w.f64(r.ts);
-        w.bytes(&r.frame);
-        w.u16(r.class);
-        w.u64(r.flow_id);
-        w.bool(r.from_client);
+/// Records store their frame; decoding re-parses it (see [`Prepared::to_bytes`]).
+impl Row for PacketRecord {
+    const MIN_BYTES: usize = 23;
+    fn write(&self, w: &mut ByteWriter) {
+        w.f64(self.ts);
+        w.bytes(&self.frame);
+        w.u16(self.class);
+        w.u64(self.flow_id);
+        w.bool(self.from_client);
     }
-}
-
-/// Read a [`write_records`] block, re-parsing every frame.
-pub fn read_records(r: &mut ByteReader) -> Result<Vec<PacketRecord>, String> {
-    let n = r.count(23)?;
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
+    fn read(r: &mut ByteReader) -> Result<PacketRecord, String> {
         let ts = r.f64()?;
         let frame = r.bytes()?.to_vec();
-        let parsed =
-            ParsedFrame::parse(&frame).map_err(|e| format!("record {i}: bad frame: {e}"))?;
-        let class = r.u16()?;
-        let flow_id = r.u64()?;
-        let from_client = r.bool()?;
-        records.push(PacketRecord { ts, frame, parsed, class, flow_id, from_client });
+        let parsed = ParsedFrame::parse(&frame).map_err(|e| format!("bad frame: {e}"))?;
+        Ok(PacketRecord {
+            ts,
+            frame,
+            parsed,
+            class: r.u16()?,
+            flow_id: r.u64()?,
+            from_client: r.bool()?,
+        })
     }
-    Ok(records)
 }
 
 /// Write `u64 n` + `n` class-table entries (the class half of the
@@ -182,22 +174,6 @@ pub fn read_classes(r: &mut ByteReader) -> Result<Vec<ClassMeta>, String> {
         });
     }
     Ok(classes)
-}
-
-/// Encode a standalone record chunk (`u64 n` + records).
-pub fn records_to_bytes(records: &[PacketRecord]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_records(&mut w, records);
-    w.into_bytes()
-}
-
-/// Decode a standalone [`records_to_bytes`] chunk (rejects trailing
-/// bytes).
-pub fn records_from_bytes(bytes: &[u8]) -> Result<Vec<PacketRecord>, String> {
-    let mut r = ByteReader::new(bytes);
-    let records = read_records(&mut r)?;
-    r.finish()?;
-    Ok(records)
 }
 
 #[cfg(test)]

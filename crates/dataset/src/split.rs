@@ -73,16 +73,14 @@ impl FlowClassView {
     /// Project a prepared dataset down to its split view.
     pub fn of(data: &Prepared) -> FlowClassView {
         let mut view = FlowClassView::default();
-        for r in &data.records {
-            view.push(r.class, r.flow_id);
-        }
+        view.push_records(&data.records);
         view
     }
 
-    /// Append one record's facts (streaming construction).
-    pub fn push(&mut self, class: u16, flow_id: u64) {
-        self.class_of.push(class);
-        self.flow_of.push(flow_id);
+    /// Append the facts of a chunk of records (streaming construction).
+    pub fn push_records(&mut self, records: &[PacketRecord]) {
+        self.class_of.extend(records.iter().map(|r| r.class));
+        self.flow_of.extend(records.iter().map(|r| r.flow_id));
     }
 
     /// Number of records in the view.
@@ -571,8 +569,8 @@ mod tests {
         // cached split artifacts of the in-RAM path.
         let d = prepared();
         let mut view = FlowClassView::default();
-        for r in &d.records {
-            view.push(r.class, r.flow_id);
+        for chunk in d.records.chunks(7) {
+            view.push_records(chunk);
         }
         let a = per_flow_split(&d, 0.8, 50, 7);
         let b = per_flow_split_on(&view, 0.8, 50, 7);

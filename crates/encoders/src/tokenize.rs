@@ -143,37 +143,6 @@ pub fn multimodal_tokens(from_client: bool, iat: f64, salt: u32, out: &mut Vec<u
     out.push(hash_token(2001, log_bucket(iat_us, 32), salt));
 }
 
-/// Serialise a per-record token matrix for the artifact cache: a row
-/// count, then each row as a `u64` length followed by raw `u32` tokens.
-pub fn token_rows_to_bytes(rows: &[Vec<u32>]) -> Vec<u8> {
-    let mut w = dataset::codec::ByteWriter::new();
-    w.u64(rows.len() as u64);
-    for row in rows {
-        w.u64(row.len() as u64);
-        for &t in row {
-            w.u32(t);
-        }
-    }
-    w.into_bytes()
-}
-
-/// Decode a [`token_rows_to_bytes`] buffer.
-pub fn token_rows_from_bytes(bytes: &[u8]) -> Result<Vec<Vec<u32>>, String> {
-    let mut r = dataset::codec::ByteReader::new(bytes);
-    let n = r.count(8)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.count(4)?;
-        let mut row = Vec::with_capacity(len);
-        for _ in 0..len {
-            row.push(r.u32()?);
-        }
-        rows.push(row);
-    }
-    r.finish()?;
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,15 +153,6 @@ mod tests {
     fn sample() -> Prepared {
         let t = DatasetSpec { kind: DatasetKind::IscxVpn, seed: 1, flows_per_class: 2 }.generate();
         Prepared::from_trace(&t)
-    }
-
-    #[test]
-    fn token_row_codec_round_trips() {
-        let rows = vec![vec![1u32, 2, 65535], vec![], vec![7]];
-        let bytes = token_rows_to_bytes(&rows);
-        assert_eq!(token_rows_from_bytes(&bytes).unwrap(), rows);
-        assert!(token_rows_from_bytes(&bytes[..bytes.len() - 2]).is_err());
-        assert!(token_rows_from_bytes(&[0xff; 9]).is_err());
     }
 
     #[test]

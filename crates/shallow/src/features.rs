@@ -180,40 +180,6 @@ pub fn extract_features(rec: &PacketRecord, cfg: FeatureConfig) -> [f32; N_FEATU
     f
 }
 
-/// Extract a feature matrix for many records.
-pub fn extract_matrix(records: &[&PacketRecord], cfg: FeatureConfig) -> Vec<[f32; N_FEATURES]> {
-    records.iter().map(|r| extract_features(r, cfg)).collect()
-}
-
-/// Serialise a feature matrix for the artifact cache: a row count, then
-/// each row's `N_FEATURES` `f32` bit patterns.
-pub fn features_to_bytes(rows: &[[f32; N_FEATURES]]) -> Vec<u8> {
-    let mut w = dataset::codec::ByteWriter::new();
-    w.u64(rows.len() as u64);
-    for row in rows {
-        for &v in row {
-            w.f32(v);
-        }
-    }
-    w.into_bytes()
-}
-
-/// Decode a [`features_to_bytes`] buffer.
-pub fn features_from_bytes(bytes: &[u8]) -> Result<Vec<[f32; N_FEATURES]>, String> {
-    let mut r = dataset::codec::ByteReader::new(bytes);
-    let n = r.count(4 * N_FEATURES)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut row = [0.0f32; N_FEATURES];
-        for v in &mut row {
-            *v = r.f32()?;
-        }
-        rows.push(row);
-    }
-    r.finish()?;
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,20 +189,6 @@ mod tests {
     fn prepared() -> Prepared {
         let t = DatasetSpec { kind: DatasetKind::IscxVpn, seed: 3, flows_per_class: 2 }.generate();
         Prepared::from_trace(&t)
-    }
-
-    #[test]
-    fn feature_codec_round_trips() {
-        let p = prepared();
-        let recs: Vec<&PacketRecord> = p.records.iter().take(10).collect();
-        let rows = extract_matrix(&recs, FeatureConfig::default());
-        let bytes = features_to_bytes(&rows);
-        let back = features_from_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), rows.len());
-        for (a, b) in rows.iter().zip(&back) {
-            assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
-        assert!(features_from_bytes(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

@@ -105,9 +105,9 @@ impl DatasetSpec {
     ///
     /// Every flow draws from its own FNV-derived RNG (see
     /// [`crate::stream::FlowPlan`]), so this fully in-RAM path and the
-    /// sharded [`crate::stream::StreamingTrace`] iterator produce
-    /// byte-identical traces at any shard count — an equivalence the
-    /// `stream` tests assert record-for-record.
+    /// [`crate::stream::merge_sorted`] merge of the plan's shard runs
+    /// produce byte-identical traces at any shard count — an equivalence
+    /// the `stream` tests assert record-for-record.
     pub fn generate(&self) -> Trace {
         let plan = FlowPlan::new(self);
         let mut trace = Trace { records: Vec::new(), classes: plan.classes().to_vec() };

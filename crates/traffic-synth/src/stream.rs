@@ -12,10 +12,11 @@
 //!
 //! - [`FlowPlan`] resolves the per-flow class assignment up front (a
 //!   deterministic function of the spec, no RNG involved);
-//! - [`StreamingTrace`] yields one internally time-sorted shard at a
-//!   time, never holding more than a shard of packets, and finishes
-//!   with the spurious-traffic run (whose count and time span depend on
-//!   the whole labelled trace, so it must come last);
+//! - [`FlowPlan::shard_records`] generates one internally time-sorted
+//!   shard, never more than a shard of packets, and
+//!   [`FlowPlan::spurious_records`] the spurious-traffic run (whose
+//!   count and time span depend on the whole labelled trace, so it must
+//!   come last);
 //! - [`merge_sorted`] k-way-merges sorted runs with a stable tie-break
 //!   (earliest run first), reproducing exactly the stable global
 //!   time-sort of the in-RAM generator;
@@ -155,74 +156,6 @@ impl FlowPlan {
     }
 }
 
-/// One generated run: a time-sorted slice of the trace.
-pub struct Shard {
-    /// Run index: `0..n_shards` are flow shards, `n_shards` is the
-    /// spurious run (present even when empty, so run counts are fixed).
-    pub index: usize,
-    /// Records, stably sorted by timestamp.
-    pub records: Vec<TraceRecord>,
-}
-
-/// Streaming shard iterator: yields `n_shards` flow shards followed by
-/// one spurious run, holding at most one shard of packets in memory.
-/// Merging the runs with [`merge_sorted`] reproduces
-/// [`DatasetSpec::generate`](crate::DatasetSpec::generate) exactly, for
-/// any `n_shards`.
-pub struct StreamingTrace {
-    plan: FlowPlan,
-    n_shards: usize,
-    next: usize,
-    labelled: usize,
-    t_max: f64,
-    spurious_done: bool,
-}
-
-impl StreamingTrace {
-    /// Stream `plan` as `n_shards` flow shards (clamped to at least 1).
-    pub fn new(plan: FlowPlan, n_shards: usize) -> StreamingTrace {
-        StreamingTrace {
-            plan,
-            n_shards: n_shards.max(1),
-            next: 0,
-            labelled: 0,
-            t_max: 0.0,
-            spurious_done: false,
-        }
-    }
-
-    /// Total number of runs this iterator will yield.
-    pub fn n_runs(&self) -> usize {
-        self.n_shards + 1
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &FlowPlan {
-        &self.plan
-    }
-}
-
-impl Iterator for StreamingTrace {
-    type Item = Shard;
-
-    fn next(&mut self) -> Option<Shard> {
-        if self.next < self.n_shards {
-            let records = self.plan.shard_records(self.next, self.n_shards);
-            self.labelled += records.len();
-            self.t_max = records.iter().map(|r| r.ts).fold(self.t_max, f64::max);
-            let index = self.next;
-            self.next += 1;
-            Some(Shard { index, records })
-        } else if !self.spurious_done {
-            self.spurious_done = true;
-            let records = self.plan.spurious_records(self.labelled, self.t_max);
-            Some(Shard { index: self.n_shards, records })
-        } else {
-            None
-        }
-    }
-}
-
 /// K-way merge of time-sorted runs with a stable tie-break: on equal
 /// timestamps the earliest run wins, and order within a run is kept.
 /// Because the runs partition the flow-major trace in order (spurious
@@ -291,13 +224,21 @@ mod tests {
         }
     }
 
+    /// Every run of `plan` sharded `n_shards` ways: the flow shards,
+    /// then the spurious run.
+    fn shard_runs(plan: &FlowPlan, n_shards: usize) -> Vec<std::vec::IntoIter<TraceRecord>> {
+        let mut runs: Vec<_> = (0..n_shards).map(|i| plan.shard_records(i, n_shards)).collect();
+        let labelled = runs.iter().map(Vec::len).sum();
+        let t_max = runs.iter().flatten().map(|r| r.ts).fold(0.0f64, f64::max);
+        runs.push(plan.spurious_records(labelled, t_max));
+        runs.into_iter().map(Vec::into_iter).collect()
+    }
+
     #[test]
     fn any_shard_count_merges_to_the_serial_trace() {
         let reference = spec().generate();
         for n_shards in [1usize, 4, 7] {
-            let runs: Vec<_> = StreamingTrace::new(FlowPlan::new(&spec()), n_shards)
-                .map(|s| s.records.into_iter())
-                .collect();
+            let runs = shard_runs(&FlowPlan::new(&spec()), n_shards);
             assert_eq!(runs.len(), n_shards + 1);
             let merged: Vec<TraceRecord> = merge_sorted(runs).collect();
             assert_records_eq(&merged, &reference.records);
@@ -310,8 +251,7 @@ mod tests {
         // byte-for-byte tail the in-RAM inject produces.
         let s = DatasetSpec { kind: DatasetKind::IscxVpn, seed: 5, flows_per_class: 2 };
         let reference = s.generate();
-        let runs: Vec<_> =
-            StreamingTrace::new(FlowPlan::new(&s), 4).map(|s| s.records.into_iter()).collect();
+        let runs = shard_runs(&FlowPlan::new(&s), 4);
         let merged: Vec<TraceRecord> = merge_sorted(runs).collect();
         assert_records_eq(&merged, &reference.records);
         assert!(merged.iter().any(|r| r.class == crate::trace::SPURIOUS_CLASS));

@@ -108,10 +108,10 @@ impl Trace {
 /// packets whose latest timestamp is `t_max`: exactly the records
 /// [`Trace::inject_spurious`] appends, in generation order (unsorted).
 ///
-/// Factored out of `inject_spurious` so the streaming generator
-/// ([`crate::stream::StreamingTrace`]) can emit the same records as a
-/// final run after all flow shards have been tallied — the spurious
-/// count and time span depend on the whole labelled trace.
+/// Factored out of `inject_spurious` so the sharded generator
+/// ([`crate::stream::FlowPlan::spurious_records`]) can emit the same
+/// records as a final run after all flow shards have been tallied — the
+/// spurious count and time span depend on the whole labelled trace.
 pub fn spurious_run(
     labelled: usize,
     fraction: f64,

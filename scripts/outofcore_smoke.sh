@@ -18,7 +18,7 @@
 #   SHARDS       shard count           (default 3)
 #   WORK_DIR     scratch directory     (default: fresh mktemp -d)
 #   RSS_GUARD=1  additionally run the ignored peak-RSS regression test
-#                (generates a few hundred thousand packets; off in CI)
+#                (generates a few hundred thousand packets; CI sets it)
 set -euo pipefail
 
 TRAFFIC_GEN="${TRAFFIC_GEN:-target/release/traffic_gen}"

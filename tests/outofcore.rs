@@ -7,8 +7,8 @@
 use debunk::dataset::Task;
 use debunk::debunk_core::artifact::ArtifactCache;
 use debunk::debunk_core::experiment::SplitPolicy;
-use debunk::debunk_core::outofcore::{prepare_out_of_core, OutOfCoreOptions, SplitRequest};
-use debunk::debunk_core::pipeline::{TaskCache, TokenVariant};
+use debunk::debunk_core::outofcore::{prepare_out_of_core, OutOfCoreOptions};
+use debunk::debunk_core::pipeline::{SplitRequest, TaskCache, TokenVariant};
 use debunk::encoders::{EncoderModel, ModelKind};
 use debunk::shallow::features::FeatureConfig;
 use debunk::traffic_synth::DatasetKind;
@@ -46,18 +46,27 @@ fn streaming_prepare_is_byte_identical_at_shard_counts_1_4_7() {
     prep.features(FeatureConfig::default());
     prep.tokens(&enc, TokenVariant::Repeated);
     prep.split(SplitPolicy::PerFlow, 7.0 / 8.0, 1000, 9);
+    prep.split(SplitPolicy::PerPacket, 7.0 / 8.0, 0, 9);
     let ram_files = artifact_files(&ram_dir);
-    assert_eq!(ram_files.len(), 4, "prepared + features + tokens + split");
+    assert_eq!(ram_files.len(), 5, "prepared + features + tokens + two splits");
 
     let opts = OutOfCoreOptions {
         features: Some(FeatureConfig::default()),
         tokens: Some((&enc, TokenVariant::Repeated)),
-        splits: vec![SplitRequest {
-            policy: SplitPolicy::PerFlow,
-            train_frac: 7.0 / 8.0,
-            max_flow_packets: 1000,
-            seed: 9,
-        }],
+        splits: vec![
+            SplitRequest {
+                policy: SplitPolicy::PerFlow,
+                train_frac: 7.0 / 8.0,
+                max_flow_packets: 1000,
+                seed: 9,
+            },
+            SplitRequest {
+                policy: SplitPolicy::PerPacket,
+                train_frac: 7.0 / 8.0,
+                max_flow_packets: 0,
+                seed: 9,
+            },
+        ],
     };
     for n_shards in [1usize, 4, 7] {
         let ooc_dir = temp_dir(&format!("debunk-oocroot-s{n_shards}"));
@@ -73,6 +82,7 @@ fn streaming_prepare_is_byte_identical_at_shard_counts_1_4_7() {
         )
         .unwrap();
         assert!(cold.dataset_built && cold.features_built && cold.tokens_built);
+        assert_eq!(cold.splits_built, 2);
         assert_eq!(cold.kept_records as usize, prep.data.records.len());
         let cold_files = artifact_files(&ooc_dir);
         assert_eq!(
@@ -82,20 +92,17 @@ fn streaming_prepare_is_byte_identical_at_shard_counts_1_4_7() {
 
         // Warm: a fresh cache over the same dirs validates everything
         // in place — no rebuilds, and the bytes stay untouched.
-        let warm = prepare_out_of_core(
-            &ArtifactCache::new(Some(ooc_dir.clone())),
-            &shard_dir,
-            kind,
-            seed,
-            scale,
-            n_shards,
-            &opts,
-        )
-        .unwrap();
+        let warm_cache = ArtifactCache::new(Some(ooc_dir.clone()));
+        let warm = prepare_out_of_core(&warm_cache, &shard_dir, kind, seed, scale, n_shards, &opts)
+            .unwrap();
         assert!(
             !warm.rebuilt_shards && !warm.dataset_built && !warm.features_built,
             "warm {n_shards}-shard call rebuilt something"
         );
+        assert_eq!(warm.splits_built, 0);
+        assert_eq!(warm.kept_records, cold.kept_records);
+        assert_eq!(warm_cache.stats().builds, 0, "warm call builds nothing");
+        assert_eq!(warm_cache.stats().disk_hits, 5, "every artifact validated as a disk hit");
         assert_eq!(artifact_files(&ooc_dir), ram_files, "warm pass altered on-disk bytes");
 
         std::fs::remove_dir_all(&ooc_dir).ok();

@@ -134,8 +134,8 @@ fn labels_consistent_across_tasks() {
 fn out_of_core_artifacts_feed_the_cell_runners() {
     use debunk::debunk_core::artifact::ArtifactCache;
     use debunk::debunk_core::experiment::{CellConfig, SplitPolicy};
-    use debunk::debunk_core::outofcore::{prepare_out_of_core, OutOfCoreOptions, SplitRequest};
-    use debunk::debunk_core::pipeline::TaskCache;
+    use debunk::debunk_core::outofcore::{prepare_out_of_core, OutOfCoreOptions};
+    use debunk::debunk_core::pipeline::{SplitRequest, TaskCache};
     use debunk::debunk_core::shallow_baselines::{run_shallow, ShallowModel};
     use debunk::shallow::features::FeatureConfig;
     use std::sync::Arc;
