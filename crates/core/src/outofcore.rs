@@ -89,7 +89,7 @@ pub fn prepare_out_of_core(
     opts: &OutOfCoreOptions,
 ) -> Result<OutOfCoreReport, String> {
     let spec = DatasetSpec::new(kind, seed).scaled(scale);
-    let key = dataset_key(kind, seed, scale);
+    let key = dataset_key(&spec);
     let parts = key.each_ref().map(String::as_str);
     let ds_path = cache
         .artifact_path::<DatasetArtifact>(&parts)

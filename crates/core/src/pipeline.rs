@@ -28,12 +28,15 @@ use encoders::model::EncoderModel;
 use shallow::features::{extract_features, FeatureConfig, N_FEATURES};
 use std::sync::Arc;
 use traffic_synth::trace::{ClassMeta, Trace, TraceRecord};
-use traffic_synth::{DatasetKind, DatasetSpec};
+use traffic_synth::DatasetSpec;
 
-/// The content address of the dataset generated for `(kind, seed,
-/// scale)`; every derived product's key extends it.
-pub(crate) fn dataset_key(kind: DatasetKind, seed: u64, scale: f64) -> [String; 3] {
-    [kind.name().to_string(), format!("{seed:016x}"), ((scale * 1000.0) as u64).to_string()]
+/// The content address of the dataset `spec` generates; every derived
+/// product's key extends it. It names the resolved flow count, which
+/// the bytes depend on, not the requested scale. The `fpc` prefix keeps
+/// it apart from keys that held a bare milli-scale.
+pub(crate) fn dataset_key(spec: &DatasetSpec) -> [String; 3] {
+    let fpc = format!("fpc{}", spec.flows_per_class);
+    [spec.kind.name().to_string(), format!("{:016x}", spec.seed), fpc]
 }
 
 /// The key parts of a product derived from `dataset`.
@@ -518,7 +521,7 @@ impl TaskCache {
     /// for the same dataset block on a single build.
     pub fn get(&self, task: Task, seed: u64, scale: f64) -> PreparedTask {
         let spec = DatasetSpec::new(task.dataset(), seed).scaled(scale);
-        let dataset_key = dataset_key(spec.kind, seed, scale);
+        let dataset_key = dataset_key(&spec);
         let obs = self.artifacts.obs();
         let art = self.artifacts.get_or_build(&dataset_key.each_ref().map(String::as_str), || {
             let trace = obs.time_stage("trace", || spec.generate());

@@ -172,3 +172,32 @@ fn corrupt_artifacts_fall_back_to_identical_rebuild() {
     assert!(summary.artifacts.builds > 0, "corruption must force rebuilds");
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// The dataset key is the resolved spec, not the requested scale. VPN
+/// scales 0.1665 and 0.1668 truncate to the same milli-scale but resolve
+/// to 3 and 4 flows per class, so they must never share a cached
+/// dataset; 0.1669 also resolves to 4 and may reuse the 0.1668 file.
+#[test]
+fn dataset_key_follows_the_resolved_flow_count_not_the_scale() {
+    use debunk::debunk_core::artifact::ArtifactCache;
+    use debunk::debunk_core::pipeline::{PreparedTask, TaskCache};
+    use std::sync::Arc;
+
+    let dir = temp("debunk-artifact-scale-key");
+    let cache = || Arc::new(ArtifactCache::new(Some(dir.clone())));
+    let bytes = |p: &PreparedTask| p.data.to_bytes();
+
+    let small = TaskCache::with_artifacts(cache()).get(Task::VpnApp, 1, 0.1665);
+    let arts = cache();
+    let large = TaskCache::with_artifacts(arts.clone()).get(Task::VpnApp, 1, 0.1668);
+    let reference = PreparedTask::build(Task::VpnApp, 1, 0.1668);
+    assert_ne!(bytes(&small), bytes(&reference), "the two scales are different datasets");
+    assert_eq!(arts.stats().builds, 1, "0.1668 was served the 0.1665 dataset from disk");
+    assert!(bytes(&large) == bytes(&reference));
+
+    let arts = cache();
+    let same = TaskCache::with_artifacts(arts.clone()).get(Task::VpnApp, 1, 0.1669);
+    assert_eq!(arts.stats().builds, 0, "same flow count, same dataset file");
+    assert!(bytes(&same) == bytes(&reference));
+    std::fs::remove_dir_all(&dir).ok();
+}
