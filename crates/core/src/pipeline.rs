@@ -26,14 +26,14 @@ use dataset::split::{per_flow_split_on, per_packet_split_on, FlowClassView, Spli
 use dataset::task::Task;
 use encoders::model::EncoderModel;
 use shallow::features::{extract_features, FeatureConfig, N_FEATURES};
+use std::ops::Deref;
 use std::sync::Arc;
 use traffic_synth::trace::{ClassMeta, Trace, TraceRecord};
 use traffic_synth::DatasetSpec;
 
-/// The content address of the dataset `spec` generates; every derived
-/// product's key extends it. It names the resolved flow count, which
-/// the bytes depend on, not the requested scale. The `fpc` prefix keeps
-/// it apart from keys that held a bare milli-scale.
+/// The content address of the dataset `spec` generates, extended by
+/// every derived product's key. It names the resolved flow count, not
+/// the scale; the `fpc` prefix keeps it apart from old milli-scale keys.
 pub(crate) fn dataset_key(spec: &DatasetSpec) -> [String; 3] {
     let fpc = format!("fpc{}", spec.flows_per_class);
     [spec.kind.name().to_string(), format!("{:016x}", spec.seed), fpc]
@@ -187,10 +187,12 @@ impl Artifact for DatasetArtifact {
     }
 }
 
-/// A per-record stage: a whole-dataset matrix with one row per record,
-/// the key parts that address it after the dataset key, and the row
-/// each record maps to.
-pub trait RowStage: Send + Sync + Sized + 'static {
+/// A per-record stage: a whole-dataset matrix with one row per record
+/// (derefs to the rows in record order), the key parts that address it
+/// after the dataset key, and the row each record maps to.
+pub trait RowStage:
+    Deref<Target = [<Self as RowStage>::Row]> + Send + Sync + Sized + 'static
+{
     /// Artifact stage name, part of the content address.
     const STAGE: &'static str;
     /// The `obs` stage an in-RAM build is timed under.
@@ -205,8 +207,6 @@ pub trait RowStage: Send + Sync + Sized + 'static {
     fn row(cfg: Self::Config<'_>, rec: &PacketRecord) -> Self::Row;
     /// Wrap rows in record order.
     fn from_rows(rows: Vec<Self::Row>) -> Self;
-    /// The rows in record order.
-    fn rows(&self) -> &[Self::Row];
 }
 
 /// The rows of one chunk of records: the whole dataset in RAM, one row
@@ -221,7 +221,7 @@ impl<S: RowStage> Artifact for S {
     const STAGE: &'static str = <S as RowStage>::STAGE;
 
     fn to_bytes(&self) -> Vec<u8> {
-        rows_to_bytes(self.rows())
+        rows_to_bytes(&self[..])
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<S, String> {
@@ -229,7 +229,7 @@ impl<S: RowStage> Artifact for S {
     }
 
     fn to_groups(&self) -> Vec<RowGroup> {
-        encode_groups(self.rows()).collect()
+        encode_groups(&self[..]).collect()
     }
 
     fn from_groups(groups: Vec<Vec<u8>>) -> Result<S, String> {
@@ -241,7 +241,7 @@ impl<S: RowStage> Artifact for S {
 /// (model kind, input ablation, variant).
 pub struct TokenMatrix(pub Vec<Vec<u32>>);
 
-impl std::ops::Deref for TokenMatrix {
+impl Deref for TokenMatrix {
     type Target = [Vec<u32>];
     fn deref(&self) -> &[Vec<u32>] {
         &self.0
@@ -265,15 +265,12 @@ impl RowStage for TokenMatrix {
     fn from_rows(rows: Vec<Vec<u32>>) -> TokenMatrix {
         TokenMatrix(rows)
     }
-    fn rows(&self) -> &[Vec<u32>] {
-        &self.0
-    }
 }
 
 /// Whole-dataset shallow feature matrix (Table 12 vectors).
 pub struct FeatureMatrix(pub Vec<[f32; N_FEATURES]>);
 
-impl std::ops::Deref for FeatureMatrix {
+impl Deref for FeatureMatrix {
     type Target = [[f32; N_FEATURES]];
     fn deref(&self) -> &[[f32; N_FEATURES]] {
         &self.0
@@ -294,9 +291,6 @@ impl RowStage for FeatureMatrix {
     }
     fn from_rows(rows: Vec<[f32; N_FEATURES]>) -> FeatureMatrix {
         FeatureMatrix(rows)
-    }
-    fn rows(&self) -> &[[f32; N_FEATURES]] {
-        &self.0
     }
 }
 
