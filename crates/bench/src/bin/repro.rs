@@ -15,8 +15,8 @@
 //!                    cell (default: auto-split from --jobs; results
 //!                    are bit-identical at any setting)
 //!   --out DIR        result-record directory (default "results")
-//!   --cache-dir DIR  persist pre-trained encoder checkpoints AND
-//!                    content-addressed pipeline/cell artifacts in DIR;
+//!   --cache-dir DIR  persist content-addressed artifacts (datasets,
+//!                    pre-trained encoders, cell outputs) in DIR;
 //!                    a warm second run replays cached builds and
 //!                    produces byte-identical records
 //!   --resume         replay cells already `done` in DIR's journal;

@@ -1,18 +1,18 @@
-//! Content-addressed artifact cache for the data-preparation chain.
+//! Content-addressed artifact cache: the one build-once store of a run.
 //!
-//! Every expensive prepare-stage product — the generated/cleaned/parsed
-//! dataset, whole-dataset token matrices, shallow feature matrices,
-//! split index sets — is keyed by a *content address*: a stable
-//! fingerprint of everything that determines its bytes (dataset kind,
-//! seed, scale, tokenizer configuration, feature configuration, split
-//! policy). Two tiers sit behind one lookup:
+//! Every expensive product — the generated/cleaned/parsed dataset,
+//! whole-dataset token matrices, shallow feature matrices, split index
+//! sets, pre-trained encoders, concluded cell outputs — is keyed by a
+//! *content address*: a stable fingerprint of everything that determines
+//! its bytes (dataset kind, seed, scale, tokenizer configuration,
+//! feature configuration, split policy, pre-training provenance). Two
+//! tiers sit behind one lookup:
 //!
 //! - an in-memory tier of `Arc`s with *single-flight* builds: concurrent
 //!   misses for the same key block on one build instead of duplicating
-//!   it (the same `Mutex<HashMap<_, Arc<OnceLock<_>>>>` pattern as
-//!   [`crate::engine::checkpoint::EncoderStore`]);
-//! - an optional on-disk tier under `--cache-dir` (shared with encoder
-//!   checkpoints), serving byte-identical artifacts across processes.
+//!   it (`Mutex<HashMap<_, Arc<OnceLock<_>>>>`);
+//! - an optional on-disk tier under `--cache-dir`, serving byte-identical
+//!   artifacts across processes.
 //!
 //! Invalidation is *key change, never mutation*: an artifact file is
 //! written once under its fingerprint and never rewritten — a different
@@ -54,15 +54,15 @@ pub trait Artifact: Send + Sync + Sized + 'static {
     }
 
     /// Rebuild from v2 row-group payloads; must invert [`to_groups`]
-    /// (`Artifact::to_groups`). The default concatenates the groups and
-    /// delegates to `from_bytes`, which inverts the default
-    /// `to_groups` exactly.
+    /// (`Artifact::to_groups`). The default delegates to `from_bytes`,
+    /// which inverts the default `to_groups` exactly: a lone group is
+    /// decoded in place (a large artifact never exists twice in memory),
+    /// several are concatenated first.
     fn from_groups(groups: Vec<Vec<u8>>) -> Result<Self, String> {
-        let mut buf = Vec::with_capacity(groups.iter().map(Vec::len).sum());
-        for g in &groups {
-            buf.extend_from_slice(g);
+        match groups.as_slice() {
+            [one] => Self::from_bytes(one),
+            _ => Self::from_bytes(&groups.concat()),
         }
-        Self::from_bytes(&buf)
     }
 }
 
@@ -360,13 +360,13 @@ const LOCK_POLL: Duration = Duration::from_millis(10);
 /// owner's PID. Released by `Drop` — including on panic unwind — so only
 /// a killed process leaves a lock behind, and that lock is detectably
 /// stale because its PID no longer exists.
-pub(crate) struct PathLock {
+struct PathLock {
     path: PathBuf,
 }
 
 impl PathLock {
     /// The lock path guarding `target` (`<target>.lock`).
-    pub(crate) fn lock_path(target: &Path) -> PathBuf {
+    fn lock_path(target: &Path) -> PathBuf {
         let mut name = target.file_name().unwrap_or_default().to_os_string();
         name.push(".lock");
         target.with_file_name(name)
@@ -374,7 +374,7 @@ impl PathLock {
 
     /// Try to take the lock guarding `target`; `None` means some other
     /// process (or another cache instance in this one) holds it.
-    pub(crate) fn try_acquire(target: &Path) -> Option<PathLock> {
+    fn try_acquire(target: &Path) -> Option<PathLock> {
         let path = PathLock::lock_path(target);
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent).ok();
@@ -398,7 +398,7 @@ impl PathLock {
     /// Returns whether a stale lock was actually removed. Concurrent
     /// stealers race through a rename — exactly one wins; losers simply
     /// retry their wait loop.
-    pub(crate) fn steal_if_stale(target: &Path) -> bool {
+    fn steal_if_stale(target: &Path) -> bool {
         let path = PathLock::lock_path(target);
         if !lock_is_stale(&path) {
             return false;

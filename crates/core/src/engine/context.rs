@@ -1,7 +1,6 @@
 //! Shared run state handed to every experiment cell.
 
-use crate::artifact::ArtifactCache;
-use crate::engine::checkpoint::EncoderStore;
+use crate::artifact::{Artifact, ArtifactCache};
 use crate::experiment::{build_encoder, CellConfig};
 use crate::obs::ObsSink;
 use crate::pipeline::{PreparedTask, TaskCache};
@@ -147,9 +146,23 @@ impl EncoderSpec {
     }
 }
 
-/// Shared state for one engine run: configuration plus the dataset and
-/// encoder caches every cell draws from. Immutable from the cells' point
-/// of view, so cells can execute concurrently.
+/// A pre-trained encoder is an ordinary artifact keyed by its
+/// pre-training provenance; the payload is the encoder's JSON.
+impl Artifact for EncoderModel {
+    const STAGE: &'static str = "encoder";
+    fn to_bytes(&self) -> Vec<u8> {
+        self.to_json().into_bytes()
+    }
+    fn from_bytes(bytes: &[u8]) -> Result<EncoderModel, String> {
+        let json = std::str::from_utf8(bytes).map_err(|e| format!("encoder payload: {e}"))?;
+        EncoderModel::from_json(json).map_err(|e| format!("encoder payload: {e}"))
+    }
+}
+
+/// Shared state for one engine run: configuration plus the artifact
+/// cache (datasets, encoders, cell outputs) every cell draws from.
+/// Immutable from the cells' point of view, so cells can execute
+/// concurrently.
 pub struct RunContext {
     /// Base seed for the whole run (`--seed`).
     pub seed: u64,
@@ -161,44 +174,33 @@ pub struct RunContext {
     /// copy with an independent seed (see [`RunContext::cell_seed`]).
     pub cfg: CellConfig,
     tasks: TaskCache,
-    encoders: EncoderStore,
-    /// Out-of-band event/metrics sink shared by the run (see
-    /// [`crate::obs`]); defaults to the process-global stderr sink and
-    /// is swapped in by the runner when a session starts with tracing.
-    obs: parking_lot::Mutex<Arc<ObsSink>>,
 }
 
 impl RunContext {
     /// New context from explicit configuration.
     pub fn new(seed: u64, scale: f64, budget: PretrainBudget, cfg: CellConfig) -> RunContext {
-        RunContext {
-            seed,
-            scale,
-            budget,
-            cfg,
-            tasks: TaskCache::new(),
-            encoders: EncoderStore::new(None),
-            obs: parking_lot::Mutex::new(crate::obs::global()),
-        }
+        RunContext { seed, scale, budget, cfg, tasks: TaskCache::new() }
     }
 
-    /// The content-addressed artifact cache backing dataset preparation
-    /// (and, through the runner, deterministic cell-output replay).
+    /// The content-addressed artifact cache backing dataset preparation,
+    /// pre-trained encoders and (through the runner) deterministic
+    /// cell-output replay.
     pub fn artifacts(&self) -> &Arc<ArtifactCache> {
         self.tasks.artifacts()
     }
 
-    /// The run's event/metrics sink.
+    /// The run's out-of-band event/metrics sink (see [`crate::obs`]),
+    /// held by the artifact cache; the process-global stderr sink until
+    /// the runner installs a session's.
     pub fn obs(&self) -> Arc<ObsSink> {
-        self.obs.lock().clone()
+        self.artifacts().obs()
     }
 
-    /// Install `sink` on this context and its artifact cache so every
-    /// component a cell touches reports to the same place. Called by
-    /// the runner when a session starts.
+    /// Install `sink` as the run's sink, so every component a cell
+    /// touches reports to the same place. Called by the runner when a
+    /// session starts.
     pub fn set_obs(&self, sink: Arc<ObsSink>) {
-        self.artifacts().set_obs(sink.clone());
-        *self.obs.lock() = sink;
+        self.artifacts().set_obs(sink);
     }
 
     /// New context from a [`Preset`]. `scale` overrides the preset's
@@ -208,13 +210,12 @@ impl RunContext {
         RunContext::new(seed, scale.unwrap_or_else(|| preset.default_scale()), budget, cfg)
     }
 
-    /// Enable the on-disk cache tier under `dir` (`--cache-dir`):
-    /// encoder checkpoints *and* pipeline/cell artifacts share the one
-    /// directory, so a warm second run loads both.
+    /// Enable the on-disk cache tier under `dir` (`--cache-dir`), so a
+    /// warm second run loads datasets, encoders and cells from disk.
     pub fn with_cache_dir(mut self, dir: PathBuf) -> RunContext {
-        self.encoders = EncoderStore::new(Some(dir.clone()));
+        let obs = self.obs();
         self.tasks = TaskCache::with_artifacts(Arc::new(ArtifactCache::new(Some(dir))));
-        self.artifacts().set_obs(self.obs());
+        self.set_obs(obs);
         self
     }
 
@@ -224,9 +225,11 @@ impl RunContext {
         self.tasks.get(task, self.seed, self.scale)
     }
 
-    /// Encoder for `spec` under the run's pre-training budget; built at
-    /// most once per provenance, served from disk when a checkpoint
-    /// cache is configured.
+    /// Encoder for `spec` under the run's pre-training budget: an
+    /// `"encoder"` artifact keyed by its provenance, so it is built at
+    /// most once per provenance (across processes sharing a cache
+    /// directory, too) and a memory or disk hit logs no `[pretrain]`
+    /// line.
     pub fn encoder(&self, spec: EncoderSpec) -> EncoderModel {
         self.encoder_with_budget(spec, self.budget)
     }
@@ -234,9 +237,17 @@ impl RunContext {
     /// Same as [`RunContext::encoder`] with an explicit budget (the
     /// calibration probes sweep budgets).
     pub fn encoder_with_budget(&self, spec: EncoderSpec, budget: PretrainBudget) -> EncoderModel {
-        let key = spec.pretrain_key(budget, self.pretrain_seed());
-        let obs = self.obs();
-        self.encoders.get_or_build(&key, &obs, || spec.build(budget, self.pretrain_seed()))
+        let provenance = spec.pretrain_key(budget, self.pretrain_seed()).provenance();
+        let model = self.artifacts().get_or_build::<EncoderModel>(&[&provenance], || {
+            let obs = self.obs();
+            obs.info(
+                "pretrain",
+                &format!("  [pretrain] {provenance}"),
+                &[("provenance", provenance.clone().into())],
+            );
+            obs.time_stage("pretrain", || spec.build(budget, self.pretrain_seed()))
+        });
+        EncoderModel::clone(&model)
     }
 
     /// Seed used for encoder pre-training (kept distinct from the cell

@@ -5,9 +5,9 @@
 //! with reusable subsystems:
 //!
 //! - [`context::RunContext`] — shared run state: the dataset
-//!   [`crate::pipeline::TaskCache`], a process-wide pre-trained-encoder
-//!   cache with optional on-disk checkpoints, and the per-cell seed
-//!   derivation that makes cells order-independent;
+//!   [`crate::pipeline::TaskCache`] and its [`crate::artifact`] cache
+//!   (which also holds pre-trained encoders, keyed by provenance), and
+//!   the per-cell seed derivation that makes cells order-independent;
 //! - [`registry::Experiment`] / [`registry::Registry`] — every
 //!   table/figure/ablation is an object exposing its grid of
 //!   [`registry::CellSpec`]s plus a `render` step, registered under a
@@ -18,14 +18,11 @@
 //!   panic isolation, bounded retries and a soft time budget;
 //! - [`journal`] — the append-only JSONL run journal and the atomically
 //!   written `run-manifest.json` that make `--resume` possible;
-//! - [`checkpoint::EncoderStore`] — build-once encoder memoisation keyed
-//!   by pre-training provenance, optionally persisted to disk;
 //! - [`suite`] — the 21 concrete experiments ported from `repro`.
 //!
 //! Front-end binaries (`repro`, the calibration probes) are thin
 //! wrappers over `Registry::run(filter, &RunContext, &RunOptions)`.
 
-pub mod checkpoint;
 pub mod context;
 pub mod distrib;
 pub mod journal;
@@ -33,7 +30,6 @@ pub mod registry;
 pub mod runner;
 pub mod suite;
 
-pub use checkpoint::EncoderStore;
 pub use context::{EncoderSpec, Preset, RunContext};
 pub use distrib::{run_coordinator, run_worker, CoordinatorOptions};
 pub use journal::{

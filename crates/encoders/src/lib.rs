@@ -37,10 +37,7 @@ pub mod qa;
 pub mod tokenize;
 pub mod tokenizer;
 
-pub use checkpoint::{
-    export_frozen, load_checkpoint, save_checkpoint, CheckpointError, EncoderCheckpoint,
-    PretrainKey,
-};
+pub use checkpoint::PretrainKey;
 pub use frozen::{EncodeScratch, FrozenInt8Encoder, FrozenPcapEncoder};
 pub use model::{EncoderModel, ModelKind};
 pub use pcap_encoder::{PcapEncoderVariant, PretrainPhases};

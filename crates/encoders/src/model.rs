@@ -317,8 +317,8 @@ impl EncoderModel {
     }
 
     /// Serialise the encoder (architecture + weights; optimiser state
-    /// is rebuilt lazily after load) to JSON — checkpointing for
-    /// pre-trained encoders.
+    /// is rebuilt lazily after load) to JSON — the payload of a cached
+    /// pre-trained encoder.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("encoder serialises")
     }

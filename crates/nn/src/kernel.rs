@@ -35,7 +35,7 @@ static KERNEL_THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Below this many multiply-adds a matmul always runs serially: the
 /// thread spawn/join overhead would dominate the kernel itself.
-const PAR_MIN_MULADDS: usize = 1 << 20;
+pub const PAR_MIN_MULADDS: usize = 1 << 20;
 
 /// Set the number of threads matrix kernels may use (clamped to ≥ 1).
 /// Parallel output is bit-identical to serial for any value.
@@ -763,36 +763,5 @@ mod tests {
     fn thread_budget_clamps_to_one() {
         set_kernel_threads(0);
         assert_eq!(kernel_threads(), 1);
-    }
-
-    #[test]
-    fn dispatch_counters_track_the_serial_parallel_decision() {
-        // Counters are process-global and other tests dispatch kernels
-        // concurrently, so assert per-call deltas of the relevant
-        // counter only, not totals.
-        let before = kernel_threads();
-        let mut rng = XorShift(0x1234);
-        let (m, k, n) = (96, 128, 96);
-        assert!(m * k * n >= PAR_MIN_MULADDS);
-        let a = rng.fill(m * k);
-        let b = rng.fill(k * n);
-        let mut out = vec![0.0f32; m * n];
-
-        set_kernel_threads(1);
-        let serial0 = kernel_stats().serial_dispatches;
-        matmul(m, k, n, &a, &b, &mut out);
-        assert_eq!(kernel_stats().serial_dispatches, serial0 + 1, "budget 1 dispatches serially");
-
-        set_kernel_threads(4);
-        let par0 = kernel_stats().parallel_dispatches;
-        matmul(m, k, n, &a, &b, &mut out);
-        assert_eq!(kernel_stats().parallel_dispatches, par0 + 1, "big matmul goes parallel");
-
-        // Below the work floor, a 4-thread budget still runs serially.
-        let tiny0 = kernel_stats().serial_dispatches;
-        let mut tiny_out = vec![0.0f32; 4];
-        matmul(2, 2, 2, &[1.0; 4], &[1.0; 4], &mut tiny_out);
-        assert_eq!(kernel_stats().serial_dispatches, tiny0 + 1, "tiny matmul stays serial");
-        set_kernel_threads(before);
     }
 }

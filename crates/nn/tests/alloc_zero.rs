@@ -2,29 +2,37 @@
 //!
 //! A counting global allocator wraps the system one; after a warmup
 //! step has sized every scratch buffer, further `_into` train steps
-//! must perform zero allocations.
+//! must perform zero allocations. Counting is per thread: the test
+//! harness runs tests (and reports results) on other threads, whose
+//! allocations must not land in a count.
 
 use nn::loss::softmax_cross_entropy_into;
 use nn::{Dense, Mlp, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so reading them from
+    // inside the allocator never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -35,14 +43,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Run `f` with allocation counting enabled; returns how many
-/// alloc/realloc calls it made.
+/// Run `f` with allocation counting enabled on this thread; returns
+/// how many alloc/realloc calls it made.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
     f();
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.with(Cell::get)
 }
 
 fn batch(rows: usize, cols: usize, seed: u64) -> Tensor {

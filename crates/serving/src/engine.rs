@@ -485,40 +485,6 @@ where
     serve_inline(bundle, policy, packets, opts, reload, out, sink)
 }
 
-/// Fold reload decisions into the inline shard's epoch list and the
-/// run stats (the sharded dispatcher broadcasts the same decisions as
-/// events instead — see `crate::shard`).
-pub(crate) fn apply_reload_actions<'a>(
-    actions: Vec<crate::reload::ReloadAction<'a>>,
-    shard: &mut Shard<'a>,
-    stats: &mut ServeStats,
-    sink: &ObsSink,
-) {
-    for action in actions {
-        match action {
-            crate::reload::ReloadAction::Apply { boundary, bundle, origin } => {
-                shard.add_epoch(boundary, bundle);
-                stats.reloads += 1;
-                sink.record_serving_reload(boundary);
-                sink.info(
-                    "serve",
-                    "bundle reloaded",
-                    &[("boundary", Value::U64(boundary)), ("origin", Value::Str(origin))],
-                );
-            }
-            crate::reload::ReloadAction::Refuse { origin, error } => {
-                stats.reloads_refused += 1;
-                sink.record_serving_reload_refused();
-                sink.warn(
-                    "serve",
-                    "reload candidate refused; old bundle keeps serving",
-                    &[("origin", Value::Str(origin)), ("error", Value::Str(error))],
-                );
-            }
-        }
-    }
-}
-
 /// The single-worker loop: one [`Shard`] driven on the caller thread,
 /// verdicts written straight to `out` (they fall out already in
 /// `(evict_seq, flow_id)` order).
@@ -549,7 +515,9 @@ where
         // validated off the hot path (planned: before the stream; live:
         // by the watcher + target check here), and a refused candidate
         // never perturbs the stream.
-        apply_reload_actions(reload.poll(seq, policy), &mut shard, &mut stats, sink);
+        for (boundary, bundle) in reload.poll(seq, policy, &mut stats, sink) {
+            shard.add_epoch(boundary, bundle);
+        }
         let t0 = Instant::now();
         stats.packets += 1;
         if shard.frame(seq, p.ts, &p.frame, sink) == Ingest::NonIp {
@@ -563,7 +531,9 @@ where
     }
     // Boundaries landing exactly on the flush sequence (the packet
     // count) still cover the flushed flows; anything later never fires.
-    apply_reload_actions(reload.poll(seq, policy), &mut shard, &mut stats, sink);
+    for (boundary, bundle) in reload.poll(seq, policy, &mut stats, sink) {
+        shard.add_epoch(boundary, bundle);
+    }
     let t1 = Instant::now();
     shard.finish(seq, sink, &mut |_, _, line| out.write_all(line.as_bytes()))?;
     classify_secs += t1.elapsed().as_secs_f64();

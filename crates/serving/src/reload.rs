@@ -25,8 +25,9 @@
 //! completeness gate.
 
 use crate::bundle::ModelBundle;
-use crate::engine::{validate_targets, EpochBundle};
+use crate::engine::{validate_targets, EpochBundle, ServeStats};
 use crate::policy::Policy;
+use debunk_core::obs::{ObsSink, Value};
 use std::collections::{BTreeSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,8 +50,8 @@ pub enum LiveMsg {
     },
 }
 
-/// A reload decision the engine acts on before processing a packet.
-pub enum ReloadAction<'a> {
+/// A reload decision due before processing a packet.
+enum ReloadAction<'a> {
     /// Install `bundle` for every flow retired at `boundary` or later.
     Apply {
         /// Packet sequence number where the new epoch starts.
@@ -88,12 +89,52 @@ impl<'a> ReloadSource<'a> {
         ReloadSource::Planned(entries.into())
     }
 
-    /// Actions due before processing packet `seq` (at end of stream,
-    /// call once more with the flush sequence — the packet count — so
-    /// boundaries landing exactly there still cover flushed flows).
-    /// Planned boundaries at or below `seq` fire in order; live
-    /// arrivals are validated against `policy` and bound to `seq`.
-    pub(crate) fn poll(&mut self, seq: u64, policy: &Policy) -> Vec<ReloadAction<'a>> {
+    /// Reloads due before processing packet `seq`, as the applied
+    /// `(boundary, bundle)` pairs in order; every decision (applied or
+    /// refused) is counted in `stats` and reported to `sink`. The
+    /// inline loop installs the pairs as epochs, the sharded dispatcher
+    /// broadcasts them. At end of stream, call once more with the flush
+    /// sequence — the packet count — so boundaries landing exactly
+    /// there still cover flushed flows.
+    pub(crate) fn poll(
+        &mut self,
+        seq: u64,
+        policy: &Policy,
+        stats: &mut ServeStats,
+        sink: &ObsSink,
+    ) -> Vec<(u64, EpochBundle<'a>)> {
+        self.due(seq, policy)
+            .into_iter()
+            .filter_map(|action| match action {
+                ReloadAction::Apply { boundary, bundle, origin } => {
+                    stats.reloads += 1;
+                    sink.record_serving_reload(boundary);
+                    sink.info(
+                        "serve",
+                        "bundle reloaded",
+                        &[("boundary", Value::U64(boundary)), ("origin", Value::Str(origin))],
+                    );
+                    Some((boundary, bundle))
+                }
+                ReloadAction::Refuse { origin, error } => {
+                    stats.reloads_refused += 1;
+                    sink.record_serving_reload_refused();
+                    sink.warn(
+                        "serve",
+                        "reload candidate refused; old bundle keeps serving",
+                        &[("origin", Value::Str(origin)), ("error", Value::Str(error))],
+                    );
+                    None
+                }
+            })
+            .collect()
+    }
+
+    /// Decisions due before packet `seq`: planned boundaries at or
+    /// below `seq` fire in order; live arrivals are validated against
+    /// `policy` and bound to `seq`. Empty (and allocation-free) when
+    /// nothing is due.
+    fn due(&mut self, seq: u64, policy: &Policy) -> Vec<ReloadAction<'a>> {
         let mut actions = Vec::new();
         match self {
             ReloadSource::None => {}

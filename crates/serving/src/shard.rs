@@ -24,7 +24,7 @@
 use crate::bundle::ModelBundle;
 use crate::engine::{EpochBundle, ServeOptions, ServeStats, Shard as EngineShard};
 use crate::policy::Policy;
-use crate::reload::{ReloadAction, ReloadSource};
+use crate::reload::ReloadSource;
 use crate::source::ReplayPacket;
 use debunk_core::obs::{ObsSink, Value};
 use net_packet::frame::{FlowKey, ParsedFrame};
@@ -206,37 +206,12 @@ fn run_merger(
     out.flush()
 }
 
-/// Turn reload decisions into broadcast events (every worker must see
-/// a boundary in stream position) and dispatcher-side counters.
-fn broadcast_reloads<'a>(
-    actions: Vec<ReloadAction<'a>>,
-    bufs: &mut [Vec<Event<'a>>],
-    stats: &mut ServeStats,
-    sink: &ObsSink,
-) {
-    for action in actions {
-        match action {
-            ReloadAction::Apply { boundary, bundle, origin } => {
-                for buf in bufs.iter_mut() {
-                    buf.push(Event::Reload { boundary, bundle: bundle.clone() });
-                }
-                stats.reloads += 1;
-                sink.record_serving_reload(boundary);
-                sink.info(
-                    "serve",
-                    "bundle reloaded",
-                    &[("boundary", Value::U64(boundary)), ("origin", Value::Str(origin))],
-                );
-            }
-            ReloadAction::Refuse { origin, error } => {
-                stats.reloads_refused += 1;
-                sink.record_serving_reload_refused();
-                sink.warn(
-                    "serve",
-                    "reload candidate refused; old bundle keeps serving",
-                    &[("origin", Value::Str(origin)), ("error", Value::Str(error))],
-                );
-            }
+/// Broadcast applied reloads as events: every worker must see a
+/// boundary in stream position.
+fn broadcast_reloads<'a>(applied: Vec<(u64, EpochBundle<'a>)>, bufs: &mut [Vec<Event<'a>>]) {
+    for (boundary, bundle) in applied {
+        for buf in bufs.iter_mut() {
+            buf.push(Event::Reload { boundary, bundle: bundle.clone() });
         }
     }
 }
@@ -286,7 +261,7 @@ where
         let mut seq = 0u64;
         for p in packets {
             let p = std::borrow::Borrow::borrow(&p);
-            broadcast_reloads(reload.poll(seq, policy), &mut bufs, &mut stats, sink);
+            broadcast_reloads(reload.poll(seq, policy, &mut stats, sink), &mut bufs);
             let t0 = Instant::now();
             stats.packets += 1;
             // The dispatcher parses every frame once to place it; the
@@ -317,7 +292,7 @@ where
         }
         // Boundaries landing exactly on the flush sequence still cover
         // the flushed flows (mirrors the inline loop).
-        broadcast_reloads(reload.poll(seq, policy), &mut bufs, &mut stats, sink);
+        broadcast_reloads(reload.poll(seq, policy, &mut stats, sink), &mut bufs);
         for buf in bufs.iter_mut() {
             buf.push(Event::End { flush_seq: seq });
         }

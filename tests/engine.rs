@@ -1,15 +1,14 @@
 //! Engine-level guarantees: the registry carries every experiment the
 //! old `repro` match dispatched, parallel execution is bit-identical to
-//! serial, and encoder checkpoints round-trip through disk.
+//! serial, and cached encoders round-trip through disk.
 
 use debunk::debunk_core::engine::{
-    default_registry, run_experiment, CellOutput, CellSpec, EncoderStore, Experiment, Preset,
+    default_registry, run_experiment, CellOutput, CellSpec, EncoderSpec, Experiment, Preset,
     RecordStats, RunContext, RunError, RunManifest, RunOptions, MANIFEST_FILE,
 };
 use debunk::debunk_core::experiment::CellConfig;
-use debunk::encoders::checkpoint::PretrainKey;
 use debunk::encoders::pcap_encoder::PretrainBudget;
-use debunk::encoders::{EncoderModel, ModelKind};
+use debunk::encoders::ModelKind;
 use std::path::Path;
 
 /// (a) Every experiment id the pre-engine `repro` match accepted must
@@ -231,8 +230,10 @@ fn unwritable_out_dir_fails_session_start() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// (c) An encoder checkpoint must round-trip through disk and produce
-/// identical frozen embeddings.
+/// (c) A pre-trained encoder is an ordinary `"encoder"` artifact: a
+/// fresh context over the same cache dir (a second process,
+/// conceptually) serves it from disk with identical embeddings, and a
+/// damaged file is refused and rebuilt to identical embeddings.
 #[test]
 fn encoder_checkpoint_round_trips_with_identical_embeddings() {
     use debunk::dataset::record::Prepared;
@@ -240,29 +241,37 @@ fn encoder_checkpoint_round_trips_with_identical_embeddings() {
 
     let dir = std::env::temp_dir().join("debunk-engine-checkpoint-test");
     std::fs::remove_dir_all(&dir).ok();
-
-    let key = PretrainKey {
-        model: ModelKind::YaTc.name().to_string(),
-        pretrained: false,
-        variant: None,
-        budget: PretrainBudget::default(),
-        seed: 11,
-    };
-    let obs = debunk::debunk_core::obs::global();
-    let built = EncoderStore::new(Some(dir.clone()))
-        .get_or_build(&key, &obs, || EncoderModel::new(ModelKind::YaTc, 11));
-    // A fresh store simulates a second process: it must serve the model
-    // from disk, never invoking the builder again.
-    let restored = EncoderStore::new(Some(dir.clone()))
-        .get_or_build(&key, &obs, || panic!("checkpoint on disk — builder must not run"));
+    let context = || RunContext::from_preset(Preset::Fast, 11, None).with_cache_dir(dir.clone());
+    let spec = EncoderSpec::fresh(ModelKind::YaTc);
+    let budget = PretrainBudget::default();
 
     let trace = DatasetSpec { kind: DatasetKind::UstcTfc, seed: 3, flows_per_class: 2 }.generate();
     let data = Prepared::from_trace(&trace);
     let recs: Vec<&debunk::dataset::record::PacketRecord> = data.records.iter().take(8).collect();
-    assert_eq!(
-        built.encode_packets(&recs).data,
-        restored.encode_packets(&recs).data,
-        "restored encoder must embed identically"
-    );
+    let embed = |ctx: &RunContext| ctx.encoder_with_budget(spec, budget).encode_packets(&recs).data;
+
+    let first = context();
+    let built = embed(&first);
+    assert_eq!(first.artifacts().stats().builds, 1);
+
+    let second = context();
+    assert_eq!(embed(&second), built, "restored encoder must embed identically");
+    let stats = second.artifacts().stats();
+    assert_eq!((stats.builds, stats.disk_hits), (0, 1), "served from disk, not rebuilt");
+
+    let encoders: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("art-encoder-"))
+        .collect();
+    assert_eq!(encoders.len(), 1, "one encoder artifact: {encoders:?}");
+    let mut bytes = std::fs::read(&encoders[0]).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&encoders[0], &bytes).unwrap();
+
+    let third = context();
+    assert_eq!(embed(&third), built, "rebuilt encoder must embed identically");
+    assert_eq!(third.artifacts().stats().builds, 1, "damaged encoder refused and rebuilt");
     std::fs::remove_dir_all(&dir).ok();
 }
