@@ -19,12 +19,12 @@
 //!               the workspace root so the file lands at the repo root)
 //! ```
 //!
-//! The file records the current numbers next to a frozen baseline —
-//! pre-PR2 (naive scalar kernels) for the kernel group, pre-PR4 (no
-//! artifact cache) for the pipeline group — so the speedup column shows
-//! how far each layer has moved. Input data is synthesised with
-//! a local xorshift generator — no `rand` — so the measured shapes are
-//! identical on every machine and every run.
+//! The file records raw medians next to a `machine` block (CPU model,
+//! core count, fingerprint) naming the host that produced them. Numbers
+//! are only comparable between runs on one machine; a speed claim is a
+//! same-session A/B, not a diff against a committed file. Input data is
+//! synthesised with a local xorshift generator — no `rand` — so the
+//! measured shapes are identical on every machine and every run.
 
 use debunk_core::engine::{default_registry, Preset, RunContext, RunOptions};
 use encoders::model::{EncoderModel, ModelKind};
@@ -33,62 +33,6 @@ use nn::{Mlp, Tensor};
 use shallow::gbdt::{GbdtParams, GradientBoosting};
 use shallow::tree::{DecisionTree, TreeParams};
 use std::time::Instant;
-
-/// Frozen pre-PR2 numbers (naive scalar kernels, this container's
-/// single Ice-Lake-class core). `(name, ms)` — refreshed only when the
-/// baseline itself is intentionally re-recorded.
-const BASELINE_MS: &[(&str, f64)] = &[
-    ("matmul_256", 2.063),
-    ("t_matmul_256", 1.928),
-    ("matmul_t_256", 9.462),
-    ("mlp_train_step_b64", 1.586),
-    ("encoder_train_step_b64", 5.592),
-    ("tree_fit_4k", 128.195),
-    ("gbdt_fit_1200", 242.651),
-    // Frozen-encoder inference, recorded pre-PR7 (allocating API, no
-    // SIMD): the same 1024 EtBert token rows pushed through batch
-    // sizes 1, 64 and 1024. The int8 row is new in PR7 — no earlier
-    // number exists, so its baseline is null.
-    ("frozen_encode_b1_x1024", 5.023),
-    ("frozen_encode_b64_x16", 3.725),
-    ("frozen_encode_b1024", 3.950),
-    ("frozen_encode_int8_b1024", f64::NAN),
-];
-
-/// Frozen pre-PR4 numbers (no artifact cache; same container). Stage
-/// medians are TLS-120 at scale 0.4, seed 42. `registry_table8_warm`'s
-/// baseline equals the cold run because before the artifact cache a
-/// second run repeated every build and every cell from scratch.
-const BASELINE_PRE_PR4_MS: &[(&str, f64)] = &[
-    ("generate", 7.772),
-    ("clean", 1.535),
-    ("parse", 1.430),
-    ("tokenize", 3.802),
-    ("featurize", 0.370),
-    ("split", 0.357),
-    ("registry_table8_cold", 1903.31),
-    ("registry_table8_warm", 1903.31),
-    // New in PR8 (out-of-core prepare) — rates and MB, not ms; no
-    // earlier numbers exist, so their baselines are null.
-    ("outofcore_gen_pps", f64::NAN),
-    ("outofcore_prepare_pps", f64::NAN),
-    ("outofcore_peak_rss_mb", f64::NAN),
-    // New in PR9 (multi-process sharded execution) — suite wall-clock
-    // of the table8 grid, cold cache, run single-process and through
-    // the coordinator at 1/2/4 worker processes. No earlier numbers.
-    ("multiproc_singleproc", f64::NAN),
-    ("multiproc_w1", f64::NAN),
-    ("multiproc_w2", f64::NAN),
-    ("multiproc_w4", f64::NAN),
-];
-
-/// Machine fingerprint of the container every frozen baseline above was
-/// recorded on. `bench_json` warns when the current machine hashes
-/// differently: DESIGN.md §6e's within-machine rule means the
-/// `speedup_vs_baseline` column is meaningless across hardware (the
-/// historical sub-1× rows in `BENCH_pipeline.json` came from exactly
-/// that comparison).
-const BASELINE_MACHINE_FP: &str = "69c6f83503c0e10e";
 
 /// CPU model (first `model name` in `/proc/cpuinfo`) + logical core
 /// count, plus an FNV-1a hash of the two for cheap equality checks.
@@ -108,28 +52,6 @@ fn machine_fingerprint() -> (String, usize, String) {
     h.update(cores.to_string().as_bytes());
     (cpu, cores, format!("{:016x}", h.finish()))
 }
-
-/// Frozen PR6 numbers (first release of the serving path; same
-/// container). Entries suffixed `_us` are microseconds, `_per_sec` is a
-/// rate — everything else is milliseconds like the other groups.
-const BASELINE_SERVING: &[(&str, f64)] = &[
-    ("serve_ingest_only", 0.935),
-    ("serve_encoder", 18.186),
-    ("serve_forest", 3.333),
-    ("serve_gbdt", 4.206),
-    ("serve_knn", 147.377),
-    ("serve_mixed_e2e", 24.267),
-    ("serve_packet_p50_us", 0.366),
-    ("serve_packet_p99_us", 1.364),
-    ("serve_flows_per_sec", 10549.194),
-    // New in PR7 (int8 encoder target) — no PR6 number exists.
-    ("serve_encoder_int8", f64::NAN),
-    // New in PR10 (flow-hash sharding + hot-reload) — no PR6 numbers.
-    ("serve_sharded_w1", f64::NAN),
-    ("serve_sharded_w2", f64::NAN),
-    ("serve_sharded_w4", f64::NAN),
-    ("serve_reload", f64::NAN),
-];
 
 /// Deterministic xorshift64* stream — benchmark data without `rand`.
 struct XorShift(u64);
@@ -523,34 +445,14 @@ fn serving_group(quick: bool, reps: usize) -> Vec<(&'static str, f64)> {
 
 /// Render and write one benchmark group as hand-rolled JSON (no serde
 /// dependency in the hot path).
-fn emit(
-    schema: &str,
-    baseline_field: &str,
-    quick: bool,
-    results: &[(&str, f64)],
-    baseline: &[(&str, f64)],
-    out_path: &str,
-) {
+fn emit(schema: &str, quick: bool, results: &[(&str, f64)], out_path: &str) {
     let (cpu, cores, fp) = machine_fingerprint();
-    if fp != BASELINE_MACHINE_FP {
-        eprintln!(
-            "warning: running on '{cpu}' ({cores} core(s), fingerprint {fp}) but the frozen \
-             baselines were recorded on fingerprint {BASELINE_MACHINE_FP}; \
-             speedup_vs_baseline compares across machines and is not meaningful \
-             (DESIGN.md §6e within-machine rule)"
-        );
-    }
     let mut json = format!("{{\n  \"schema\": \"{schema}\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!(
         "  \"machine\": {{\n    \"cpu\": \"{}\",\n    \"cores\": {cores},\n    \
          \"fingerprint\": \"{fp}\"\n  }},\n",
         cpu.replace('\\', "\\\\").replace('"', "\\\"")
-    ));
-    json.push_str(&format!(
-        "  \"baseline_machine_fingerprint\": \"{BASELINE_MACHINE_FP}\",\n  \
-         \"baseline_machine_matches\": {},\n",
-        fp == BASELINE_MACHINE_FP
     ));
     json.push_str("  \"results_ms\": {\n");
     for (i, (name, ms)) in results.iter().enumerate() {
@@ -560,27 +462,6 @@ fn emit(
         } else {
             json.push_str(&format!("    \"{name}\": {ms:.3}{sep}\n"));
         }
-    }
-    json.push_str(&format!("  }},\n  \"{baseline_field}\": {{\n"));
-    for (i, (name, ms)) in baseline.iter().enumerate() {
-        let sep = if i + 1 < baseline.len() { "," } else { "" };
-        if ms.is_nan() {
-            json.push_str(&format!("    \"{name}\": null{sep}\n"));
-        } else {
-            json.push_str(&format!("    \"{name}\": {ms:.3}{sep}\n"));
-        }
-    }
-    json.push_str("  },\n  \"speedup_vs_baseline\": {\n");
-    let speedups: Vec<(&str, f64)> = baseline
-        .iter()
-        .filter_map(|(name, base)| {
-            let now = results.iter().find(|(n, _)| n == name)?.1;
-            (!base.is_nan() && now > 0.0).then_some((*name, base / now))
-        })
-        .collect();
-    for (i, (name, s)) in speedups.iter().enumerate() {
-        let sep = if i + 1 < speedups.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {s:.2}{sep}\n"));
     }
     json.push_str("  }\n}\n");
 
@@ -625,20 +506,13 @@ fn main() {
     if serving {
         let results = serving_group(quick, reps);
         let out = out_path.unwrap_or_else(|| String::from("BENCH_serving.json"));
-        emit("bench_serving/v1", "baseline_pr6_ms", quick, &results, BASELINE_SERVING, &out);
+        emit("bench_serving/v2", quick, &results, &out);
         return;
     }
     if pipeline {
         let results = pipeline_group(quick, reps);
         let out = out_path.unwrap_or_else(|| String::from("BENCH_pipeline.json"));
-        emit(
-            "bench_pipeline/v1",
-            "baseline_pre_pr4_ms",
-            quick,
-            &results,
-            BASELINE_PRE_PR4_MS,
-            &out,
-        );
+        emit("bench_pipeline/v2", quick, &results, &out);
         return;
     }
     let out_path = out_path.unwrap_or_else(|| String::from("BENCH_kernels.json"));
@@ -736,10 +610,7 @@ fn main() {
     ));
     eprintln!("  shallow models done");
 
-    // The registry experiment used to ride along here as
-    // `registry_table8_fast`, a single untracked timing with no
-    // baseline entry — it only added drift to the kernel file. The
-    // pipeline group benchmarks the registry properly (cold + warm).
-
-    emit("bench_kernels/v1", "baseline_pre_pr2_ms", quick, &results, BASELINE_MS, &out_path);
+    // The registry experiment is benchmarked by the pipeline group
+    // (cold + warm), not here.
+    emit("bench_kernels/v2", quick, &results, &out_path);
 }

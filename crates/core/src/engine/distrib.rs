@@ -142,8 +142,17 @@ fn claim_pid(content: &str) -> Option<u32> {
 /// Best-effort liveness probe via procfs; without procfs every recorded
 /// PID counts as dead, which at worst re-runs a cell (outputs are
 /// deterministic, so a duplicate run is wasted work, never a conflict).
+///
+/// A killed worker whose parent never reaps it keeps its `/proc/<pid>`
+/// entry as a zombie, so existence alone is not liveness: the state
+/// field of `/proc/<pid>/stat` (after the last `)`, since the command
+/// name may itself contain parentheses) must not be `Z` or `X`.
 fn pid_alive(pid: u32) -> bool {
-    Path::new("/proc/self").exists() && Path::new(&format!("/proc/{pid}")).exists()
+    let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
+        return false;
+    };
+    let state = stat.rfind(')').and_then(|i| stat[i + 1..].split_whitespace().next());
+    !matches!(state, None | Some("Z" | "X"))
 }
 
 /// Fold every worker journal (and, on `resume`, a previously merged or
@@ -707,6 +716,29 @@ mod tests {
         assert_eq!(sweep_stale_claims(&dir), 2);
         assert!(claim_path(&dir, 7).exists(), "live claim kept");
         assert!(!claim_path(&dir, 9).exists(), "dead claim swept");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zombie_claims_sweep() {
+        let dir = temp_dir("zombie");
+        std::fs::create_dir_all(dir.join(CLAIMS_DIR)).unwrap();
+        // An exited child we never reap stays a zombie: its /proc entry
+        // exists, but it will never finish the cell it claimed.
+        use std::time::{Duration, Instant};
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let stat = format!("/proc/{}/stat", child.id());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !std::fs::read_to_string(&stat).is_ok_and(|s| s.contains(") Z ")) {
+            assert!(Instant::now() < deadline, "child never became a zombie");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::fs::write(claim_path(&dir, 11), format!("{{\"cell\":\"b\",\"pid\":{}}}", child.id()))
+            .unwrap();
+        let swept = sweep_stale_claims(&dir);
+        child.wait().unwrap();
+        assert_eq!(swept, 1, "a zombie's claim must be swept");
+        assert!(!claim_path(&dir, 11).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -40,7 +40,6 @@ pub mod ipv4;
 pub mod ipv6;
 pub mod ndp;
 pub mod pcap;
-pub mod reassembly;
 pub mod spurious;
 pub mod tcp;
 pub mod tls;

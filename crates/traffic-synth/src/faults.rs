@@ -2,7 +2,7 @@
 //! packet drops, duplicates, reordering and corruption (the same four
 //! knobs smoltcp's examples expose for robustness testing).
 //!
-//! Used to check that the pipeline (parsers, cleaning, reassembly,
+//! Used to check that the pipeline (parsers, cleaning, flow assembly,
 //! classifiers) behaves sanely on imperfect captures, and as a
 //! robustness ablation: how fast does classification accuracy decay
 //! with capture loss?

@@ -1,5 +1,5 @@
 //! Small-scale assertions of the paper's headline phenomena. These are
-//! the acceptance criteria of DESIGN.md §7, run at miniature scale so
+//! the acceptance criteria of DESIGN.md §8, run at miniature scale so
 //! the suite stays fast; the `repro` binary reproduces them at full
 //! scale.
 
@@ -25,10 +25,6 @@ fn cfg() -> CellConfig {
 /// training inflates accuracy relative to the honest per-flow frozen
 /// protocol.
 #[test]
-// Builds a 0.3-scale dataset and trains two 2-fold unfrozen/frozen
-// cells — minutes of work, far beyond the tier-1 `cargo test -q` budget.
-// `repro table5 --fast` exercises the same phenomenon.
-#[ignore = "runtime budget: 0.3-scale dataset + two 2-fold training cells exceed the tier-1 test budget"]
 fn per_packet_unfrozen_inflates_accuracy() {
     let prep = PreparedTask::build(Task::UstcApp, 101, 0.3);
     let enc = EncoderModel::new(ModelKind::EtBert, 1);
@@ -46,9 +42,6 @@ fn per_packet_unfrozen_inflates_accuracy() {
 /// Phenomenon 2 (Table 6): randomising SeqNo/AckNo/timestamps at test
 /// time collapses the per-packet-split model.
 #[test]
-// Same cost profile as the test above (two unfrozen 2-fold cells on a
-// 0.3-scale dataset); `repro table6 --fast` covers it.
-#[ignore = "runtime budget: 0.3-scale dataset + two unfrozen training cells exceed the tier-1 test budget"]
 fn flow_id_randomisation_collapses_shortcut() {
     let prep = PreparedTask::build(Task::UstcApp, 102, 0.3);
     let enc = EncoderModel::new(ModelKind::EtBert, 2);
@@ -72,10 +65,6 @@ fn flow_id_randomisation_collapses_shortcut() {
 /// Phenomenon 4 (Table 8): shallow models with header features solve
 /// the per-flow task well, and removing IP features hurts them.
 #[test]
-// Two random forests over a 0.3-scale dataset; cheaper than the
-// encoder cells but still past the tier-1 budget. `repro table8 --fast`
-// covers it.
-#[ignore = "runtime budget: 0.3-scale dataset + two RF fits exceed the tier-1 test budget"]
 fn shallow_models_strong_and_ip_dependent() {
     let prep = PreparedTask::build(Task::UstcApp, 103, 0.3);
     let c = cfg();
@@ -106,8 +95,6 @@ fn shallow_models_strong_and_ip_dependent() {
 /// (SeqNo/AckNo halves) dominate RF feature importance once explicit
 /// IDs (IP octets) are removed.
 #[test]
-// One RF fit over a 0.3-scale dataset; `repro fig5 --fast` covers it.
-#[ignore = "runtime budget: 0.3-scale dataset + per-packet RF fit exceed the tier-1 test budget"]
 fn importance_shifts_to_implicit_ids_without_ip() {
     let prep = PreparedTask::build(Task::UstcApp, 104, 0.3);
     let c = cfg();
