@@ -551,7 +551,7 @@ fn main() {
     // --- frozen-encoder inference (batched + int8) -----------------------
     // Fresh encoder: `enc` above was mutated by the training reps, and
     // the frozen rows should measure reproducible seed-1 weights.
-    let frozen = EncoderModel::new(ModelKind::EtBert, 1).freeze();
+    let frozen = EncoderModel::new(ModelKind::EtBert, 1);
     let big: Vec<Vec<u32>> =
         (0..1024).map(|_| (0..80).map(|_| rng.below(1 << 16) as u32).collect()).collect();
     let mut scratch = EncodeScratch::default();

@@ -11,6 +11,7 @@
 //! `--trace-report` it instead renders the out-of-band `metrics.json`
 //! written by `repro --trace` as a per-experiment time/cache breakdown.
 
+use debunk_core::engine::journal::{parse_json, Json};
 use debunk_core::report::ResultRecord;
 use std::collections::BTreeMap;
 
@@ -60,6 +61,30 @@ fn parse_cli(args: &[String]) -> Cli {
     Cli { dir: dir.unwrap_or_else(|| "results".into()), trace_report }
 }
 
+/// The records of one `repro` result file, or `None` if the text is
+/// not a JSON array of complete result records.
+fn parse_records(text: &str) -> Option<Vec<ResultRecord>> {
+    let Ok(Json::Arr(list)) = parse_json(text) else {
+        return None;
+    };
+    list.iter()
+        .map(|r| {
+            let s = |k: &str| r.get(k).and_then(Json::str).map(str::to_string);
+            let n = |k: &str| r.get(k).and_then(Json::num);
+            Some(ResultRecord {
+                experiment: s("experiment")?,
+                task: s("task")?,
+                model: s("model")?,
+                setting: s("setting")?,
+                accuracy: n("accuracy")?,
+                macro_f1: n("macro_f1")?,
+                train_secs: n("train_secs")?,
+                infer_secs: n("infer_secs")?,
+            })
+        })
+        .collect()
+}
+
 fn render_trace_report(dir: &str) -> ! {
     let path = std::path::Path::new(dir).join(debunk_core::obs::METRICS_FILE);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -101,7 +126,7 @@ fn main() {
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue;
         };
-        let Ok(records) = serde_json::from_str::<Vec<ResultRecord>>(&text) else {
+        let Some(records) = parse_records(&text) else {
             eprintln!("skipping {path:?}: not a result-record file");
             continue;
         };

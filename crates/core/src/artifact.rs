@@ -24,13 +24,12 @@
 
 use crate::obs::ObsSink;
 use nn::envelope::{self, AtomicFile, PayloadReader};
-use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use traffic_synth::stream::fnv64;
 
@@ -130,12 +129,17 @@ impl ArtifactCache {
 
     /// The cache's event sink.
     pub fn obs(&self) -> Arc<ObsSink> {
-        self.obs.lock().clone()
+        self.obs.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Install a session's event sink on this cache.
     pub fn set_obs(&self, sink: Arc<ObsSink>) {
-        *self.obs.lock() = sink;
+        *self.obs.lock().unwrap_or_else(|e| e.into_inner()) = sink;
+    }
+
+    /// The memory-tier slot for `fingerprint`, created empty on first use.
+    fn slot(&self, fingerprint: u64) -> Slot {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner()).entry(fingerprint).or_default().clone()
     }
 
     /// The configured disk-tier directory, if any.
@@ -167,7 +171,7 @@ impl ArtifactCache {
     pub fn get_or_build<A: Artifact>(&self, parts: &[&str], build: impl FnOnce() -> A) -> Arc<A> {
         let key = canonical_key(A::STAGE, parts);
         let fingerprint = fingerprint(&key);
-        let slot = self.slots.lock().entry(fingerprint).or_default().clone();
+        let slot = self.slot(fingerprint);
         let mut invoked = false;
         let any = slot
             .get_or_init(|| {
@@ -192,7 +196,7 @@ impl ArtifactCache {
     pub fn lookup<A: Artifact>(&self, parts: &[&str]) -> Option<Arc<A>> {
         let key = canonical_key(A::STAGE, parts);
         let fingerprint = fingerprint(&key);
-        let slot = self.slots.lock().entry(fingerprint).or_default().clone();
+        let slot = self.slot(fingerprint);
         if let Some(any) = slot.get() {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
             return Some(any.clone().downcast::<A>().expect("artifact stage/type mismatch"));
@@ -224,7 +228,7 @@ impl ArtifactCache {
         let key = canonical_key(A::STAGE, parts);
         let fingerprint = fingerprint(&key);
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let slot = self.slots.lock().entry(fingerprint).or_default().clone();
+        let slot = self.slot(fingerprint);
         let any = slot.get_or_init(|| Arc::new(value) as Arc<dyn Any + Send + Sync>).clone();
         let arc = any.downcast::<A>().expect("artifact stage/type mismatch");
         self.save_to_disk(&key, fingerprint, arc.as_ref());
@@ -421,12 +425,27 @@ impl Drop for PathLock {
     }
 }
 
+/// Best-effort liveness probe via procfs; without procfs every PID
+/// counts as dead, so callers that can do better check for procfs first.
+///
+/// A killed process whose parent never reaps it keeps its `/proc/<pid>`
+/// entry as a zombie, so existence alone is not liveness: the state
+/// field of `/proc/<pid>/stat` (after the last `)`, since the command
+/// name may itself contain parentheses) must not be `Z` or `X`.
+pub(crate) fn pid_alive(pid: u32) -> bool {
+    let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
+        return false;
+    };
+    let state = stat.rfind(')').and_then(|i| stat[i + 1..].split_whitespace().next());
+    !matches!(state, None | Some("Z" | "X"))
+}
+
 fn lock_is_stale(lock: &Path) -> bool {
     match std::fs::read_to_string(lock) {
         Ok(content) => match content.trim().parse::<u32>() {
             Ok(pid) => {
                 if Path::new("/proc/self").exists() {
-                    !Path::new(&format!("/proc/{pid}")).exists()
+                    !pid_alive(pid)
                 } else {
                     // No procfs: fall back to an age backstop generous
                     // enough for any real build.
@@ -920,6 +939,29 @@ mod tests {
         assert_eq!(value.0, vec![3], "takeover let the build proceed");
         assert_eq!(cache.stats().builds, 1);
         assert!(!PathLock::lock_path(&path).exists(), "stolen lock removed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A build process that died unreaped lingers as a zombie: its
+    /// `/proc/<pid>` entry exists, yet it will never release the lock.
+    #[test]
+    fn build_lock_held_by_a_zombie_is_stale() {
+        use std::time::{Duration, Instant};
+        let dir = temp_dir("debunk-artifact-zombie-lock");
+        std::fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("art-test-blob-0000000000000000.bin");
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let stat = format!("/proc/{}/stat", child.id());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !std::fs::read_to_string(&stat).is_ok_and(|s| s.contains(") Z ")) {
+            assert!(Instant::now() < deadline, "child never became a zombie");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::fs::write(PathLock::lock_path(&target), child.id().to_string()).unwrap();
+        let stolen = PathLock::steal_if_stale(&target);
+        child.wait().unwrap();
+        assert!(stolen, "a zombie holder's lock must be taken over");
+        assert!(!PathLock::lock_path(&target).exists(), "stolen lock removed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,6 +8,7 @@ use dataset::Task;
 use encoders::checkpoint::PretrainKey;
 use encoders::model::{EncoderModel, ModelKind};
 use encoders::pcap_encoder::{pretrain_pcap_encoder, PcapEncoderVariant, PretrainBudget};
+use nn::envelope::{PayloadReader, PayloadWriter};
 use std::path::PathBuf;
 use std::sync::Arc;
 use traffic_synth::stream::fnv64;
@@ -147,15 +148,21 @@ impl EncoderSpec {
 }
 
 /// A pre-trained encoder is an ordinary artifact keyed by its
-/// pre-training provenance; the payload is the encoder's JSON.
+/// pre-training provenance; the payload is the encoder's binary
+/// checkpoint (augment seed + DBFZ export payload), so any other bytes
+/// under the key are refused and rebuilt, never mis-decoded.
 impl Artifact for EncoderModel {
     const STAGE: &'static str = "encoder";
     fn to_bytes(&self) -> Vec<u8> {
-        self.to_json().into_bytes()
+        let mut w = PayloadWriter::new();
+        self.write_checkpoint(&mut w);
+        w.into_bytes()
     }
     fn from_bytes(bytes: &[u8]) -> Result<EncoderModel, String> {
-        let json = std::str::from_utf8(bytes).map_err(|e| format!("encoder payload: {e}"))?;
-        EncoderModel::from_json(json).map_err(|e| format!("encoder payload: {e}"))
+        let mut r = PayloadReader::new(bytes);
+        let model = EncoderModel::read_checkpoint(&mut r);
+        let model = model.and_then(|m| r.finish().map(|()| m));
+        model.map_err(|e| format!("encoder payload: {e}"))
     }
 }
 

@@ -31,6 +31,7 @@
 //! PID is dead is swept and the cell re-claimed by the next wave, so a
 //! SIGKILLed worker never wedges the suite.
 
+use crate::artifact::pid_alive;
 use crate::engine::context::RunContext;
 use crate::engine::journal::{
     parse_json, CellId, Journal, JournalEntry, JournalError, JournalState, Json, RunManifest,
@@ -137,22 +138,6 @@ fn claim_pid(content: &str) -> Option<u32> {
         return None;
     }
     Some(pid as u32)
-}
-
-/// Best-effort liveness probe via procfs; without procfs every recorded
-/// PID counts as dead, which at worst re-runs a cell (outputs are
-/// deterministic, so a duplicate run is wasted work, never a conflict).
-///
-/// A killed worker whose parent never reaps it keeps its `/proc/<pid>`
-/// entry as a zombie, so existence alone is not liveness: the state
-/// field of `/proc/<pid>/stat` (after the last `)`, since the command
-/// name may itself contain parentheses) must not be `Z` or `X`.
-fn pid_alive(pid: u32) -> bool {
-    let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
-        return false;
-    };
-    let state = stat.rfind(')').and_then(|i| stat[i + 1..].split_whitespace().next());
-    !matches!(state, None | Some("Z" | "X"))
 }
 
 /// Fold every worker journal (and, on `resume`, a previously merged or

@@ -1460,16 +1460,16 @@ fn quant_cell(ctx: &RunContext, cfg: &CellConfig, int8: bool) -> CellOutput {
     let test_labels: Vec<u16> = test.iter().map(|&i| label_of(&data.records[i])).collect();
     let test_recs: Vec<&PacketRecord> = test.iter().map(|&i| &data.records[i]).collect();
 
-    let frozen = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder)).freeze();
+    let encoder = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
     let t0 = Instant::now();
     let (x_train, x_test) = if int8 {
-        let q = frozen.quantize();
+        let q = encoder.quantize();
         (q.encode_packets(&train_recs), q.encode_packets(&test_recs))
     } else {
-        (frozen.encode_packets(&train_recs), frozen.encode_packets(&test_recs))
+        (encoder.encode_packets(&train_recs), encoder.encode_packets(&test_recs))
     };
     let n_classes = task.n_classes();
-    let mut head = Mlp::new(&[frozen.dim(), cfg.head_hidden, n_classes], cfg.seed);
+    let mut head = Mlp::new(&[encoder.dim(), cfg.head_hidden, n_classes], cfg.seed);
     head.fit(&x_train, &train_labels, cfg.frozen_epochs, cfg.batch, cfg.lr, cfg.seed ^ 0x1);
     let train_secs = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
@@ -1510,15 +1510,15 @@ impl Experiment for QuantInt8 {
         );
         // Throughput is measured here in render — wall-clock must never
         // reach the journaled cell outputs.
-        let frozen = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder)).freeze();
-        let quant = frozen.quantize();
+        let encoder = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
+        let quant = encoder.quantize();
         let recs_owned = ctx.prep(Task::VpnApp).data.clone();
         let recs: Vec<&PacketRecord> = recs_owned.records.iter().take(512).collect();
         let mut scratch = encoders::EncodeScratch::default();
         let mut enc_out = Tensor::default();
-        frozen.encode_packets_into(&recs, &mut scratch, &mut enc_out); // warm scratch
+        encoder.encode_packets_into(&recs, &mut scratch, &mut enc_out); // warm scratch
         let t0 = std::time::Instant::now();
-        frozen.encode_packets_into(&recs, &mut scratch, &mut enc_out);
+        encoder.encode_packets_into(&recs, &mut scratch, &mut enc_out);
         let f32_rate = recs.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e3;
         quant.encode_packets_into(&recs, &mut scratch, &mut enc_out); // warm scratch
         let t1 = std::time::Instant::now();

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 /// Train/test split policy (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplitPolicy {
     /// Whole flows assigned to one partition (correct).
     PerFlow,
@@ -29,7 +29,7 @@ pub enum SplitPolicy {
 }
 
 /// Where to apply the implicit-flow-ID randomisation (Table 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowIdAblation {
     /// Leave SeqNo/AckNo/timestamps untouched.
     None,
@@ -40,7 +40,7 @@ pub enum FlowIdAblation {
 }
 
 /// Hyper-parameters for one cell.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CellConfig {
     /// Hidden width of the 2-layer MLP head.
     pub head_hidden: usize,
@@ -370,15 +370,6 @@ mod tests {
             }
         }
         assert!(changed);
-    }
-
-    #[test]
-    fn cell_config_round_trips_json() {
-        let cfg = CellConfig { max_train: 1234, ..Default::default() };
-        let j = serde_json::to_string(&cfg).unwrap();
-        let back: CellConfig = serde_json::from_str(&j).unwrap();
-        assert_eq!(back.max_train, 1234);
-        assert_eq!(back.flow_id_ablation, FlowIdAblation::None);
     }
 
     #[test]

@@ -23,13 +23,12 @@ use crate::pipeline::{
 use dataset::split::{FlowClassView, Split};
 use encoders::model::EncoderModel;
 use nn::envelope::{self, AtomicFile, Fnv};
-use parking_lot::Mutex;
 use shallow::features::FeatureConfig;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use traffic_synth::stream::{merge_sorted, FlowPlan, MergeSorted};
 use traffic_synth::trace::{ClassMeta, TraceRecord};
 use traffic_synth::{DatasetKind, DatasetSpec};
@@ -71,7 +70,7 @@ pub struct OutOfCoreReport {
 /// flight, concurrent callers block and then validate warm.
 fn stream_lock(token: &str) -> Arc<Mutex<()>> {
     static LOCKS: Mutex<BTreeMap<String, Arc<Mutex<()>>>> = Mutex::new(BTreeMap::new());
-    LOCKS.lock().entry(token.to_string()).or_default().clone()
+    LOCKS.lock().unwrap_or_else(|e| e.into_inner()).entry(token.to_string()).or_default().clone()
 }
 
 /// Ensure the prepare-chain artifacts for `(kind, seed, scale)` exist in
@@ -96,7 +95,7 @@ pub fn prepare_out_of_core(
         .ok_or("out-of-core prepare needs a disk tier (--cache-dir)")?;
     // The path carries the key's fingerprint, so it names the build.
     let lock = stream_lock(&ds_path.to_string_lossy());
-    let _guard = lock.lock();
+    let _guard = lock.lock().unwrap_or_else(|e| e.into_inner());
 
     let (shards, rebuilt_shards) = ShardDir::ensure(shard_root, &spec, n_shards, 1)?;
     let dataset_built = ensure::<DatasetArtifact>(cache, &parts, |w| {

@@ -1,9 +1,7 @@
 //! Paper-style table rendering and machine-readable result records.
 
-use serde::{Deserialize, Serialize};
-
 /// One experiment-cell record, serialisable for EXPERIMENTS.md tooling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResultRecord {
     /// Experiment id, e.g. "table3".
     pub experiment: String,
@@ -24,11 +22,10 @@ pub struct ResultRecord {
 }
 
 /// Serialise records as pretty JSON with a stable, hand-rolled layout
-/// (2-space indent, declaration field order, shortest-float formatting)
-/// byte-compatible with `serde_json::to_string_pretty`. Rolling it by
-/// hand keeps the record/journal/manifest byte contract under the
-/// engine's own control — golden snapshots and resume-replay equality
-/// must not shift when a JSON dependency changes its formatter.
+/// (2-space indent, declaration field order, shortest-float formatting).
+/// Rolling it by hand keeps the record/journal/manifest byte contract
+/// under the engine's own control — golden snapshots and resume-replay
+/// equality must not shift when a JSON dependency changes its formatter.
 pub fn records_json_pretty(records: &[ResultRecord]) -> String {
     use crate::engine::journal::{escape_json, format_f64};
     if records.is_empty() {
@@ -176,23 +173,5 @@ mod tests {
         assert_eq!(pos_bars, 10);
         let zero_bars = s.lines().find(|l| l.starts_with("zero")).unwrap().matches('█').count();
         assert_eq!(zero_bars, 0);
-    }
-
-    #[test]
-    fn record_round_trips_json() {
-        let r = ResultRecord {
-            experiment: "table3".into(),
-            task: "TLS-120".into(),
-            model: "YaTC".into(),
-            setting: "per-flow/frozen".into(),
-            accuracy: 15.5,
-            macro_f1: 9.6,
-            train_secs: 1.0,
-            infer_secs: 0.2,
-        };
-        let j = serde_json::to_string(&r).unwrap();
-        let back: ResultRecord = serde_json::from_str(&j).unwrap();
-        assert_eq!(back.model, "YaTC");
-        assert_eq!(back.macro_f1, 9.6);
     }
 }

@@ -5,6 +5,7 @@
 use crate::experiment::{CellConfig, SplitPolicy};
 use crate::metrics::{accuracy, macro_f1};
 use crate::pipeline::PreparedTask;
+use crate::standardize::Standardizer;
 use dataset::record::PacketRecord;
 use dataset::split::{balanced_undersample, stratified_sample, subsample};
 use nn::{Mlp, Tensor};
@@ -55,36 +56,6 @@ pub struct ShallowResult {
     pub infer_secs: f64,
     /// Normalised feature importance (random forest only).
     pub importance: Option<Vec<f64>>,
-}
-
-fn standardise(train: &mut [Vec<f32>], test: &mut [Vec<f32>]) {
-    let d = train.first().map_or(0, Vec::len);
-    let n = train.len().max(1) as f32;
-    let mut mean = vec![0.0f32; d];
-    for r in train.iter() {
-        for (m, v) in mean.iter_mut().zip(r) {
-            *m += v;
-        }
-    }
-    for m in &mut mean {
-        *m /= n;
-    }
-    let mut std = vec![0.0f32; d];
-    for r in train.iter() {
-        for ((s, v), m) in std.iter_mut().zip(r).zip(&mean) {
-            *s += (v - m) * (v - m);
-        }
-    }
-    for s in &mut std {
-        *s = (*s / n).sqrt().max(1e-6);
-    }
-    for set in [train, test] {
-        for r in set.iter_mut() {
-            for ((v, m), s) in r.iter_mut().zip(&mean).zip(&std) {
-                *v = (*v - *m) / *s;
-            }
-        }
-    }
 }
 
 /// Run a shallow baseline on a task under the given split policy
@@ -156,11 +127,11 @@ pub fn run_shallow(
             (train_secs, preds, t1.elapsed().as_secs_f64())
         }
         ShallowModel::Mlp => {
-            let mut xtr: Vec<Vec<f32>> = train_x.iter().map(|r| r.to_vec()).collect();
-            let mut xte: Vec<Vec<f32>> = test_x.iter().map(|r| r.to_vec()).collect();
-            standardise(&mut xtr, &mut xte);
-            let xt = Tensor::from_rows(&xtr);
-            let xs = Tensor::from_rows(&xte);
+            let to_tensor = |x: &[[f32; N_FEATURES]]| {
+                Tensor::from_rows(&x.iter().map(|r| r.to_vec()).collect::<Vec<_>>())
+            };
+            let (mut xt, mut xs) = (to_tensor(&train_x), to_tensor(&test_x));
+            Standardizer::fit_apply(&mut xt, &mut xs);
             let mut mlp = Mlp::new(&[N_FEATURES, cfg.head_hidden, n_classes], cfg.seed);
             mlp.fit(&xt, &train_y, cfg.frozen_epochs, cfg.batch, cfg.lr, cfg.seed ^ 1);
             let train_secs = t0.elapsed().as_secs_f64();

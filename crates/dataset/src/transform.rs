@@ -12,7 +12,7 @@ use rand::Rng;
 
 /// Which bytes of the packet a model input may see. Used by the
 /// Pcap-Encoder input ablation (Table 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InputAblation {
     /// Full frame.
     Base,

@@ -1,193 +1,14 @@
-//! Frozen (inference-only) encoder export: tokenizer configuration +
-//! frozen embedding + pooled projection head, loadable without any
-//! training code path. Encodings are bit-identical to the trained
-//! [`EncoderModel`](crate::EncoderModel) the export was frozen from.
+//! The int8 inference encoder: the token table and projection
+//! quantised to [`Int8Matrix`], with its own dequantise-accumulate
+//! kernel and DBFZ export. The f32 export is
+//! [`EncoderModel`](crate::EncoderModel) itself.
 
-use crate::model::ModelKind;
+use crate::model::{EncodeScratch, ModelKind};
 use crate::tokenizer::TokenizerConfig;
 use dataset::record::PacketRecord;
-use dataset::transform::InputAblation;
 use nn::envelope::{PayloadReader, PayloadWriter};
-use nn::frozen::{FrozenArtifact, FrozenDense, FrozenEmbedding};
+use nn::frozen::FrozenArtifact;
 use nn::{Int8Matrix, Tensor};
-
-fn kind_from_name(name: &str) -> Option<ModelKind> {
-    ModelKind::EXTENDED.into_iter().find(|k| k.name() == name)
-}
-
-fn ablation_from_tag(tag: &str) -> Option<InputAblation> {
-    [
-        InputAblation::Base,
-        InputAblation::NoIpAddr,
-        InputAblation::NoHeader,
-        InputAblation::NoPayload,
-    ]
-    .into_iter()
-    .find(|a| a.cache_tag() == tag)
-}
-
-/// An exported encoder: everything inference needs and nothing else.
-/// The name follows the paper's own Pcap-Encoder, but any
-/// [`ModelKind`]'s analogue freezes into this shape — tokenisation is
-/// configuration, the weights are one embedding table plus the residual
-/// projection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrozenPcapEncoder {
-    /// Input-preparation rules (model kind + ablation).
-    pub tokenizer: TokenizerConfig,
-    /// The token table with scaled mean pooling.
-    pub embedding: FrozenEmbedding,
-    /// Post-pooling residual projection.
-    pub proj: FrozenDense,
-}
-
-/// Reusable buffers for the batched `encode_*_into` paths: the pooled
-/// activations plus per-sample token buffers. A serving loop keeps one
-/// scratch per worker and re-encodes every verdict batch with zero
-/// steady-state allocation — token vectors and tensors all retain their
-/// capacity between batches.
-#[derive(Debug, Clone, Default)]
-pub struct EncodeScratch {
-    pooled: Tensor,
-    tokens: Vec<Vec<u32>>,
-}
-
-impl EncodeScratch {
-    fn tokens_for(&mut self, n: usize) -> &mut [Vec<u32>] {
-        // Shrinking truncates (dropped capacity is a transient, batch
-        // sizes in one serving loop are stable); growing appends empty
-        // buffers that warm up on first use.
-        self.tokens.resize_with(n, Vec::new);
-        &mut self.tokens
-    }
-}
-
-impl FrozenPcapEncoder {
-    /// Which model this encoder reproduces.
-    pub fn kind(&self) -> ModelKind {
-        self.tokenizer.kind
-    }
-
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.tokenizer.kind.dim()
-    }
-
-    /// Int8-quantised copy of this encoder (per-row symmetric scales,
-    /// deterministic rounding). The quantised encoder is *not*
-    /// bit-equal to f32 — callers opt in explicitly.
-    pub fn quantize(&self) -> FrozenInt8Encoder {
-        FrozenInt8Encoder {
-            tokenizer: self.tokenizer,
-            table: Int8Matrix::quantize(&self.embedding.table),
-            proj_w: Int8Matrix::quantize(&self.proj.w),
-            proj_b: self.proj.b.clone(),
-        }
-    }
-
-    /// Pool + residual-project a token batch: `pooled + proj(pooled)`,
-    /// identical to the trained encoder's inference path. One kernel
-    /// dispatch per batch, not per sample.
-    fn pooled_residual_into(&self, batch: &[Vec<u32>], pooled: &mut Tensor, out: &mut Tensor) {
-        self.embedding.forward_into(batch, pooled);
-        self.proj.forward_into(pooled, out);
-        nn::simd::add_assign(&mut out.data, &pooled.data);
-    }
-
-    /// Frozen encoding of a packet batch.
-    pub fn encode_packets(&self, records: &[&PacketRecord]) -> Tensor {
-        let mut out = Tensor::default();
-        self.encode_packets_into(records, &mut EncodeScratch::default(), &mut out);
-        out
-    }
-
-    /// Batched [`FrozenPcapEncoder::encode_packets`] into a reusable
-    /// output; allocation-free in steady state.
-    pub fn encode_packets_into(
-        &self,
-        records: &[&PacketRecord],
-        scratch: &mut EncodeScratch,
-        out: &mut Tensor,
-    ) {
-        for (buf, rec) in scratch.tokens_for(records.len()).iter_mut().zip(records) {
-            self.tokenizer.tokenize_packet_repeated_into(rec, buf);
-        }
-        let EncodeScratch { pooled, tokens } = scratch;
-        self.pooled_residual_into(tokens, pooled, out);
-    }
-
-    /// Frozen encoding of flows (each a slice of packets).
-    pub fn encode_flows(&self, flows: &[Vec<&PacketRecord>]) -> Tensor {
-        let mut out = Tensor::default();
-        self.encode_flows_into(flows, &mut EncodeScratch::default(), &mut out);
-        out
-    }
-
-    /// Batched [`FrozenPcapEncoder::encode_flows`] into a reusable
-    /// output; allocation-free in steady state.
-    pub fn encode_flows_into(
-        &self,
-        flows: &[Vec<&PacketRecord>],
-        scratch: &mut EncodeScratch,
-        out: &mut Tensor,
-    ) {
-        for (buf, flow) in scratch.tokens_for(flows.len()).iter_mut().zip(flows) {
-            self.tokenizer.tokenize_flow_into(flow, buf);
-        }
-        let EncodeScratch { pooled, tokens } = scratch;
-        self.pooled_residual_into(tokens, pooled, out);
-    }
-
-    /// Frozen encoding of pre-built token sequences.
-    pub fn encode_tokens(&self, batch: &[Vec<u32>]) -> Tensor {
-        let mut out = Tensor::default();
-        self.encode_tokens_into(batch, &mut EncodeScratch::default(), &mut out);
-        out
-    }
-
-    /// Batched [`FrozenPcapEncoder::encode_tokens`] into a reusable
-    /// output; allocation-free in steady state.
-    pub fn encode_tokens_into(
-        &self,
-        batch: &[Vec<u32>],
-        scratch: &mut EncodeScratch,
-        out: &mut Tensor,
-    ) {
-        self.pooled_residual_into(batch, &mut scratch.pooled, out);
-    }
-}
-
-impl FrozenArtifact for FrozenPcapEncoder {
-    const KIND: &'static str = "pcap-encoder";
-
-    fn write_payload(&self, w: &mut PayloadWriter) {
-        w.str(self.tokenizer.kind.name());
-        w.str(self.tokenizer.ablation.cache_tag());
-        self.embedding.write_payload(w);
-        self.proj.write_payload(w);
-    }
-
-    fn read_payload(r: &mut PayloadReader) -> Result<FrozenPcapEncoder, String> {
-        let kind_name = r.str()?;
-        let kind =
-            kind_from_name(&kind_name).ok_or_else(|| format!("unknown model '{kind_name}'"))?;
-        let ablation_tag = r.str()?;
-        let ablation = ablation_from_tag(&ablation_tag)
-            .ok_or_else(|| format!("unknown ablation '{ablation_tag}'"))?;
-        let embedding = FrozenEmbedding::read_payload(r)?;
-        let proj = FrozenDense::read_payload(r)?;
-        if embedding.dim() != kind.dim() || proj.input_dim() != kind.dim() {
-            return Err(format!(
-                "dimension mismatch: {} expects {}, file has table dim {} / proj in {}",
-                kind.name(),
-                kind.dim(),
-                embedding.dim(),
-                proj.input_dim()
-            ));
-        }
-        Ok(FrozenPcapEncoder { tokenizer: TokenizerConfig { kind, ablation }, embedding, proj })
-    }
-}
 
 /// Int8-quantised frozen encoder: the embedding table and projection
 /// weights live as [`Int8Matrix`] (per-row symmetric scales), the bias
@@ -277,10 +98,7 @@ impl FrozenInt8Encoder {
         scratch: &mut EncodeScratch,
         out: &mut Tensor,
     ) {
-        for (buf, rec) in scratch.tokens_for(records.len()).iter_mut().zip(records) {
-            self.tokenizer.tokenize_packet_repeated_into(rec, buf);
-        }
-        let EncodeScratch { pooled, tokens } = scratch;
+        let (tokens, pooled) = scratch.packets(self.tokenizer, records);
         self.pooled_residual_into(tokens, pooled, out);
     }
 
@@ -299,10 +117,7 @@ impl FrozenInt8Encoder {
         scratch: &mut EncodeScratch,
         out: &mut Tensor,
     ) {
-        for (buf, flow) in scratch.tokens_for(flows.len()).iter_mut().zip(flows) {
-            self.tokenizer.tokenize_flow_into(flow, buf);
-        }
-        let EncodeScratch { pooled, tokens } = scratch;
+        let (tokens, pooled) = scratch.flows(self.tokenizer, flows);
         self.pooled_residual_into(tokens, pooled, out);
     }
 
@@ -329,20 +144,15 @@ impl FrozenArtifact for FrozenInt8Encoder {
     const KIND: &'static str = "pcap-encoder-int8";
 
     fn write_payload(&self, w: &mut PayloadWriter) {
-        w.str(self.tokenizer.kind.name());
-        w.str(self.tokenizer.ablation.cache_tag());
+        self.tokenizer.write_payload(w);
         self.table.write(w);
         self.proj_w.write(w);
         w.f32s(&self.proj_b);
     }
 
     fn read_payload(r: &mut PayloadReader) -> Result<FrozenInt8Encoder, String> {
-        let kind_name = r.str()?;
-        let kind =
-            kind_from_name(&kind_name).ok_or_else(|| format!("unknown model '{kind_name}'"))?;
-        let ablation_tag = r.str()?;
-        let ablation = ablation_from_tag(&ablation_tag)
-            .ok_or_else(|| format!("unknown ablation '{ablation_tag}'"))?;
+        let tokenizer = TokenizerConfig::read_payload(r)?;
+        let kind = tokenizer.kind;
         let table = Int8Matrix::read(r)?;
         let proj_w = Int8Matrix::read(r)?;
         let proj_b = r.f32s()?;
@@ -356,12 +166,7 @@ impl FrozenArtifact for FrozenInt8Encoder {
                 proj_b.len()
             ));
         }
-        Ok(FrozenInt8Encoder {
-            tokenizer: TokenizerConfig { kind, ablation },
-            table,
-            proj_w,
-            proj_b,
-        })
+        Ok(FrozenInt8Encoder { tokenizer, table, proj_w, proj_b })
     }
 }
 
@@ -370,6 +175,7 @@ mod tests {
     use super::*;
     use crate::model::EncoderModel;
     use dataset::record::Prepared;
+    use dataset::transform::InputAblation;
     use traffic_synth::{DatasetKind, DatasetSpec};
 
     fn sample() -> Prepared {
@@ -378,55 +184,32 @@ mod tests {
     }
 
     #[test]
-    fn frozen_encoding_matches_trained_bitwise_for_all_models() {
-        let d = sample();
-        let recs: Vec<&PacketRecord> = d.records.iter().take(6).collect();
-        for kind in ModelKind::EXTENDED {
-            let m = EncoderModel::new(kind, 3);
-            let frozen = m.freeze();
-            assert_eq!(
-                frozen.encode_packets(&recs).data,
-                m.encode_packets(&recs).data,
-                "{} packets",
-                kind.name()
-            );
-            let flows = vec![recs[..3].to_vec(), recs[3..].to_vec()];
-            assert_eq!(
-                frozen.encode_flows(&flows).data,
-                m.encode_flows(&flows).data,
-                "{} flows",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
     fn batched_encode_is_bitwise_equal_to_single() {
         // The batched `_into` path must produce, row for row, the same
         // bits as encoding each sample alone — batch size is a
-        // throughput knob, never a semantic one (the PR 6 contract).
+        // throughput knob, never a semantic one.
         let d = sample();
         let recs: Vec<&PacketRecord> = d.records.iter().take(12).collect();
         let m = EncoderModel::new(ModelKind::EtBert, 5);
-        let frozen = m.freeze();
         let mut scratch = EncodeScratch::default();
         let mut batched = Tensor::default();
-        frozen.encode_packets_into(&recs, &mut scratch, &mut batched);
+        m.encode_packets_into(&recs, &mut scratch, &mut batched);
         for (i, rec) in recs.iter().copied().enumerate() {
-            let single = frozen.encode_packets(&[rec]);
+            let single = m.encode_packets(&[rec]);
             assert_eq!(single.row(0), batched.row(i), "row {i}");
         }
         // Scratch reuse across differently-sized batches stays exact.
         let mut again = Tensor::default();
-        frozen.encode_packets_into(&recs[..5], &mut scratch, &mut again);
-        assert_eq!(again.data, batched.data[..5 * frozen.dim()], "reused scratch");
+        m.encode_packets_into(&recs[..5], &mut scratch, &mut again);
+        assert_eq!(again.data, batched.data[..5 * m.dim()], "reused scratch");
     }
 
     #[test]
     fn int8_encode_is_deterministic_and_batch_invariant() {
         let d = sample();
         let recs: Vec<&PacketRecord> = d.records.iter().take(10).collect();
-        let q = EncoderModel::new(ModelKind::PcapEncoder, 3).freeze().quantize();
+        let f = EncoderModel::new(ModelKind::PcapEncoder, 3);
+        let q = f.quantize();
         let a = q.encode_packets(&recs);
         let b = q.encode_packets(&recs);
         assert_eq!(a.data, b.data, "deterministic");
@@ -434,7 +217,6 @@ mod tests {
             assert_eq!(q.encode_packets(&[rec]).row(0), a.row(i), "batch-invariant row {i}");
         }
         // Quantisation error is bounded: int8 should stay close to f32.
-        let f = EncoderModel::new(ModelKind::PcapEncoder, 3).freeze();
         let full = f.encode_packets(&recs);
         let max_abs = full.data.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         for (qa, fa) in a.data.iter().zip(&full.data) {
@@ -446,10 +228,10 @@ mod tests {
     fn int8_export_round_trip_is_byte_stable() {
         let mut m = EncoderModel::new(ModelKind::EtBert, 9);
         m.ablation = InputAblation::NoPayload;
-        let q = m.freeze().quantize();
+        let q = m.quantize();
         let bytes = q.to_frozen_bytes();
         assert_eq!(bytes, q.to_frozen_bytes(), "byte-stable encode");
-        assert_eq!(bytes, m.freeze().quantize().to_frozen_bytes(), "re-quantisation is stable");
+        assert_eq!(bytes, m.quantize().to_frozen_bytes(), "re-quantisation is stable");
         let back = FrozenInt8Encoder::from_frozen_bytes(&bytes).expect("round-trip");
         assert_eq!(back, q);
         assert_eq!(back.tokenizer.ablation, InputAblation::NoPayload);
@@ -470,40 +252,37 @@ mod tests {
         let recs: Vec<&PacketRecord> = d.records.iter().take(5).collect();
         let mut m = EncoderModel::new(ModelKind::PcapEncoder, 11);
         m.ablation = InputAblation::NoIpAddr;
-        let frozen = m.freeze();
-        let bytes = frozen.to_frozen_bytes();
-        assert_eq!(bytes, frozen.to_frozen_bytes(), "byte-stable encode");
-        let back = FrozenPcapEncoder::from_frozen_bytes(&bytes).expect("round-trip");
-        assert_eq!(back, frozen);
-        assert_eq!(back.tokenizer.ablation, InputAblation::NoIpAddr);
+        let bytes = m.to_frozen_bytes();
+        assert_eq!(bytes, m.to_frozen_bytes(), "byte-stable encode");
+        let back = EncoderModel::from_frozen_bytes(&bytes).expect("round-trip");
+        assert_eq!(back.to_frozen_bytes(), bytes);
+        assert_eq!(back.ablation, InputAblation::NoIpAddr);
         assert_eq!(back.encode_packets(&recs).data, m.encode_packets(&recs).data);
+        let flows = vec![recs[..3].to_vec(), recs[3..].to_vec()];
+        assert_eq!(back.encode_flows(&flows).data, m.encode_flows(&flows).data);
     }
 
     #[test]
     fn corrupt_export_is_refused() {
-        let m = EncoderModel::new(ModelKind::EtBert, 1);
-        let good = m.freeze().to_frozen_bytes();
+        let good = EncoderModel::new(ModelKind::EtBert, 1).to_frozen_bytes();
         for offset in [0, 7, good.len() / 3, good.len() / 2, good.len() - 1] {
             let mut bad = good.clone();
             bad[offset] ^= 0x01;
             assert!(
-                FrozenPcapEncoder::from_frozen_bytes(&bad).is_err(),
+                EncoderModel::from_frozen_bytes(&bad).is_err(),
                 "flip at {offset} must be refused"
             );
         }
     }
 
     #[test]
-    fn loads_without_training_state() {
-        // A frozen file decodes into a struct with no optimiser or
-        // scratch fields at all — loading must work purely from bytes.
+    fn loads_from_the_file_alone() {
         let dir = std::env::temp_dir().join("debunk-frozen-encoder-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("encoder.frozen");
-        let m = EncoderModel::new(ModelKind::YaTc, 8);
-        m.freeze().save_frozen(&path).expect("save");
-        let back = FrozenPcapEncoder::load_frozen(&path).expect("load");
-        assert_eq!(back.kind(), ModelKind::YaTc);
+        EncoderModel::new(ModelKind::YaTc, 8).save_frozen(&path).expect("save");
+        let back = EncoderModel::load_frozen(&path).expect("load");
+        assert_eq!(back.kind, ModelKind::YaTc);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

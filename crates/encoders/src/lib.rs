@@ -38,7 +38,7 @@ pub mod tokenize;
 pub mod tokenizer;
 
 pub use checkpoint::PretrainKey;
-pub use frozen::{EncodeScratch, FrozenInt8Encoder, FrozenPcapEncoder};
-pub use model::{EncoderModel, ModelKind};
+pub use frozen::FrozenInt8Encoder;
+pub use model::{EncodeScratch, EncoderModel, ModelKind};
 pub use pcap_encoder::{PcapEncoderVariant, PretrainPhases};
 pub use tokenizer::TokenizerConfig;

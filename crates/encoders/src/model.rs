@@ -2,16 +2,19 @@
 //! embedding + mean-pooling backbone that supports frozen encoding and
 //! unfrozen (end-to-end) training.
 
+use crate::frozen::FrozenInt8Encoder;
 use crate::tokenize::VOCAB;
 use crate::tokenizer::TokenizerConfig;
 use dataset::record::PacketRecord;
 use dataset::transform::InputAblation;
-use nn::{Dense, Embedding, Tensor};
+use nn::envelope::{PayloadReader, PayloadWriter};
+use nn::frozen::FrozenArtifact;
+use nn::{Dense, Embedding, Int8Matrix, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Which paper model this encoder reproduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// ET-BERT: transport bytes without ports + payload, word tokens.
     EtBert,
@@ -141,7 +144,7 @@ fn clip_global_norm(t: &mut Tensor, max_norm: f32) {
 /// let embeddings = encoder.encode_packets(&recs); // 32 × dim
 /// assert_eq!(embeddings.rows, 32);
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EncoderModel {
     /// Which model this is.
     pub kind: ModelKind,
@@ -158,12 +161,50 @@ pub struct EncoderModel {
     pub ablation: InputAblation,
     // Reusable scratch for the unfrozen train step (forward + backward
     // allocate nothing per step once these are warm).
-    #[serde(skip)]
     pooled: Tensor,
-    #[serde(skip)]
     clip_buf: Tensor,
-    #[serde(skip)]
     d_pooled: Tensor,
+}
+
+/// Reusable buffers for the batched `encode_*_into` paths: the pooled
+/// activations plus per-sample token buffers. A serving loop keeps one
+/// scratch per worker and re-encodes every verdict batch with zero
+/// steady-state allocation — token vectors and tensors all retain their
+/// capacity between batches.
+#[derive(Debug, Clone, Default)]
+pub struct EncodeScratch {
+    pub(crate) pooled: Tensor,
+    tokens: Vec<Vec<u32>>,
+}
+
+impl EncodeScratch {
+    /// Tokenise each packet (repeated, as at inference) into the token
+    /// buffers; returns them with the pooled-activation buffer. Token
+    /// buffers keep their capacity; a smaller batch truncates the list.
+    pub(crate) fn packets(
+        &mut self,
+        tokenizer: TokenizerConfig,
+        records: &[&PacketRecord],
+    ) -> (&[Vec<u32>], &mut Tensor) {
+        self.tokens.resize_with(records.len(), Vec::new);
+        for (buf, rec) in self.tokens.iter_mut().zip(records) {
+            tokenizer.tokenize_packet_repeated_into(rec, buf);
+        }
+        (&self.tokens, &mut self.pooled)
+    }
+
+    /// [`EncodeScratch::packets`] for flows.
+    pub(crate) fn flows(
+        &mut self,
+        tokenizer: TokenizerConfig,
+        flows: &[Vec<&PacketRecord>],
+    ) -> (&[Vec<u32>], &mut Tensor) {
+        self.tokens.resize_with(flows.len(), Vec::new);
+        for (buf, flow) in self.tokens.iter_mut().zip(flows) {
+            tokenizer.tokenize_flow_into(flow, buf);
+        }
+        (&self.tokens, &mut self.pooled)
+    }
 }
 
 impl EncoderModel {
@@ -176,27 +217,43 @@ impl EncoderModel {
         for v in proj.w.data.iter_mut() {
             *v *= 0.1;
         }
-        EncoderModel {
-            kind,
-            embedding: Embedding::new(VOCAB, dim, seed),
+        EncoderModel::from_parts(
+            TokenizerConfig::new(kind),
+            Embedding::new(VOCAB, dim, seed),
             proj,
-            augment_seed: seed ^ 0xa06e,
-            ablation: InputAblation::Base,
+            seed ^ 0xa06e,
+        )
+    }
+
+    /// An encoder over given weights with empty training scratch.
+    fn from_parts(
+        tokenizer: TokenizerConfig,
+        embedding: Embedding,
+        proj: Dense,
+        augment_seed: u64,
+    ) -> EncoderModel {
+        EncoderModel {
+            kind: tokenizer.kind,
+            embedding,
+            proj,
+            augment_seed,
+            ablation: tokenizer.ablation,
             pooled: Tensor::default(),
             clip_buf: Tensor::default(),
             d_pooled: Tensor::default(),
         }
     }
 
-    /// Residual transform: `pooled + proj(pooled)`. The identity path
+    /// Pool + residual-project a token batch: `pooled + proj(pooled)`,
+    /// one kernel dispatch per batch, not per sample. The identity path
     /// guarantees pre-training can only *add* structure on top of the
     /// information-preserving random-feature map — without it, pretext
     /// objectives (satisfiable by low-rank maps) collapse the
     /// representation and frozen performance drops *below* random.
-    fn residual(&self, pooled: &Tensor) -> Tensor {
-        let mut out = self.proj.forward_inference(pooled);
+    fn pooled_residual_into(&self, batch: &[Vec<u32>], pooled: &mut Tensor, out: &mut Tensor) {
+        self.embedding.forward_inference_into(batch, pooled);
+        self.proj.forward_inference_into(pooled, out);
         nn::simd::add_assign(&mut out.data, &pooled.data);
-        out
     }
 
     /// Embedding dimensionality.
@@ -205,7 +262,7 @@ impl EncoderModel {
     }
 
     /// The tokenisation half of this encoder (configuration only) —
-    /// shared verbatim with the frozen inference path.
+    /// shared verbatim with the int8 inference path.
     pub fn tokenizer(&self) -> TokenizerConfig {
         TokenizerConfig { kind: self.kind, ablation: self.ablation }
     }
@@ -236,28 +293,72 @@ impl EncoderModel {
         self.tokenizer().tokenize_packet_padded(rec)
     }
 
-    /// Weights-only inference twin for export: tokenizer config plus
-    /// frozen embedding and projection. Its encodings are bit-identical
-    /// to [`EncoderModel::encode_packets`]/[`EncoderModel::encode_flows`].
-    pub fn freeze(&self) -> crate::frozen::FrozenPcapEncoder {
-        crate::frozen::FrozenPcapEncoder {
+    /// Int8-quantised copy of this encoder (per-row symmetric scales,
+    /// deterministic rounding). The quantised encoder is *not*
+    /// bit-equal to f32 — callers opt in explicitly.
+    pub fn quantize(&self) -> FrozenInt8Encoder {
+        FrozenInt8Encoder {
             tokenizer: self.tokenizer(),
-            embedding: self.embedding.freeze(),
-            proj: self.proj.freeze(),
+            table: Int8Matrix::quantize(&self.embedding.table),
+            proj_w: Int8Matrix::quantize(&self.proj.w),
+            proj_b: self.proj.b.clone(),
         }
     }
 
     /// Frozen encoding of a packet batch (no caches, no gradients).
     pub fn encode_packets(&self, records: &[&PacketRecord]) -> Tensor {
-        let batch: Vec<Vec<u32>> =
-            records.iter().map(|r| self.tokenize_packet_repeated(r)).collect();
-        self.residual(&self.embedding.forward_inference(&batch))
+        let mut out = Tensor::default();
+        self.encode_packets_into(records, &mut EncodeScratch::default(), &mut out);
+        out
+    }
+
+    /// Batched [`EncoderModel::encode_packets`] into a reusable output;
+    /// allocation-free in steady state.
+    pub fn encode_packets_into(
+        &self,
+        records: &[&PacketRecord],
+        scratch: &mut EncodeScratch,
+        out: &mut Tensor,
+    ) {
+        let (tokens, pooled) = scratch.packets(self.tokenizer(), records);
+        self.pooled_residual_into(tokens, pooled, out);
     }
 
     /// Frozen encoding of flows (each a slice of packets).
     pub fn encode_flows(&self, flows: &[Vec<&PacketRecord>]) -> Tensor {
-        let batch: Vec<Vec<u32>> = flows.iter().map(|f| self.tokenize_flow(f)).collect();
-        self.residual(&self.embedding.forward_inference(&batch))
+        let mut out = Tensor::default();
+        self.encode_flows_into(flows, &mut EncodeScratch::default(), &mut out);
+        out
+    }
+
+    /// Batched [`EncoderModel::encode_flows`] into a reusable output;
+    /// allocation-free in steady state.
+    pub fn encode_flows_into(
+        &self,
+        flows: &[Vec<&PacketRecord>],
+        scratch: &mut EncodeScratch,
+        out: &mut Tensor,
+    ) {
+        let (tokens, pooled) = scratch.flows(self.tokenizer(), flows);
+        self.pooled_residual_into(tokens, pooled, out);
+    }
+
+    /// Frozen encoding of pre-built token sequences (residual path).
+    pub fn encode_tokens(&self, batch: &[Vec<u32>]) -> Tensor {
+        let mut out = Tensor::default();
+        self.encode_tokens_into(batch, &mut EncodeScratch::default(), &mut out);
+        out
+    }
+
+    /// Batched [`EncoderModel::encode_tokens`] into a reusable output;
+    /// allocation-free in steady state.
+    pub fn encode_tokens_into(
+        &self,
+        batch: &[Vec<u32>],
+        scratch: &mut EncodeScratch,
+        out: &mut Tensor,
+    ) {
+        self.pooled_residual_into(batch, &mut scratch.pooled, out);
     }
 
     /// Unfrozen forward over token batches (caches for backward).
@@ -311,21 +412,20 @@ impl EncoderModel {
         self.d_pooled = d_pooled;
     }
 
-    /// Frozen encoding of pre-built token sequences (residual path).
-    pub fn encode_tokens(&self, batch: &[Vec<u32>]) -> Tensor {
-        self.residual(&self.embedding.forward_inference(batch))
+    /// The engine's cached-encoder payload: the training-time augment
+    /// seed, then exactly the DBFZ `pcap-encoder` payload. Unlike the
+    /// export it restores a model whose training continues unchanged.
+    pub fn write_checkpoint(&self, w: &mut PayloadWriter) {
+        w.u64(self.augment_seed);
+        self.write_payload(w);
     }
 
-    /// Serialise the encoder (architecture + weights; optimiser state
-    /// is rebuilt lazily after load) to JSON — the payload of a cached
-    /// pre-trained encoder.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("encoder serialises")
-    }
-
-    /// Restore an encoder saved with [`EncoderModel::to_json`].
-    pub fn from_json(json: &str) -> Result<EncoderModel, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Decode a payload written by [`EncoderModel::write_checkpoint`].
+    pub fn read_checkpoint(r: &mut PayloadReader) -> Result<EncoderModel, String> {
+        let augment_seed = r.u64()?;
+        let mut model = EncoderModel::read_payload(r)?;
+        model.augment_seed = augment_seed;
+        Ok(model)
     }
 
     /// Tokenise a packet set for unfrozen training, applying the
@@ -352,6 +452,38 @@ impl EncoderModel {
                 }
             })
             .collect()
+    }
+}
+
+/// The DBFZ export: tokenizer configuration, token table, residual
+/// projection. A model read from DBFZ is the inference export — it
+/// encodes bit-identically to the saved model, but the training-time
+/// augment seed is not stored and reads back as 0; the engine's encoder
+/// cache uses [`EncoderModel::write_checkpoint`], which keeps it.
+impl FrozenArtifact for EncoderModel {
+    const KIND: &'static str = "pcap-encoder";
+
+    fn write_payload(&self, w: &mut PayloadWriter) {
+        self.tokenizer().write_payload(w);
+        self.embedding.write_payload(w);
+        self.proj.write_payload(w);
+    }
+
+    fn read_payload(r: &mut PayloadReader) -> Result<EncoderModel, String> {
+        let tokenizer = TokenizerConfig::read_payload(r)?;
+        let embedding = Embedding::read_payload(r)?;
+        let proj = Dense::read_payload(r)?;
+        let dim = tokenizer.kind.dim();
+        if embedding.dim() != dim || proj.input_dim() != dim {
+            return Err(format!(
+                "dimension mismatch: {} expects {}, file has table dim {} / proj in {}",
+                tokenizer.kind.name(),
+                dim,
+                embedding.dim(),
+                proj.input_dim()
+            ));
+        }
+        Ok(EncoderModel::from_parts(tokenizer, embedding, proj, 0))
     }
 }
 

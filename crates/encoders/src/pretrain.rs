@@ -364,6 +364,7 @@ mod tests {
 
     #[test]
     fn sbp_and_interval_pretraining_are_deterministic_per_seed() {
+        use nn::frozen::FrozenArtifact;
         let corpus = pretrain_corpus(4, 12);
         let run = |kind: ModelKind, sbp: bool| {
             let mut m = EncoderModel::new(kind, 4);
@@ -372,7 +373,7 @@ mod tests {
             } else {
                 interval_pretrain(&mut m, &corpus, 1, 0.01, 9);
             }
-            m.to_json()
+            m.to_frozen_bytes()
         };
         assert_eq!(run(ModelKind::EtBert, true), run(ModelKind::EtBert, true), "SBP");
         assert_eq!(run(ModelKind::Ptu, false), run(ModelKind::Ptu, false), "HIP/FIP");

@@ -1,9 +1,8 @@
-//! The tokenisation half of an encoder, split from the trainable
-//! weights so the inference path ([`crate::frozen`]) needs no training
-//! code. A [`TokenizerConfig`] is pure configuration — model kind plus
-//! input ablation — and is what a frozen export stores alongside the
-//! weights; [`crate::EncoderModel`] delegates all tokenisation here, so
-//! the trained and frozen paths cannot drift apart.
+//! The tokenisation half of an encoder. A [`TokenizerConfig`] is pure
+//! configuration — model kind plus input ablation — and is what a
+//! frozen export stores ahead of the weights; [`crate::EncoderModel`]
+//! and the int8 [`crate::FrozenInt8Encoder`] both delegate all
+//! tokenisation here, so their inputs cannot drift apart.
 
 use crate::model::ModelKind;
 use crate::tokenize::{
@@ -12,6 +11,7 @@ use crate::tokenize::{
 };
 use dataset::record::PacketRecord;
 use dataset::transform::{ablated_view, InputAblation};
+use nn::envelope::{PayloadReader, PayloadWriter};
 use rand::rngs::StdRng;
 
 /// Everything that determines how packets become token sequences:
@@ -29,6 +29,33 @@ impl TokenizerConfig {
     /// Base (un-ablated) tokenizer for a model.
     pub fn new(kind: ModelKind) -> TokenizerConfig {
         TokenizerConfig { kind, ablation: InputAblation::Base }
+    }
+
+    /// Serialise as the model name and the ablation's cache tag — the
+    /// head of every encoder export payload.
+    pub fn write_payload(&self, w: &mut PayloadWriter) {
+        w.str(self.kind.name());
+        w.str(self.ablation.cache_tag());
+    }
+
+    /// Decode a config written by [`TokenizerConfig::write_payload`].
+    pub fn read_payload(r: &mut PayloadReader) -> Result<TokenizerConfig, String> {
+        let kind_name = r.str()?;
+        let kind = ModelKind::EXTENDED
+            .into_iter()
+            .find(|k| k.name() == kind_name)
+            .ok_or_else(|| format!("unknown model '{kind_name}'"))?;
+        let ablation_tag = r.str()?;
+        let ablation = [
+            InputAblation::Base,
+            InputAblation::NoIpAddr,
+            InputAblation::NoHeader,
+            InputAblation::NoPayload,
+        ]
+        .into_iter()
+        .find(|a| a.cache_tag() == ablation_tag)
+        .ok_or_else(|| format!("unknown ablation '{ablation_tag}'"))?;
+        Ok(TokenizerConfig { kind, ablation })
     }
 
     /// Tokenise one packet according to the model's input-preparation

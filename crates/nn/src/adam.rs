@@ -6,10 +6,9 @@
 //! across lanes.
 
 use crate::simd::{self, AdamConsts};
-use serde::{Deserialize, Serialize};
 
 /// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Adam {
     m: Vec<f32>,
     v: Vec<f32>,
@@ -30,14 +29,14 @@ impl Adam {
         self.m.len()
     }
 
-    /// True if the state tracks no parameters (e.g. a freshly
-    /// deserialised checkpoint, where optimiser state is not stored).
+    /// True if the state tracks no parameters (e.g. a layer that has not
+    /// taken an Adam step yet; optimiser state is created lazily).
     pub fn is_empty(&self) -> bool {
         self.m.is_empty()
     }
 
     /// Reset/resize the state for a parameter vector of length `n` if
-    /// it does not already match (lazy re-init after checkpoint load).
+    /// it does not already match (lazy init on a layer's first step).
     pub fn ensure_len(&mut self, n: usize) {
         if self.m.len() != n {
             *self = Adam::new(n);
@@ -125,8 +124,8 @@ impl RowAdam {
         }
     }
 
-    /// Reset the state if the table shape changed (lazy re-init after a
-    /// checkpoint load, mirroring [`Adam::ensure_len`]).
+    /// Reset the state if the table shape changed (lazy init on a
+    /// table's first step, mirroring [`Adam::ensure_len`]).
     pub fn ensure_shape(&mut self, rows: usize, dim: usize) {
         if self.slot.len() != rows || self.dim != dim {
             *self = RowAdam::new(rows, dim);

@@ -5,48 +5,49 @@
 //! `forward`/`backward` wrappers keep the original allocating API.
 
 use crate::adam::Adam;
+use crate::envelope::{PayloadReader, PayloadWriter};
+use crate::frozen::{read_tensor, write_tensor, FrozenArtifact};
 use crate::kernel::Workspace;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// `y = x·W + b` with cached input for the backward pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     /// Weight matrix (in × out).
     pub w: Tensor,
     /// Bias vector (out).
     pub b: Vec<f32>,
-    #[serde(skip)]
     input_cache: Option<Tensor>,
     /// Retired input-cache buffer, recycled by the next `forward` so the
     /// forward/backward cycle stops allocating after warmup.
-    #[serde(skip)]
     spare: Option<Tensor>,
-    #[serde(skip)]
     d_w: Tensor,
-    #[serde(skip)]
     d_b: Vec<f32>,
-    #[serde(skip)]
     ws: Workspace,
-    #[serde(skip)]
+    /// Optimiser state is not exported; it is created lazily on the
+    /// first Adam step.
     opt_w: Adam,
-    #[serde(skip)]
     opt_b: Adam,
 }
 
 impl Dense {
     /// New layer with Xavier-initialised weights.
     pub fn new(input: usize, output: usize, seed: u64) -> Dense {
+        Dense::from_weights(Tensor::xavier(input, output, seed), vec![0.0; output])
+    }
+
+    /// A layer over given weights with empty training state.
+    fn from_weights(w: Tensor, b: Vec<f32>) -> Dense {
         Dense {
-            w: Tensor::xavier(input, output, seed),
-            b: vec![0.0; output],
+            w,
+            b,
             input_cache: None,
             spare: None,
             d_w: Tensor::default(),
             d_b: Vec::new(),
             ws: Workspace::default(),
-            opt_w: Adam::new(input * output),
-            opt_b: Adam::new(output),
+            opt_w: Adam::default(),
+            opt_b: Adam::default(),
         }
     }
 
@@ -67,13 +68,11 @@ impl Dense {
         y
     }
 
-    /// Forward pass writing into a reusable output tensor. The input is
-    /// copied into a recycled cache buffer rather than freshly cloned.
+    /// Forward pass writing into a reusable output tensor: the
+    /// inference forward, then the input is copied into a recycled
+    /// cache buffer rather than freshly cloned.
     pub fn forward_into(&mut self, x: &Tensor, y: &mut Tensor) {
-        x.matmul_into(&self.w, y);
-        for r in 0..y.rows {
-            crate::simd::add_assign(y.row_mut(r), &self.b);
-        }
+        self.forward_inference_into(x, y);
         let mut cache = self.spare.take().unwrap_or_default();
         cache.copy_from(x);
         self.input_cache = Some(cache);
@@ -92,11 +91,6 @@ impl Dense {
         for r in 0..y.rows {
             crate::simd::add_assign(y.row_mut(r), &self.b);
         }
-    }
-
-    /// Weights-only inference twin for export ([`crate::frozen`]).
-    pub fn freeze(&self) -> crate::frozen::FrozenDense {
-        crate::frozen::FrozenDense { w: self.w.clone(), b: self.b.clone() }
     }
 
     /// Shared backward plumbing: fills `self.d_w`/`self.d_b` with the
@@ -160,6 +154,24 @@ impl Dense {
         self.compute_grads(d_out, d_x);
         self.opt_w.step(&mut self.w.data, &self.d_w.data, lr);
         self.opt_b.step(&mut self.b, &self.d_b, lr);
+    }
+}
+
+impl FrozenArtifact for Dense {
+    const KIND: &'static str = "dense";
+
+    fn write_payload(&self, w: &mut PayloadWriter) {
+        write_tensor(w, &self.w);
+        w.f32s(&self.b);
+    }
+
+    fn read_payload(r: &mut PayloadReader) -> Result<Dense, String> {
+        let w = read_tensor(r)?;
+        let b = r.f32s()?;
+        if b.len() != w.cols {
+            return Err(format!("bias length {} does not match {} outputs", b.len(), w.cols));
+        }
+        Ok(Dense::from_weights(w, b))
     }
 }
 

@@ -8,50 +8,42 @@
 //! means mechanically.
 
 use crate::adam::RowAdam;
+use crate::envelope::{PayloadReader, PayloadWriter};
+use crate::frozen::{read_tensor, write_tensor, FrozenArtifact};
 use crate::simd;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Embedding table (vocab × dim) with scaled mean pooling
 /// (`sum / sqrt(n)`), which keeps the pooled activation scale
 /// independent of both vocabulary size and sequence length — plain
 /// mean pooling over a 65k-row Xavier table produces ~1e-3 activations
 /// that starve the classification head of gradient.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Embedding {
     /// The table; row `t` is the vector of token `t`.
     pub table: Tensor,
-    /// Optimiser state is not checkpointed (it triples the size);
-    /// it is rebuilt lazily on the first post-load update.
-    #[serde(skip)]
+    /// Optimiser state is not exported (it triples the size); it is
+    /// created lazily on the first update.
     opt: RowAdam,
-    #[serde(skip)]
     cache: Vec<Vec<u32>>,
-    #[serde(skip)]
     cache_valid: bool,
     /// Touched table rows of the cached batch, sorted ascending before
     /// the optimiser pass: `RowAdam::step_row` advances its timestep
     /// per call, so the update order must not depend on hash-map
     /// iteration.
-    #[serde(skip)]
     touched: Vec<u32>,
     /// Row → slot map into the contribution buckets (`u32::MAX` =
     /// untouched); entries are reset after each backward so the buffer
     /// is reusable.
-    #[serde(skip)]
     slot_of: Vec<u32>,
     /// One gradient row (dim), reused across the touched-row sweep.
-    #[serde(skip)]
     grads: Vec<f32>,
     /// Per-slot cursor/offset into `contrib` (counting sort).
-    #[serde(skip)]
     bucket_pos: Vec<u32>,
     /// Sample index of every token contribution, bucketed by table row
     /// in stable `(sample, token)` order.
-    #[serde(skip)]
     contrib: Vec<u32>,
     /// Per-sample gradient coefficient `1/(batch·√len)`.
-    #[serde(skip)]
     inv_of: Vec<f32>,
 }
 
@@ -62,9 +54,14 @@ impl Embedding {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let data = (0..vocab * dim).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        Embedding::from_table(Tensor { rows: vocab, cols: dim, data })
+    }
+
+    /// A layer over a given table with empty training state.
+    fn from_table(table: Tensor) -> Embedding {
         Embedding {
-            table: Tensor { rows: vocab, cols: dim, data },
-            opt: RowAdam::new(vocab, dim),
+            table,
+            opt: RowAdam::default(),
             cache: Vec::new(),
             cache_valid: false,
             touched: Vec::new(),
@@ -136,12 +133,11 @@ impl Embedding {
         }
     }
 
-    /// Scaled-mean-pool kernel shared with the frozen inference twin
-    /// ([`crate::frozen::FrozenEmbedding`]): gather+accumulate each
-    /// token row, then scale by `1/√n`. Runs on the SIMD lane;
-    /// bit-identical to the scalar loops it replaced (element-wise add
-    /// and mul only).
-    pub(crate) fn pool(table: &Tensor, batch: &[Vec<u32>], out: &mut Tensor) {
+    /// Scaled-mean-pool kernel shared by the training and inference
+    /// forwards: gather+accumulate each token row, then scale by `1/√n`.
+    /// Runs on the SIMD lane; bit-identical to the scalar loops it
+    /// replaced (element-wise add and mul only).
+    fn pool(table: &Tensor, batch: &[Vec<u32>], out: &mut Tensor) {
         let dim = table.cols;
         out.resize(batch.len(), dim);
         out.data.iter_mut().for_each(|v| *v = 0.0);
@@ -164,12 +160,6 @@ impl Embedding {
             }
             simd::scale_assign(row, 1.0 / (tokens.len() as f32).sqrt());
         }
-    }
-
-    /// Weights-only inference twin for export ([`crate::frozen`]); its
-    /// pooling is bit-identical to [`Embedding::forward_inference`].
-    pub fn freeze(&self) -> crate::frozen::FrozenEmbedding {
-        crate::frozen::FrozenEmbedding { table: self.table.clone() }
     }
 
     /// Scatter `d_out` (batch × dim) back into the table rows touched
@@ -283,6 +273,22 @@ impl Embedding {
         for &row in &self.touched {
             self.slot_of[row as usize] = u32::MAX;
         }
+    }
+}
+
+impl FrozenArtifact for Embedding {
+    const KIND: &'static str = "embedding";
+
+    fn write_payload(&self, w: &mut PayloadWriter) {
+        write_tensor(w, &self.table);
+    }
+
+    fn read_payload(r: &mut PayloadReader) -> Result<Embedding, String> {
+        let table = read_tensor(r)?;
+        if table.rows == 0 || table.cols == 0 {
+            return Err("empty embedding table".to_string());
+        }
+        Ok(Embedding::from_table(table))
     }
 }
 

@@ -1,12 +1,13 @@
-//! Frozen (inference-only) twins of the trainable layers, plus the
-//! versioned, checksummed binary format they ship in.
+//! The versioned, checksummed binary format trained models ship in.
 //!
-//! A `Frozen*` struct carries weights and nothing else — no Adam
+//! A model's frozen export is its weights and nothing else — no Adam
 //! moments, no dropout masks, no cached activations or gradient
 //! scratch — so an exported model is exactly the bytes inference
-//! needs. The forward paths are copies of the corresponding
-//! `forward_inference` code, so a frozen model's outputs are
-//! *bit-identical* to the trained model it was frozen from.
+//! needs. The layers themselves ([`crate::Dense`], [`crate::Embedding`],
+//! [`crate::Mlp`]) implement [`FrozenArtifact`]: decoding builds the
+//! trainable type with empty training state, created lazily on the
+//! first update, so there is one weights struct and one forward path
+//! per layer and a loaded model is bit-identical to the one saved.
 //!
 //! The on-disk format is the shared single-payload envelope of
 //! [`crate::envelope`] under magic `DBFZ`, keyed by the model's kind
@@ -210,220 +211,6 @@ pub trait FrozenArtifact: Sized {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Frozen layers
-// ---------------------------------------------------------------------------
-
-/// Inference-only [`crate::Dense`]: weights and bias, nothing else.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrozenDense {
-    /// Weight matrix (in × out).
-    pub w: Tensor,
-    /// Bias vector (out).
-    pub b: Vec<f32>,
-}
-
-impl FrozenDense {
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.w.rows
-    }
-
-    /// Output dimensionality.
-    pub fn output_dim(&self) -> usize {
-        self.w.cols
-    }
-
-    /// `y = x·W + b`, identical to `Dense::forward_inference_into`.
-    pub fn forward_into(&self, x: &Tensor, y: &mut Tensor) {
-        x.matmul_into(&self.w, y);
-        for r in 0..y.rows {
-            crate::simd::add_assign(y.row_mut(r), &self.b);
-        }
-    }
-
-    /// Allocating [`FrozenDense::forward_into`].
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut y = Tensor::default();
-        self.forward_into(x, &mut y);
-        y
-    }
-}
-
-impl FrozenArtifact for FrozenDense {
-    const KIND: &'static str = "dense";
-
-    fn write_payload(&self, w: &mut PayloadWriter) {
-        write_tensor(w, &self.w);
-        w.f32s(&self.b);
-    }
-
-    fn read_payload(r: &mut PayloadReader) -> Result<FrozenDense, String> {
-        let w = read_tensor(r)?;
-        let b = r.f32s()?;
-        if b.len() != w.cols {
-            return Err(format!("bias length {} does not match {} outputs", b.len(), w.cols));
-        }
-        Ok(FrozenDense { w, b })
-    }
-}
-
-/// Inference-only [`crate::Mlp`]: the dense stack without any training
-/// buffers. `logits` matches `Mlp::logits` bit for bit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrozenMlp {
-    /// The dense layers, input to output.
-    pub layers: Vec<FrozenDense>,
-}
-
-impl FrozenMlp {
-    /// Input dimensionality.
-    pub fn input_dim(&self) -> usize {
-        self.layers[0].input_dim()
-    }
-
-    /// Number of output classes.
-    pub fn n_classes(&self) -> usize {
-        self.layers.last().expect("at least one layer").output_dim()
-    }
-
-    /// Inference logits — same layer loop (ReLU between layers, not
-    /// after the last) as `Mlp::logits`.
-    pub fn logits(&self, x: &Tensor) -> Tensor {
-        let mut scratch = MlpScratch::default();
-        let mut out = Tensor::default();
-        self.logits_into(x, &mut scratch, &mut out);
-        out
-    }
-
-    /// Batched [`FrozenMlp::logits`] writing into a reusable output:
-    /// activations ping-pong between the two scratch tensors, so a
-    /// steady-state serving loop allocates nothing and runs one kernel
-    /// dispatch per layer per *batch*, not per sample.
-    pub fn logits_into(&self, x: &Tensor, scratch: &mut MlpScratch, out: &mut Tensor) {
-        let n = self.layers.len();
-        if n == 1 {
-            self.layers[0].forward_into(x, out);
-            return;
-        }
-        self.layers[0].forward_into(x, &mut scratch.a);
-        scratch.a.relu_inplace_into(&mut scratch.mask);
-        let (mut cur, mut next) = (&mut scratch.a, &mut scratch.b);
-        for i in 1..n - 1 {
-            self.layers[i].forward_into(cur, next);
-            next.relu_inplace_into(&mut scratch.mask);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        self.layers[n - 1].forward_into(cur, out);
-    }
-
-    /// Predicted labels for a batch.
-    pub fn predict(&self, x: &Tensor) -> Vec<u16> {
-        crate::loss::argmax_labels(&self.logits(x))
-    }
-
-    /// Batched [`FrozenMlp::predict`] writing into a reusable label
-    /// buffer (cleared first); allocation-free in steady state.
-    pub fn predict_into(&self, x: &Tensor, scratch: &mut MlpScratch, labels: &mut Vec<u16>) {
-        let mut logits = std::mem::take(&mut scratch.logits);
-        self.logits_into(x, scratch, &mut logits);
-        crate::loss::argmax_labels_into(&logits, labels);
-        scratch.logits = logits;
-    }
-}
-
-/// Reusable activation buffers for [`FrozenMlp::logits_into`] /
-/// [`FrozenMlp::predict_into`].
-#[derive(Debug, Clone, Default)]
-pub struct MlpScratch {
-    a: Tensor,
-    b: Tensor,
-    mask: Vec<bool>,
-    logits: Tensor,
-}
-
-impl FrozenArtifact for FrozenMlp {
-    const KIND: &'static str = "mlp";
-
-    fn write_payload(&self, w: &mut PayloadWriter) {
-        w.u32(self.layers.len() as u32);
-        for layer in &self.layers {
-            layer.write_payload(w);
-        }
-    }
-
-    fn read_payload(r: &mut PayloadReader) -> Result<FrozenMlp, String> {
-        let n = r.u32()? as usize;
-        if n == 0 || n > 64 {
-            return Err(format!("implausible layer count {n}"));
-        }
-        let mut layers = Vec::with_capacity(n);
-        for _ in 0..n {
-            layers.push(FrozenDense::read_payload(r)?);
-        }
-        for pair in layers.windows(2) {
-            if pair[0].output_dim() != pair[1].input_dim() {
-                return Err(format!(
-                    "layer dims do not chain: {} -> {}",
-                    pair[0].output_dim(),
-                    pair[1].input_dim()
-                ));
-            }
-        }
-        Ok(FrozenMlp { layers })
-    }
-}
-
-/// Inference-only [`crate::Embedding`]: the token table with the same
-/// scaled mean pooling (`sum / sqrt(n)`, out-of-range tokens wrap).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrozenEmbedding {
-    /// The table; row `t` is the vector of token `t`.
-    pub table: Tensor,
-}
-
-impl FrozenEmbedding {
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.table.rows
-    }
-
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.table.cols
-    }
-
-    /// Pool each token sequence into one row — the *same* kernel as
-    /// `Embedding::pool` (shared, not copied), so frozen outputs are
-    /// bit-identical to the trained model on every SIMD lane.
-    pub fn forward_into(&self, batch: &[Vec<u32>], out: &mut Tensor) {
-        crate::embedding::Embedding::pool(&self.table, batch, out);
-    }
-
-    /// Allocating [`FrozenEmbedding::forward_into`].
-    pub fn forward(&self, batch: &[Vec<u32>]) -> Tensor {
-        let mut out = Tensor::default();
-        self.forward_into(batch, &mut out);
-        out
-    }
-}
-
-impl FrozenArtifact for FrozenEmbedding {
-    const KIND: &'static str = "embedding";
-
-    fn write_payload(&self, w: &mut PayloadWriter) {
-        write_tensor(w, &self.table);
-    }
-
-    fn read_payload(r: &mut PayloadReader) -> Result<FrozenEmbedding, String> {
-        let table = read_tensor(r)?;
-        if table.rows == 0 || table.cols == 0 {
-            return Err("empty embedding table".to_string());
-        }
-        Ok(FrozenEmbedding { table })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,61 +228,57 @@ mod tests {
     }
 
     #[test]
-    fn frozen_dense_matches_inference_bitwise() {
-        let d = Dense::new(5, 3, 7);
-        let x = Tensor::xavier(4, 5, 11);
-        let frozen = d.freeze();
-        assert_eq!(frozen.forward(&x).data, d.forward_inference(&x).data);
-    }
-
-    #[test]
-    fn frozen_mlp_round_trips_and_matches_bitwise() {
+    fn mlp_round_trips_bitwise() {
         let mlp = trained_mlp();
         let x = Tensor::xavier(6, 2, 3);
-        let frozen = mlp.freeze();
-        assert_eq!(frozen.logits(&x).data, mlp.logits(&x).data, "freeze preserves logits");
-        let bytes = frozen.to_frozen_bytes();
-        assert_eq!(bytes, frozen.to_frozen_bytes(), "encoding is byte-stable");
-        let back = FrozenMlp::from_frozen_bytes(&bytes).expect("round-trip");
-        assert_eq!(back, frozen);
+        let bytes = mlp.to_frozen_bytes();
+        assert_eq!(bytes, mlp.to_frozen_bytes(), "encoding is byte-stable");
+        let back = Mlp::from_frozen_bytes(&bytes).expect("round-trip");
+        assert_eq!(back.to_frozen_bytes(), bytes);
         assert_eq!(back.logits(&x).data, mlp.logits(&x).data);
         assert_eq!(back.predict(&x), mlp.predict(&x));
     }
 
     #[test]
-    fn frozen_embedding_matches_pool_bitwise() {
+    fn embedding_round_trips_bitwise() {
         let e = Embedding::new(64, 8, 5);
         let batch = vec![vec![1, 2, 3], vec![], vec![200, 7]]; // 200 wraps
-        let frozen = e.freeze();
-        assert_eq!(frozen.forward(&batch).data, e.forward_inference(&batch).data);
-        let back =
-            FrozenEmbedding::from_frozen_bytes(&frozen.to_frozen_bytes()).expect("round-trip");
-        assert_eq!(back.forward(&batch).data, e.forward_inference(&batch).data);
+        let back = Embedding::from_frozen_bytes(&e.to_frozen_bytes()).expect("round-trip");
+        assert_eq!(back.forward_inference(&batch).data, e.forward_inference(&batch).data);
+    }
+
+    #[test]
+    fn decoded_mlp_still_trains() {
+        // Training state is not part of the export; the first update
+        // after a load creates it instead of panicking.
+        let x =
+            Tensor::from_rows(&[vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]]);
+        let y = [0u16, 1, 1, 0];
+        let mut back = Mlp::from_frozen_bytes(&trained_mlp().to_frozen_bytes()).unwrap();
+        let before = back.logits(&x);
+        back.train_batch(&x, &y, 0.05);
+        assert_ne!(back.logits(&x).data, before.data);
     }
 
     #[test]
     fn every_single_byte_flip_is_refused() {
         let mlp = Mlp::new(&[3, 4, 2], 9);
-        let good = mlp.freeze().to_frozen_bytes();
+        let good = mlp.to_frozen_bytes();
         for i in 0..good.len() {
             let mut bad = good.clone();
             bad[i] ^= 0x40;
-            assert!(
-                FrozenMlp::from_frozen_bytes(&bad).is_err(),
-                "flip at byte {i} must be refused"
-            );
+            assert!(Mlp::from_frozen_bytes(&bad).is_err(), "flip at byte {i} must be refused");
         }
         let mut truncated = good.clone();
         truncated.truncate(good.len() / 2);
-        assert!(FrozenMlp::from_frozen_bytes(&truncated).is_err());
-        assert!(FrozenMlp::from_frozen_bytes(&[]).is_err());
+        assert!(Mlp::from_frozen_bytes(&truncated).is_err());
+        assert!(Mlp::from_frozen_bytes(&[]).is_err());
     }
 
     #[test]
     fn kind_mismatch_is_refused() {
-        let d = Dense::new(2, 2, 1).freeze();
-        let bytes = d.to_frozen_bytes();
-        let err = FrozenMlp::from_frozen_bytes(&bytes).unwrap_err();
+        let bytes = Dense::new(2, 2, 1).to_frozen_bytes();
+        let err = Mlp::from_frozen_bytes(&bytes).unwrap_err();
         assert!(err.contains("key mismatch"), "{err}");
     }
 
@@ -505,20 +288,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("head.frozen");
         let mlp = trained_mlp();
-        let frozen = mlp.freeze();
-        frozen.save_frozen(&path).expect("save");
+        mlp.save_frozen(&path).expect("save");
         let tmp_left = std::fs::read_dir(&dir)
             .unwrap()
             .any(|e| e.unwrap().path().extension() == Some("tmp".as_ref()));
         assert!(!tmp_left, "no temp sibling may remain");
-        let back = FrozenMlp::load_frozen(&path).expect("load");
-        assert_eq!(back, frozen);
+        let back = Mlp::load_frozen(&path).expect("load");
+        assert_eq!(back.to_frozen_bytes(), mlp.to_frozen_bytes());
         // corrupt file on disk is refused, not mis-decoded
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(FrozenMlp::load_frozen(&path), Err(FrozenError::Format(_))));
+        assert!(matches!(Mlp::load_frozen(&path), Err(FrozenError::Format(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -46,11 +46,9 @@ pub use adam::{Adam, RowAdam};
 pub use dense::Dense;
 pub use dropout::Dropout;
 pub use embedding::Embedding;
-pub use frozen::{
-    FrozenArtifact, FrozenDense, FrozenEmbedding, FrozenError, FrozenMlp, Int8Matrix, MlpScratch,
-};
+pub use frozen::{FrozenArtifact, FrozenError, Int8Matrix};
 pub use kernel::{kernel_stats, kernel_threads, set_kernel_threads, KernelStats, Workspace};
-pub use mlp::Mlp;
+pub use mlp::{Mlp, MlpScratch};
 pub use schedule::LrSchedule;
 pub use simd::Lane;
 pub use tensor::Tensor;

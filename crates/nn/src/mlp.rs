@@ -2,29 +2,36 @@
 //! paper attaches to every frozen or unfrozen encoder (§3.4, §4.2).
 
 use crate::dense::Dense;
-use crate::loss::{argmax_labels, softmax_cross_entropy_into};
+use crate::envelope::{PayloadReader, PayloadWriter};
+use crate::frozen::FrozenArtifact;
+use crate::loss::{argmax_labels_into, softmax_cross_entropy_into};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A ReLU MLP with a softmax cross-entropy output.
 ///
 /// Activations, ReLU masks and the two gradient ping-pong buffers are
 /// owned by the struct and reused across steps, so a steady-state
 /// `train_batch_into` performs no heap allocation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
-    #[serde(skip)]
     relu_masks: Vec<Vec<bool>>,
-    #[serde(skip)]
     acts: Vec<Tensor>,
-    #[serde(skip)]
     grad_a: Tensor,
-    #[serde(skip)]
     grad_b: Tensor,
+}
+
+/// Reusable activation buffers for [`Mlp::logits_into`] /
+/// [`Mlp::predict_into`].
+#[derive(Debug, Clone, Default)]
+pub struct MlpScratch {
+    a: Tensor,
+    b: Tensor,
+    mask: Vec<bool>,
+    logits: Tensor,
 }
 
 impl Mlp {
@@ -37,6 +44,11 @@ impl Mlp {
             .enumerate()
             .map(|(i, w)| Dense::new(w[0], w[1], seed.wrapping_add(i as u64)))
             .collect();
+        Mlp::from_layers(layers)
+    }
+
+    /// A head over given layers with empty training buffers.
+    fn from_layers(layers: Vec<Dense>) -> Mlp {
         Mlp {
             layers,
             relu_masks: Vec::new(),
@@ -81,15 +93,31 @@ impl Mlp {
 
     /// Inference-only logits.
     pub fn logits(&self, x: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.logits_into(x, &mut MlpScratch::default(), &mut out);
+        out
+    }
+
+    /// Batched [`Mlp::logits`] writing into a reusable output (ReLU
+    /// between layers, not after the last): activations ping-pong
+    /// between the two scratch tensors, so a steady-state serving loop
+    /// allocates nothing and runs one kernel dispatch per layer per
+    /// *batch*, not per sample.
+    pub fn logits_into(&self, x: &Tensor, scratch: &mut MlpScratch, out: &mut Tensor) {
         let n = self.layers.len();
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward_inference(&h);
-            if i + 1 < n {
-                let _ = h.relu_inplace();
-            }
+        if n == 1 {
+            self.layers[0].forward_inference_into(x, out);
+            return;
         }
-        h
+        self.layers[0].forward_inference_into(x, &mut scratch.a);
+        scratch.a.relu_inplace_into(&mut scratch.mask);
+        let (mut cur, mut next) = (&mut scratch.a, &mut scratch.b);
+        for layer in &self.layers[1..n - 1] {
+            layer.forward_inference_into(cur, next);
+            next.relu_inplace_into(&mut scratch.mask);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        self.layers[n - 1].forward_inference_into(cur, out);
     }
 
     /// One full-batch training step; returns the loss. The gradient
@@ -140,13 +168,18 @@ impl Mlp {
 
     /// Predicted labels for a batch.
     pub fn predict(&self, x: &Tensor) -> Vec<u16> {
-        argmax_labels(&self.logits(x))
+        let mut labels = Vec::new();
+        self.predict_into(x, &mut MlpScratch::default(), &mut labels);
+        labels
     }
 
-    /// Weights-only inference twin for export ([`crate::frozen`]); its
-    /// `logits` are bit-identical to [`Mlp::logits`].
-    pub fn freeze(&self) -> crate::frozen::FrozenMlp {
-        crate::frozen::FrozenMlp { layers: self.layers.iter().map(Dense::freeze).collect() }
+    /// Batched [`Mlp::predict`] writing into a reusable label buffer
+    /// (cleared first); allocation-free in steady state.
+    pub fn predict_into(&self, x: &Tensor, scratch: &mut MlpScratch, labels: &mut Vec<u16>) {
+        let mut logits = std::mem::take(&mut scratch.logits);
+        self.logits_into(x, scratch, &mut logits);
+        argmax_labels_into(&logits, labels);
+        scratch.logits = logits;
     }
 
     /// Mini-batch training over `epochs` passes. Returns the final
@@ -181,6 +214,38 @@ impl Mlp {
             last = total / batches.max(1) as f32;
         }
         last
+    }
+}
+
+impl FrozenArtifact for Mlp {
+    const KIND: &'static str = "mlp";
+
+    fn write_payload(&self, w: &mut PayloadWriter) {
+        w.u32(self.layers.len() as u32);
+        for layer in &self.layers {
+            layer.write_payload(w);
+        }
+    }
+
+    fn read_payload(r: &mut PayloadReader) -> Result<Mlp, String> {
+        let n = r.u32()? as usize;
+        if n == 0 || n > 64 {
+            return Err(format!("implausible layer count {n}"));
+        }
+        let mut layers = Vec::with_capacity(n);
+        for _ in 0..n {
+            layers.push(Dense::read_payload(r)?);
+        }
+        for pair in layers.windows(2) {
+            if pair[0].output_dim() != pair[1].input_dim() {
+                return Err(format!(
+                    "layer dims do not chain: {} -> {}",
+                    pair[0].output_dim(),
+                    pair[1].input_dim()
+                ));
+            }
+        }
+        Ok(Mlp::from_layers(layers))
     }
 }
 

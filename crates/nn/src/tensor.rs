@@ -8,10 +8,9 @@
 use crate::kernel::{self, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix of `f32`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tensor {
     /// Number of rows.
     pub rows: usize,

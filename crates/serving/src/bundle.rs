@@ -18,9 +18,9 @@
 
 use dataset::record::{PacketRecord, Prepared};
 use encoders::model::{EncoderModel, ModelKind};
-use encoders::{FrozenInt8Encoder, FrozenPcapEncoder};
+use encoders::FrozenInt8Encoder;
 use nn::frozen::FrozenArtifact;
-use nn::{FrozenMlp, Mlp};
+use nn::Mlp;
 use shallow::features::{extract_features, FeatureConfig, N_FEATURES};
 use shallow::forest::{ForestParams, RandomForest};
 use shallow::gbdt::{GbdtParams, GradientBoosting};
@@ -39,13 +39,13 @@ const HEAD_HIDDEN: usize = 32;
 /// A complete set of frozen verdict models.
 pub struct ModelBundle {
     /// Frozen packet/flow encoder.
-    pub encoder: FrozenPcapEncoder,
+    pub encoder: EncoderModel,
     /// Optional int8-quantised encoder (`serve export --quant int8`).
     /// Never substituted for the f32 encoder implicitly — a policy must
     /// route to `encoder_int8` explicitly to use it.
     pub encoder_int8: Option<FrozenInt8Encoder>,
     /// Classification head over encoder outputs.
-    pub head: FrozenMlp,
+    pub head: Mlp,
     /// Random forest over the 39 header features.
     pub forest: RandomForest,
     /// Gradient boosting over the 39 header features.
@@ -84,13 +84,12 @@ impl ModelBundle {
         let gbdt = GradientBoosting::fit(&refs, &y, n_classes, gbdt_params);
         let knn = KnnClassifier::fit(&refs, &y, 5);
 
-        let model = EncoderModel::new(ModelKind::PcapEncoder, seed);
-        let encoder = model.freeze();
+        let encoder = EncoderModel::new(ModelKind::PcapEncoder, seed);
         let recs: Vec<&PacketRecord> = prepared.records.iter().collect();
         let x = encoder.encode_packets(&recs);
         let mut head = Mlp::new(&[encoder.dim(), HEAD_HIDDEN, n_classes], seed ^ 0x5eed);
         head.fit(&x, &y, 4, 32, 0.01, seed);
-        ModelBundle { encoder, encoder_int8: None, head: head.freeze(), forest, gbdt, knn, labels }
+        ModelBundle { encoder, encoder_int8: None, head, forest, gbdt, knn, labels }
     }
 
     /// Attach an int8-quantised copy of the f32 encoder, making the
@@ -129,7 +128,7 @@ impl ModelBundle {
             let p = dir.join(name);
             move |e: nn::frozen::FrozenError| format!("{}: {e}", p.display())
         };
-        let encoder = FrozenPcapEncoder::load_frozen(&dir.join("encoder.frozen"))
+        let encoder = EncoderModel::load_frozen(&dir.join("encoder.frozen"))
             .map_err(ctx("encoder.frozen"))?;
         // Optional artifact: absent is fine (the `encoder_int8` target
         // is then refused up front), but a present-and-corrupt file
@@ -140,7 +139,7 @@ impl ModelBundle {
         } else {
             None
         };
-        let head = FrozenMlp::load_frozen(&dir.join("head.frozen")).map_err(ctx("head.frozen"))?;
+        let head = Mlp::load_frozen(&dir.join("head.frozen")).map_err(ctx("head.frozen"))?;
         let forest =
             RandomForest::load_frozen(&dir.join("forest.frozen")).map_err(ctx("forest.frozen"))?;
         let gbdt =
@@ -168,12 +167,12 @@ impl ModelBundle {
             ));
         }
         if let Some(q) = &encoder_int8 {
-            if q.kind() != encoder.kind() || q.dim() != encoder.dim() {
+            if q.kind() != encoder.kind || q.dim() != encoder.dim() {
                 return Err(format!(
                     "bundle mismatch: int8 encoder is {} (dim {}), f32 encoder is {} (dim {})",
                     q.kind().name(),
                     q.dim(),
-                    encoder.kind().name(),
+                    encoder.kind.name(),
                     encoder.dim()
                 ));
             }

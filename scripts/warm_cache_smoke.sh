@@ -6,7 +6,10 @@
 # checks the cache holds DBAF v2 row-group envelopes (the format the
 # warm frame reader requires), corrupts one of them, and requires the
 # next run to refuse the damaged file and rebuild byte-identical
-# records — the refuse-or-rebuild contract end to end.
+# records — the refuse-or-rebuild contract end to end. Cached encoders
+# must stay binary: any art-encoder-*.bin over MAX_ENCODER_BYTES fails
+# (an ET-BERT checkpoint is ~34 MB of f32 weights; a text payload of
+# the same weights is ~4x that).
 #
 # Environment knobs:
 #   REPRO_BIN   path to the repro binary (default target/release/repro)
@@ -14,6 +17,8 @@
 #   JOBS        worker threads (default 4 — also exercises single-flight)
 #   WORK_DIR    scratch directory (default: fresh mktemp -d)
 set -euo pipefail
+
+MAX_ENCODER_BYTES=42000000
 
 REPRO_BIN="${REPRO_BIN:-target/release/repro}"
 EXP="${EXP:-table8}"
@@ -38,6 +43,16 @@ echo "ok: records byte-identical across cold and warm cache runs"
 
 ls "$cache"/art-*.bin >/dev/null 2>&1 \
     || { echo "FAIL: no artifacts written to $cache" >&2; exit 1; }
+
+for f in "$cache"/art-encoder-*.bin; do
+    [ -e "$f" ] || continue
+    size=$(stat -c%s "$f")
+    if [ "$size" -gt "$MAX_ENCODER_BYTES" ]; then
+        echo "FAIL: $f is $size bytes, over the $MAX_ENCODER_BYTES-byte encoder bound" >&2
+        exit 1
+    fi
+    echo "ok: $(basename "$f") is $size bytes"
+done
 
 # The cold run populates the cache: its manifest must report builds.
 cold_builds=$(counter "$cold/run-manifest.json" artifact_builds)

@@ -9,8 +9,8 @@ use debunk::debunk_core::artifact::{artifact_key, Artifact, ArtifactCache, ROW_G
 use debunk::debunk_core::outofcore::write_shard_dir;
 use debunk::debunk_core::pipeline::FeatureMatrix;
 use debunk::nn::envelope::{fnv64, seal};
-use debunk::nn::frozen::{FrozenArtifact, FrozenDense};
-use debunk::nn::Tensor;
+use debunk::nn::frozen::FrozenArtifact;
+use debunk::nn::{Dense, Tensor};
 use debunk::shallow::N_FEATURES;
 use debunk::traffic_synth::{DatasetKind, DatasetSpec};
 
@@ -40,11 +40,10 @@ fn every_layout_matches_its_golden_bytes() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
 
-    // DBFZ: a frozen dense layer.
-    let dense = FrozenDense {
-        w: Tensor::from_rows(&[vec![0.5, -1.0, 2.25], vec![3.0, 0.0, -0.125]]),
-        b: vec![1.0, -2.0, 0.5],
-    };
+    // DBFZ: a dense layer's export (weights only).
+    let mut dense = Dense::new(2, 3, 0);
+    dense.w = Tensor::from_rows(&[vec![0.5, -1.0, 2.25], vec![3.0, 0.0, -0.125]]);
+    dense.b = vec![1.0, -2.0, 0.5];
     let frozen = dir.join("dense.frozen");
     dense.save_frozen(&frozen).unwrap();
     assert_eq!(pin(&frozen), (0x4628_e78a_ffbd_b962, 93), "DBFZ layout changed");

@@ -4,9 +4,8 @@
 //! envelope must refuse corruption instead of deserialising garbage.
 
 use debunk::dataset::record::Prepared;
-use debunk::encoders::frozen::FrozenPcapEncoder;
 use debunk::encoders::model::{EncoderModel, ModelKind};
-use debunk::nn::frozen::{FrozenArtifact, FrozenMlp};
+use debunk::nn::frozen::FrozenArtifact;
 use debunk::nn::{Mlp, Tensor};
 use debunk::shallow::gbdt::{GbdtParams, GradientBoosting};
 use debunk::shallow::KnnClassifier;
@@ -32,9 +31,9 @@ fn rows(n: usize, d: usize) -> (Vec<Vec<f32>>, Vec<u16>) {
 
 #[test]
 fn mlp_round_trips_bitwise_through_the_facade() {
-    let mlp = Mlp::new(&[8, 16, 4], 7).freeze();
+    let mlp = Mlp::new(&[8, 16, 4], 7);
     let bytes = mlp.to_frozen_bytes();
-    let back = FrozenMlp::from_frozen_bytes(&bytes).expect("round trip");
+    let back = Mlp::from_frozen_bytes(&bytes).expect("round trip");
     assert_eq!(bytes, back.to_frozen_bytes(), "byte-stable");
     let mut x = Tensor::zeros(5, 8);
     for (i, v) in x.data.iter_mut().enumerate() {
@@ -46,9 +45,9 @@ fn mlp_round_trips_bitwise_through_the_facade() {
 #[test]
 fn pcap_encoder_round_trips_bitwise_through_the_facade() {
     let prep = prepared();
-    let frozen = EncoderModel::new(ModelKind::PcapEncoder, 11).freeze();
+    let frozen = EncoderModel::new(ModelKind::PcapEncoder, 11);
     let bytes = frozen.to_frozen_bytes();
-    let back = FrozenPcapEncoder::from_frozen_bytes(&bytes).expect("round trip");
+    let back = EncoderModel::from_frozen_bytes(&bytes).expect("round trip");
     let recs: Vec<_> = prep.records.iter().take(16).collect();
     assert_eq!(
         frozen.encode_packets(&recs).data,
@@ -79,15 +78,15 @@ fn every_envelope_refuses_corruption() {
     let (x, y) = rows(60, 5);
     let refs: Vec<&[f32]> = x.iter().map(|r| r.as_slice()).collect();
     let envelopes: Vec<(&str, Vec<u8>)> = vec![
-        ("mlp", Mlp::new(&[4, 8, 3], 1).freeze().to_frozen_bytes()),
-        ("encoder", EncoderModel::new(ModelKind::PcapEncoder, 1).freeze().to_frozen_bytes()),
+        ("mlp", Mlp::new(&[4, 8, 3], 1).to_frozen_bytes()),
+        ("encoder", EncoderModel::new(ModelKind::PcapEncoder, 1).to_frozen_bytes()),
         ("gbdt", GradientBoosting::fit(&refs, &y, 3, GbdtParams::default()).to_frozen_bytes()),
         ("knn", KnnClassifier::fit(&refs, &y, 3).to_frozen_bytes()),
     ];
     let parse = |name: &str, bytes: &[u8]| -> Result<(), String> {
         match name {
-            "mlp" => FrozenMlp::from_frozen_bytes(bytes).map(drop),
-            "encoder" => FrozenPcapEncoder::from_frozen_bytes(bytes).map(drop),
+            "mlp" => Mlp::from_frozen_bytes(bytes).map(drop),
+            "encoder" => EncoderModel::from_frozen_bytes(bytes).map(drop),
             "gbdt" => GradientBoosting::from_frozen_bytes(bytes).map(drop),
             _ => KnnClassifier::from_frozen_bytes(bytes).map(drop),
         }
