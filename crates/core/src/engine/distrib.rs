@@ -37,11 +37,11 @@ use crate::engine::journal::{
     parse_json, CellId, Journal, JournalEntry, JournalError, JournalState, Json, RunManifest,
     JOURNAL_FILE,
 };
-use crate::engine::registry::{CellOutput, Experiment, RecordStats, Registry};
-use crate::engine::runner::{start_worker_session, RunError, RunOptions, RunSummary};
+use crate::engine::registry::{CellOutput, Experiment, Registry};
+use crate::engine::runner::{
+    start_worker_session, write_records, RunError, RunOptions, RunSummary,
+};
 use crate::obs;
-use crate::report::{records_json_pretty, ResultRecord};
-use nn::envelope::atomic_write;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -169,10 +169,7 @@ fn combined_state(root: &Path, fingerprint: u64, resume: bool) -> Result<Journal
 
 /// One suite cell's identity, precomputed in enumeration order.
 struct CellMeta {
-    task: String,
-    model: String,
-    setting: String,
-    seed: u64,
+    id: CellId,
     cell: u64,
     emit_record: bool,
 }
@@ -202,22 +199,8 @@ fn enumerate<'a>(registry: &'a Registry, filter: &str, ctx: &RunContext) -> Vec<
                 .cells(ctx)
                 .iter()
                 .map(|spec| {
-                    let cfg = ctx.cell_config(exp.id(), &spec.task, &spec.model, &spec.setting);
-                    let id = CellId {
-                        experiment: exp.id().to_string(),
-                        task: spec.task.clone(),
-                        model: spec.model.clone(),
-                        setting: spec.setting.clone(),
-                        seed: cfg.seed,
-                    };
-                    CellMeta {
-                        task: spec.task.clone(),
-                        model: spec.model.clone(),
-                        setting: spec.setting.clone(),
-                        seed: cfg.seed,
-                        cell: id.hash(),
-                        emit_record: spec.emit_record,
-                    }
+                    let (_, id) = spec.identity(exp.id(), ctx);
+                    CellMeta { cell: id.hash(), id, emit_record: spec.emit_record }
                 })
                 .collect();
             ExpCells { exp, metas }
@@ -259,16 +242,7 @@ pub fn run_worker(
     for exp in registry.iter().filter(|exp| matches(filter, exp.id())) {
         let cells = exp.cells(ctx);
         for i in 0..cells.len() {
-            let spec = &cells[i];
-            let cfg = ctx.cell_config(exp.id(), &spec.task, &spec.model, &spec.setting);
-            let cell = CellId {
-                experiment: exp.id().to_string(),
-                task: spec.task.clone(),
-                model: spec.model.clone(),
-                setting: spec.setting.clone(),
-                seed: cfg.seed,
-            }
-            .hash();
+            let cell = cells[i].identity(exp.id(), ctx).1.hash();
             if session.prior().done_output(cell).is_some() {
                 continue; // a sibling (or a previous wave) finished it
             }
@@ -465,13 +439,7 @@ fn merge_run(
     let mut failed_cells = Vec::new();
     for e in suite {
         for m in &e.metas {
-            let id = CellId {
-                experiment: e.exp.id().to_string(),
-                task: m.task.clone(),
-                model: m.model.clone(),
-                setting: m.setting.clone(),
-                seed: m.seed,
-            };
+            let id = m.id.clone();
             match state.done_output(m.cell) {
                 Some(out) => {
                     // Normalised to a single first-attempt pair: retry
@@ -511,10 +479,7 @@ fn merge_run(
                     }
                     failed_cells.push(format!(
                         "{}/{}/{}/{}: {error}",
-                        e.exp.id(),
-                        m.task,
-                        m.model,
-                        m.setting
+                        id.experiment, id.task, id.model, id.setting
                     ));
                 }
             }
@@ -529,34 +494,15 @@ fn merge_run(
             .iter()
             .map(|m| state.done_output(m.cell).cloned().unwrap_or_else(CellOutput::empty))
             .collect();
-        let records: Vec<ResultRecord> = e
-            .metas
-            .iter()
-            .zip(&outputs)
-            .filter(|(m, _)| m.emit_record)
-            .filter_map(|(m, out)| {
-                out.stats.map(RecordStats::zero_wallclock).map(|s| ResultRecord {
-                    experiment: e.exp.id().into(),
-                    task: m.task.clone(),
-                    model: m.model.clone(),
-                    setting: m.setting.clone(),
-                    accuracy: s.accuracy * 100.0,
-                    macro_f1: s.macro_f1 * 100.0,
-                    train_secs: s.train_secs,
-                    infer_secs: s.infer_secs,
-                })
-            })
-            .collect();
-        if !records.is_empty() {
-            let path = root.join(format!("{}.json", e.exp.id()));
-            match atomic_write(&path, records_json_pretty(&records).as_bytes()) {
-                Ok(()) => log.info(
-                    "distrib",
-                    &format!("  [saved] {}", path.display()),
-                    &[("path", path.display().to_string().into())],
-                ),
-                Err(err) => record_write_errors.push(format!("{}: {err}", path.display())),
-            }
+        let recorded = e.metas.iter().zip(&outputs).filter(|(m, _)| m.emit_record);
+        match write_records(root, e.exp.id(), recorded.map(|(m, out)| (&m.id, out))) {
+            Ok(None) => {}
+            Ok(Some(path)) => log.info(
+                "distrib",
+                &format!("  [saved] {}", path.display()),
+                &[("path", path.display().to_string().into())],
+            ),
+            Err(msg) => record_write_errors.push(msg),
         }
         if catch_unwind(AssertUnwindSafe(|| e.exp.render(ctx, &outputs))).is_err() {
             log.warn(

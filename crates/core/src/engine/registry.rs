@@ -2,6 +2,7 @@
 //! register into.
 
 use crate::engine::context::RunContext;
+use crate::engine::journal::CellId;
 use crate::experiment::{CellConfig, CellResult};
 use crate::shallow_baselines::ShallowResult;
 use std::sync::Arc;
@@ -148,6 +149,20 @@ impl CellSpec {
             emit_record: true,
             run: Arc::new(run),
         }
+    }
+
+    /// The cell's configuration (with its derived seed) and its journal
+    /// identity within experiment `exp_id`.
+    pub fn identity(&self, exp_id: &str, ctx: &RunContext) -> (CellConfig, CellId) {
+        let cfg = ctx.cell_config(exp_id, &self.task, &self.model, &self.setting);
+        let id = CellId {
+            experiment: exp_id.to_string(),
+            task: self.task.clone(),
+            model: self.model.clone(),
+            setting: self.setting.clone(),
+            seed: cfg.seed,
+        };
+        (cfg, id)
     }
 
     /// A cell whose output feeds `render` only (no serialised record).

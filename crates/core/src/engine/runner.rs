@@ -306,29 +306,14 @@ impl RunSession {
         );
         let outputs = self.execute_cells(exp.id(), &cells, ctx, cell_jobs, opts);
 
-        let records: Vec<ResultRecord> = cells
-            .iter()
-            .zip(&outputs)
-            .filter(|(spec, _)| spec.emit_record)
-            .filter_map(|(spec, out)| {
-                // Wall-clock timings are nondeterministic; zero them so
-                // records are byte-identical across serial, parallel and
-                // resumed runs. Real timings stay in RecordStats for
-                // render and flow to metrics.json out of band.
-                out.stats.map(RecordStats::zero_wallclock).map(|s| ResultRecord {
-                    experiment: exp.id().into(),
-                    task: spec.task.clone(),
-                    model: spec.model.clone(),
-                    setting: spec.setting.clone(),
-                    accuracy: s.accuracy * 100.0,
-                    macro_f1: s.macro_f1 * 100.0,
-                    train_secs: s.train_secs,
-                    infer_secs: s.infer_secs,
-                })
-            })
-            .collect();
         if let Some(dir) = &self.out_dir.clone() {
-            self.flush_records(dir, exp.id(), &records);
+            let recorded: Vec<(CellId, &CellOutput)> = cells
+                .iter()
+                .zip(&outputs)
+                .filter(|(spec, _)| spec.emit_record)
+                .map(|(spec, out)| (spec.identity(exp.id(), ctx).1, out))
+                .collect();
+            self.flush_records(dir, exp.id(), recorded.iter().map(|(id, out)| (id, *out)));
         }
 
         // A render step that chokes on a failed cell's empty output must
@@ -466,14 +451,7 @@ impl RunSession {
     ) -> CellOutput {
         let n = cells.len();
         let spec = &cells[i];
-        let cfg = ctx.cell_config(exp_id, &spec.task, &spec.model, &spec.setting);
-        let id = CellId {
-            experiment: exp_id.to_string(),
-            task: spec.task.clone(),
-            model: spec.model.clone(),
-            setting: spec.setting.clone(),
-            seed: cfg.seed,
-        };
+        let (cfg, id) = spec.identity(exp_id, ctx);
         let cell = id.hash();
         let label = format!("{exp_id}/{}/{}/{}", spec.task, spec.model, spec.setting);
         let cell_started = Instant::now();
@@ -697,22 +675,22 @@ impl RunSession {
         CellOutput::empty()
     }
 
-    fn flush_records(&self, dir: &Path, exp_id: &str, records: &[ResultRecord]) {
-        if records.is_empty() {
-            return;
-        }
-        let path = dir.join(format!("{exp_id}.json"));
-        let json = records_json_pretty(records);
-        match atomic_write(&path, json.as_bytes()) {
-            Ok(()) => self.obs.info(
+    fn flush_records<'a>(
+        &self,
+        dir: &Path,
+        exp_id: &str,
+        cells: impl IntoIterator<Item = (&'a CellId, &'a CellOutput)>,
+    ) {
+        match write_records(dir, exp_id, cells) {
+            Ok(None) => {}
+            Ok(Some(path)) => self.obs.info(
                 "runner",
                 &format!("  [saved] {}", path.display()),
                 &[("experiment", exp_id.into()), ("path", path.display().to_string().into())],
             ),
-            Err(e) => {
+            Err(msg) => {
                 // A lost record file invalidates the whole comparison:
                 // surface it in the manifest and the exit code.
-                let msg = format!("{}: {e}", path.display());
                 self.obs.error(
                     "runner",
                     &format!("  [error] could not write records: {msg}"),
@@ -721,6 +699,43 @@ impl RunSession {
                 self.tally().record_write_errors.push(msg);
             }
         }
+    }
+}
+
+/// Write one experiment's result records to `<dir>/<exp_id>.json`: a
+/// record per listed cell that produced metrics, in the order given.
+/// Wall-clock timings are nondeterministic, so they are zeroed: records
+/// are byte-identical across serial, parallel, multi-process and
+/// resumed runs, while real timings stay in `RecordStats` for render
+/// and flow to metrics.json out of band. Writes nothing when no cell
+/// produced metrics; a failed write comes back as `"<path>: <error>"`.
+pub(crate) fn write_records<'a>(
+    dir: &Path,
+    exp_id: &str,
+    cells: impl IntoIterator<Item = (&'a CellId, &'a CellOutput)>,
+) -> Result<Option<PathBuf>, String> {
+    let records: Vec<ResultRecord> = cells
+        .into_iter()
+        .filter_map(|(id, out)| {
+            out.stats.map(RecordStats::zero_wallclock).map(|s| ResultRecord {
+                experiment: id.experiment.clone(),
+                task: id.task.clone(),
+                model: id.model.clone(),
+                setting: id.setting.clone(),
+                accuracy: s.accuracy * 100.0,
+                macro_f1: s.macro_f1 * 100.0,
+                train_secs: s.train_secs,
+                infer_secs: s.infer_secs,
+            })
+        })
+        .collect();
+    if records.is_empty() {
+        return Ok(None);
+    }
+    let path = dir.join(format!("{exp_id}.json"));
+    match atomic_write(&path, records_json_pretty(&records).as_bytes()) {
+        Ok(()) => Ok(Some(path)),
+        Err(e) => Err(format!("{}: {e}", path.display())),
     }
 }
 

@@ -3,17 +3,17 @@
 //! being packet-level, uses majority voting over its per-packet
 //! predictions (frozen only), exactly as the paper describes.
 
-use crate::experiment::{CellConfig, CellResult};
-use crate::metrics::{accuracy, macro_f1};
+use crate::experiment::{
+    frozen_head, run_frozen, run_unfrozen, CellConfig, CellResult, CellSample,
+};
+use crate::metrics::{accuracy, macro_f1, majority};
 use crate::pipeline::PreparedTask;
 use dataset::record::PacketRecord;
 use encoders::model::{EncoderModel, ModelKind};
-use nn::{Mlp, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// A flow sample: up to five packet indices plus the task label.
 #[derive(Debug, Clone)]
@@ -104,6 +104,21 @@ fn balanced_flow_split(
     (train, test)
 }
 
+/// The per-flow sample of a flow cell: a balanced training side and
+/// the remaining test flows, indices into `flows`.
+fn flow_sample(prep: &PreparedTask, flows: &[FlowSample], cfg: &CellConfig) -> CellSample {
+    let (train, test) = balanced_flow_split(flows, cfg.train_frac, cfg.seed);
+    let labels = |ids: &[usize]| ids.iter().map(|&i| flows[i].label).collect();
+    CellSample {
+        train_labels: labels(&train),
+        test_labels: labels(&test),
+        train,
+        test,
+        n_classes: prep.task.n_classes(),
+        fold_salt: 0x3f,
+    }
+}
+
 /// Run one flow-level cell for a flow embedder (not Pcap-Encoder).
 pub fn run_flow_cell(
     prep: &PreparedTask,
@@ -118,129 +133,69 @@ pub fn run_flow_cell(
     );
     let selector = selector_for(encoder.kind, prep);
     let flows = flow_samples(prep, 5, &selector);
-    let (train, test) = balanced_flow_split(&flows, cfg.train_frac, cfg.seed);
-    let n_classes = prep.task.n_classes();
-    let gather = |ids: &[usize]| -> (Vec<Vec<&PacketRecord>>, Vec<u16>) {
-        let recs = ids
-            .iter()
-            .map(|&i| flows[i].packets.iter().map(|&p| &prep.data.records[p]).collect())
-            .collect();
-        let labels = ids.iter().map(|&i| flows[i].label).collect();
-        (recs, labels)
+    let sample = flow_sample(prep, &flows, cfg);
+    let packets = |i: usize| -> Vec<&PacketRecord> {
+        flows[i].packets.iter().map(|&p| &prep.data.records[p]).collect()
     };
-    let (train_flows, train_labels) = gather(&train);
-    let (test_flows, test_labels) = gather(&test);
-
-    let mut folds_out = Vec::new();
-    let mut train_secs = 0.0;
-    let mut infer_secs = 0.0;
-    let fold_assign = dataset::split::kfold(
-        &(0..train_flows.len()).collect::<Vec<_>>(),
-        cfg.kfolds,
-        cfg.seed ^ 0x3f,
-    );
-    for (fold_i, (fold_train, _)) in fold_assign.into_iter().enumerate() {
-        let fold_seed = cfg.seed.wrapping_add(fold_i as u64);
-        let t0 = Instant::now();
-        let (head, enc, standardizer) = if frozen {
-            let batch: Vec<Vec<&PacketRecord>> =
-                fold_train.iter().map(|&i| train_flows[i].clone()).collect();
-            let labels: Vec<u16> = fold_train.iter().map(|&i| train_labels[i]).collect();
-            let mut x = encoder.encode_flows(&batch);
-            let standardizer = crate::standardize::Standardizer::fit(&x);
-            standardizer.apply(&mut x);
-            let mut head = Mlp::new(&[encoder.dim(), cfg.head_hidden, n_classes], fold_seed);
-            head.fit(&x, &labels, cfg.frozen_epochs, cfg.batch, cfg.lr, fold_seed ^ 1);
-            (head, encoder.clone(), Some(standardizer))
-        } else {
-            let mut enc = encoder.clone();
-            let lr_enc = cfg.lr_encoder * (64.0 / enc.dim() as f32).min(1.0);
-            let mut head = Mlp::new(&[enc.dim(), cfg.head_hidden, n_classes], fold_seed);
-            let mut rng = StdRng::seed_from_u64(fold_seed ^ 2);
-            let mut order: Vec<usize> = fold_train.clone();
-            let mut pooled = Tensor::default();
-            let mut d = Tensor::default();
-            for _ in 0..cfg.unfrozen_epochs {
-                order.shuffle(&mut rng);
-                for chunk in order.chunks(cfg.batch) {
-                    let tokens: Vec<Vec<u32>> =
-                        chunk.iter().map(|&i| enc.tokenize_flow(&train_flows[i])).collect();
-                    let labels: Vec<u16> = chunk.iter().map(|&i| train_labels[i]).collect();
-                    enc.forward_tokens_into(&tokens, &mut pooled);
-                    head.train_batch_into(&pooled, &labels, cfg.lr, &mut d);
-                    enc.backward(&d, lr_enc);
-                }
-            }
-            (head, enc, None)
+    let embed = |enc: &EncoderModel, ids: &[usize]| {
+        enc.encode_flows(&ids.iter().map(|&i| packets(i)).collect::<Vec<_>>())
+    };
+    if frozen {
+        run_frozen(&sample, cfg, |ids| embed(encoder, ids))
+    } else {
+        let tokens = |enc: &EncoderModel, ids: &[usize], _epoch: u64| {
+            ids.iter().map(|&i| enc.tokenize_flow(&packets(i))).collect()
         };
-        train_secs += t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let mut x_test = enc.encode_flows(&test_flows);
-        if let Some(s) = &standardizer {
-            s.apply(&mut x_test);
-        }
-        let preds = head.predict(&x_test);
-        infer_secs += t1.elapsed().as_secs_f64();
-        folds_out.push((accuracy(&preds, &test_labels), macro_f1(&preds, &test_labels, n_classes)));
-    }
-    let k = folds_out.len().max(1) as f64;
-    CellResult {
-        accuracy: folds_out.iter().map(|(a, _)| a).sum::<f64>() / k,
-        macro_f1: folds_out.iter().map(|(_, f)| f).sum::<f64>() / k,
-        train_secs,
-        infer_secs,
-        folds: folds_out,
+        run_unfrozen(&sample, encoder, cfg, embed, tokens)
     }
 }
 
 /// Pcap-Encoder's flow classification: train its packet-level frozen
 /// classifier on the training flows' packets, then majority-vote the
-/// first five packets of each test flow (§6.2).
+/// first five packets of each test flow (§6.2). The head is fold 0's
+/// of the frozen protocol, trained on every training flow.
 pub fn run_flow_cell_majority_vote(
     prep: &PreparedTask,
     encoder: &EncoderModel,
     cfg: &CellConfig,
 ) -> CellResult {
     let flows = flow_samples(prep, 5, &|idxs: &[usize]| first_five(idxs));
-    let (train, test) = balanced_flow_split(&flows, cfg.train_frac, cfg.seed);
-    let n_classes = prep.task.n_classes();
-    let train_pkts: Vec<&PacketRecord> = train
-        .iter()
-        .flat_map(|&i| flows[i].packets.iter().map(|&p| &prep.data.records[p]))
-        .collect();
-    let train_labels: Vec<u16> = train
+    let sample = flow_sample(prep, &flows, cfg);
+    let packets = |ids: &[usize]| -> Vec<&PacketRecord> {
+        ids.iter().flat_map(|&i| flows[i].packets.iter().map(|&p| &prep.data.records[p])).collect()
+    };
+    let train_labels: Vec<u16> = sample
+        .train
         .iter()
         .flat_map(|&i| std::iter::repeat_n(flows[i].label, flows[i].packets.len()))
         .collect();
-    let t0 = Instant::now();
-    let mut x = encoder.encode_packets(&train_pkts);
-    let standardizer = crate::standardize::Standardizer::fit(&x);
-    standardizer.apply(&mut x);
-    let mut head = Mlp::new(&[encoder.dim(), cfg.head_hidden, n_classes], cfg.seed);
-    head.fit(&x, &train_labels, cfg.frozen_epochs, cfg.batch, cfg.lr, cfg.seed ^ 1);
-    let train_secs = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let mut preds = Vec::with_capacity(test.len());
-    let mut truth = Vec::with_capacity(test.len());
-    for &i in &test {
-        let recs: Vec<&PacketRecord> =
-            flows[i].packets.iter().map(|&p| &prep.data.records[p]).collect();
-        let mut x = encoder.encode_packets(&recs);
-        standardizer.apply(&mut x);
-        let votes = head.predict(&x);
-        let mut counts: HashMap<u16, u32> = HashMap::new();
-        for v in votes {
-            *counts.entry(v).or_default() += 1;
-        }
-        let winner = counts.into_iter().max_by_key(|(_, c)| *c).map(|(l, _)| l).unwrap_or(0);
-        preds.push(winner);
-        truth.push(flows[i].label);
+    let run = frozen_head(
+        || encoder.encode_packets(&packets(&sample.train)),
+        &train_labels,
+        || encoder.encode_packets(&packets(&sample.test)),
+        sample.n_classes,
+        cfg,
+        cfg.seed,
+    );
+    let mut votes = run.preds.as_slice();
+    let preds: Vec<u16> = sample
+        .test
+        .iter()
+        .map(|&i| {
+            let (flow, rest) = votes.split_at(flows[i].packets.len());
+            votes = rest;
+            majority(flow)
+        })
+        .collect();
+    let acc = accuracy(&preds, &sample.test_labels);
+    let f1 = macro_f1(&preds, &sample.test_labels, sample.n_classes);
+    CellResult {
+        accuracy: acc,
+        macro_f1: f1,
+        train_secs: run.train_secs,
+        infer_secs: run.infer_secs,
+        folds: vec![(acc, f1)],
     }
-    let infer_secs = t1.elapsed().as_secs_f64();
-    let acc = accuracy(&preds, &truth);
-    let f1 = macro_f1(&preds, &truth, n_classes);
-    CellResult { accuracy: acc, macro_f1: f1, train_secs, infer_secs, folds: vec![(acc, f1)] }
 }
 
 #[cfg(test)]
@@ -267,6 +222,22 @@ mod tests {
         let enc = EncoderModel::new(ModelKind::PcapEncoder, 2);
         let cell = run_flow_cell_majority_vote(&prep, &enc, &tiny_cfg());
         assert!((0.0..=1.0).contains(&cell.accuracy));
+    }
+
+    #[test]
+    fn majority_vote_is_deterministic_within_a_process() {
+        // Each new HashMap gets fresh hash keys, so a vote whose ties
+        // follow map order differs between two calls on the same inputs.
+        let prep = PreparedTask::build(Task::UstcApp, 14, 0.15);
+        let enc = EncoderModel::new(ModelKind::PcapEncoder, 5);
+        let cfg = CellConfig { frozen_epochs: 2, ..tiny_cfg() };
+        let first = run_flow_cell_majority_vote(&prep, &enc, &cfg);
+        for _ in 0..3 {
+            let again = run_flow_cell_majority_vote(&prep, &enc, &cfg);
+            assert_eq!(again.accuracy.to_bits(), first.accuracy.to_bits());
+            assert_eq!(again.macro_f1.to_bits(), first.macro_f1.to_bits());
+            assert_eq!(again.folds, first.folds);
+        }
     }
 
     #[test]

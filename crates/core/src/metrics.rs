@@ -56,6 +56,20 @@ pub fn micro_f1(pred: &[u16], truth: &[u16]) -> f64 {
     accuracy(pred, truth)
 }
 
+/// Majority label of a vote (per-packet predictions of one flow); ties
+/// break to the smallest label, so the vote is deterministic. An empty
+/// vote yields label 0.
+pub fn majority(labels: &[u16]) -> u16 {
+    let mut counts: Vec<(u16, usize)> = Vec::new();
+    for &l in labels {
+        match counts.iter_mut().find(|(c, _)| *c == l) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((l, 1)),
+        }
+    }
+    counts.into_iter().max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0))).map(|(l, _)| l).unwrap_or(0)
+}
+
 /// Per-class precision/recall/F1 report (sklearn-style), rendered as a
 /// text table. `names` may be shorter than `n_classes` (falls back to
 /// the class index).
@@ -151,6 +165,14 @@ mod tests {
         assert!(r.contains("macro avg"));
         // class 2 has no support -> no row
         assert!(!r.lines().any(|l| l.trim_start().starts_with("2 ")));
+    }
+
+    #[test]
+    fn majority_breaks_ties_to_smallest_label() {
+        assert_eq!(majority(&[3, 1, 3, 1]), 1);
+        assert_eq!(majority(&[2, 2, 5]), 2);
+        assert_eq!(majority(&[]), 0);
+        assert_eq!(majority(&[7]), 7);
     }
 
     #[test]

@@ -2,13 +2,10 @@
 //! MLP baseline row, run under the same split/balance protocol as the
 //! encoders.
 
-use crate::experiment::{CellConfig, SplitPolicy};
+use crate::experiment::{frozen_head, CellConfig, CellSample, SplitPolicy};
 use crate::metrics::{accuracy, macro_f1};
 use crate::pipeline::PreparedTask;
-use crate::standardize::Standardizer;
-use dataset::record::PacketRecord;
-use dataset::split::{balanced_undersample, stratified_sample, subsample};
-use nn::{Mlp, Tensor};
+use nn::Tensor;
 use shallow::features::{FeatureConfig, N_FEATURES};
 use shallow::forest::{ForestParams, RandomForest};
 use shallow::gbdt::{GbdtParams, GradientBoosting, GrowthPolicy};
@@ -67,32 +64,20 @@ pub fn run_shallow(
     feat_cfg: FeatureConfig,
     cfg: &CellConfig,
 ) -> ShallowResult {
-    let task = prep.task;
-    let data = &prep.data;
     let split = prep.split(split_policy, cfg.train_frac, cfg.max_flow_packets, cfg.seed);
-    let label_of = |r: &PacketRecord| task.label_of(data, r);
-    let train_idx = balanced_undersample(data, &split.train, &label_of, cfg.seed ^ 0xb);
-    let train_idx = subsample(&train_idx, cfg.max_train, cfg.seed ^ 0xc);
-    let test_idx = stratified_sample(
-        data,
-        &split.test,
-        (cfg.max_test as f64 / split.test.len().max(1) as f64).min(1.0),
-        &label_of,
-        cfg.seed ^ 0xd,
-    );
-    let train_y: Vec<u16> = train_idx.iter().map(|&i| label_of(&data.records[i])).collect();
-    let test_y: Vec<u16> = test_idx.iter().map(|&i| label_of(&data.records[i])).collect();
+    let sample = CellSample::balanced(prep.task, &prep.data, &split, cfg);
+    let (train_y, test_y) = (&sample.train_labels, &sample.test_labels);
     // Feature rows for the whole dataset come from the artifact cache
     // (computed once per dataset + config, shared by every model/cell);
     // each run only gathers its own index subsets.
     let all_feats = prep.features(feat_cfg);
     let feats =
         |idx: &[usize]| -> Vec<[f32; N_FEATURES]> { idx.iter().map(|&i| all_feats[i]).collect() };
-    let train_x = feats(&train_idx);
-    let test_x = feats(&test_idx);
+    let train_x = feats(&sample.train);
+    let test_x = feats(&sample.test);
     let train_rows: Vec<&[f32]> = train_x.iter().map(|r| r.as_slice()).collect();
     let test_rows: Vec<&[f32]> = test_x.iter().map(|r| r.as_slice()).collect();
-    let n_classes = task.n_classes();
+    let n_classes = sample.n_classes;
 
     let mut importance = None;
     let t0 = Instant::now();
@@ -103,7 +88,7 @@ pub fn run_shallow(
                 sample_size: Some(train_rows.len().min(3000)),
                 ..Default::default()
             };
-            let rf = RandomForest::fit(&train_rows, &train_y, n_classes, params, cfg.seed);
+            let rf = RandomForest::fit(&train_rows, train_y, n_classes, params, cfg.seed);
             importance = Some(rf.feature_importance());
             let train_secs = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
@@ -120,29 +105,32 @@ pub fn run_shallow(
                 rounds: if n_classes > 30 { 4 } else { 8 },
                 ..Default::default()
             };
-            let gb = GradientBoosting::fit(&train_rows, &train_y, n_classes, params);
+            let gb = GradientBoosting::fit(&train_rows, train_y, n_classes, params);
             let train_secs = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
             let preds = gb.predict(&test_rows);
             (train_secs, preds, t1.elapsed().as_secs_f64())
         }
         ShallowModel::Mlp => {
-            let to_tensor = |x: &[[f32; N_FEATURES]]| {
-                Tensor::from_rows(&x.iter().map(|r| r.to_vec()).collect::<Vec<_>>())
+            let to_tensor = |x: &[[f32; N_FEATURES]]| Tensor {
+                rows: x.len(),
+                cols: N_FEATURES,
+                data: x.iter().flatten().copied().collect(),
             };
-            let (mut xt, mut xs) = (to_tensor(&train_x), to_tensor(&test_x));
-            Standardizer::fit_apply(&mut xt, &mut xs);
-            let mut mlp = Mlp::new(&[N_FEATURES, cfg.head_hidden, n_classes], cfg.seed);
-            mlp.fit(&xt, &train_y, cfg.frozen_epochs, cfg.batch, cfg.lr, cfg.seed ^ 1);
-            let train_secs = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let preds = mlp.predict(&xs);
-            (train_secs, preds, t1.elapsed().as_secs_f64())
+            let run = frozen_head(
+                || to_tensor(&train_x),
+                train_y,
+                || to_tensor(&test_x),
+                n_classes,
+                cfg,
+                cfg.seed,
+            );
+            (run.train_secs, run.preds, run.infer_secs)
         }
     };
     ShallowResult {
-        accuracy: accuracy(&preds, &test_y),
-        macro_f1: macro_f1(&preds, &test_y, n_classes),
+        accuracy: accuracy(&preds, test_y),
+        macro_f1: macro_f1(&preds, test_y, n_classes),
         train_secs,
         infer_secs,
         importance,

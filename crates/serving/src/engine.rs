@@ -29,6 +29,7 @@ use crate::reload::ReloadSource;
 use crate::source::ReplayPacket;
 use dataset::record::PacketRecord;
 use debunk_core::engine::journal::escape_json;
+use debunk_core::metrics::majority;
 use debunk_core::obs::{EvictionReason, ObsSink, Value};
 use encoders::EncodeScratch;
 use nn::{MlpScratch, Tensor};
@@ -138,19 +139,6 @@ pub fn validate_targets(bundle: &ModelBundle, policy: &Policy) -> Result<(), Str
         }
     }
     Ok(())
-}
-
-/// Majority label over per-packet predictions; ties break to the
-/// smallest label so the vote is total-order deterministic.
-fn majority(labels: &[u16]) -> u16 {
-    let mut counts: Vec<(u16, usize)> = Vec::new();
-    for &l in labels {
-        match counts.iter_mut().find(|(c, _)| *c == l) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((l, 1)),
-        }
-    }
-    counts.into_iter().max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0))).map(|(l, _)| l).unwrap_or(0)
 }
 
 /// A bundle serving one epoch: the initial bundle is borrowed from the
@@ -601,14 +589,6 @@ mod tests {
         let opts = ServeOptions { batch, ..Default::default() };
         let stats = serve_stream(bundle, policy, packets, &opts, &mut out, &sink).unwrap();
         (out, stats)
-    }
-
-    #[test]
-    fn majority_breaks_ties_to_smallest_label() {
-        assert_eq!(majority(&[3, 1, 3, 1]), 1);
-        assert_eq!(majority(&[2, 2, 5]), 2);
-        assert_eq!(majority(&[]), 0);
-        assert_eq!(majority(&[7]), 7);
     }
 
     #[test]
