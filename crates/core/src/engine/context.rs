@@ -281,7 +281,9 @@ impl RunContext {
     /// sequential calls. This is what makes cells order-independent:
     /// a cell gets the same seed whether it runs first, last, or on a
     /// worker thread. (Fold-level seeds are derived from this inside
-    /// `run_cell` by adding the fold index.)
+    /// `run_cell` by adding the fold index.) An ablation arm is seeded
+    /// with its control's identity instead of its own
+    /// ([`CellSpec::arm_of`](crate::engine::registry::CellSpec::arm_of)).
     pub fn cell_seed(&self, experiment: &str, task: &str, model: &str, setting: &str) -> u64 {
         fnv64(&[experiment.as_bytes(), task.as_bytes(), model.as_bytes(), setting.as_bytes()])
             ^ self.seed

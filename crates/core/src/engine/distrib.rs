@@ -585,6 +585,7 @@ mod tests {
                         model: "m".into(),
                         setting: "s".into(),
                         emit_record: true,
+                        seed_as: None,
                         run: Arc::new(
                             move |_ctx: &RunContext, cfg: &crate::experiment::CellConfig| {
                                 if boom {

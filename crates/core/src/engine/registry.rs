@@ -130,6 +130,10 @@ pub struct CellSpec {
     /// [`crate::report::ResultRecord`] (matching which cells the
     /// original `repro` recorded).
     pub emit_record: bool,
+    /// `(task, model, setting)` of the control cell whose seed this
+    /// cell takes (see [`CellSpec::arm_of`]); `None` seeds the cell
+    /// from its own identity.
+    pub seed_as: Option<(String, String, String)>,
     /// The work function.
     pub run: CellFn,
 }
@@ -147,14 +151,28 @@ impl CellSpec {
             model: model.into(),
             setting: setting.into(),
             emit_record: true,
+            seed_as: None,
             run: Arc::new(run),
         }
+    }
+
+    /// This cell as an ablation arm of `control`: it takes the
+    /// control's seed, so both draw the same samples, folds and head
+    /// initialisation and differ only in the factor the ablation
+    /// varies.
+    pub fn arm_of(self, control: &CellSpec) -> CellSpec {
+        let seed_as = (control.task.clone(), control.model.clone(), control.setting.clone());
+        CellSpec { seed_as: Some(seed_as), ..self }
     }
 
     /// The cell's configuration (with its derived seed) and its journal
     /// identity within experiment `exp_id`.
     pub fn identity(&self, exp_id: &str, ctx: &RunContext) -> (CellConfig, CellId) {
-        let cfg = ctx.cell_config(exp_id, &self.task, &self.model, &self.setting);
+        let (task, model, setting) = match &self.seed_as {
+            Some((task, model, setting)) => (task, model, setting),
+            None => (&self.task, &self.model, &self.setting),
+        };
+        let cfg = ctx.cell_config(exp_id, task, model, setting);
         let id = CellId {
             experiment: exp_id.to_string(),
             task: self.task.clone(),

@@ -1036,18 +1036,18 @@ impl Experiment for RepeatVsPad {
     }
 
     fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
-        vec![
-            CellSpec::silent("VPN-app", "YaTC", "repeat", |ctx, cfg| {
-                let prep = ctx.prep(Task::VpnApp);
-                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::YaTc));
-                run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
-            }),
-            CellSpec::silent("VPN-app", "YaTC", "pad", |ctx, cfg| {
-                let prep = ctx.prep(Task::VpnApp);
-                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::YaTc));
-                frozen_arm(&prep, cfg, token_embedding(&prep, &enc, TokenVariant::Padded)).into()
-            }),
-        ]
+        let repeat = CellSpec::silent("VPN-app", "YaTC", "repeat", |ctx, cfg| {
+            let prep = ctx.prep(Task::VpnApp);
+            let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::YaTc));
+            run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
+        });
+        let pad = CellSpec::silent("VPN-app", "YaTC", "pad", |ctx, cfg| {
+            let prep = ctx.prep(Task::VpnApp);
+            let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::YaTc));
+            frozen_arm(&prep, cfg, token_embedding(&prep, &enc, TokenVariant::Padded)).into()
+        })
+        .arm_of(&repeat);
+        vec![repeat, pad]
     }
 
     fn render(&self, _ctx: &RunContext, outputs: &[CellOutput]) {
@@ -1078,28 +1078,23 @@ impl Experiment for BalanceAblation {
     }
 
     fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
-        vec![
-            CellSpec::silent("TLS-120", "Pcap-Encoder", "balanced", |ctx, cfg| {
-                let prep = ctx.prep(Task::Tls120);
-                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
-                run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
-            }),
-            CellSpec::silent("TLS-120", "Pcap-Encoder", "natural", |ctx, cfg| {
-                // The control's protocol, minus balanced undersampling.
-                let prep = ctx.prep(Task::Tls120);
-                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
-                let split = prep.split(
-                    SplitPolicy::PerFlow,
-                    cfg.train_frac,
-                    cfg.max_flow_packets,
-                    cfg.seed,
-                );
-                let sample =
-                    CellSample::from_pool(prep.task, &prep.data, &split, &split.train, cfg);
-                let embed = token_embedding(&prep, &enc, TokenVariant::Repeated);
-                run_frozen(&sample, cfg, embed).into()
-            }),
-        ]
+        let balanced = CellSpec::silent("TLS-120", "Pcap-Encoder", "balanced", |ctx, cfg| {
+            let prep = ctx.prep(Task::Tls120);
+            let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
+            run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
+        });
+        let natural = CellSpec::silent("TLS-120", "Pcap-Encoder", "natural", |ctx, cfg| {
+            // The control's protocol, minus balanced undersampling.
+            let prep = ctx.prep(Task::Tls120);
+            let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
+            let split =
+                prep.split(SplitPolicy::PerFlow, cfg.train_frac, cfg.max_flow_packets, cfg.seed);
+            let sample = CellSample::from_pool(prep.task, &prep.data, &split, &split.train, cfg);
+            let embed = token_embedding(&prep, &enc, TokenVariant::Repeated);
+            run_frozen(&sample, cfg, embed).into()
+        })
+        .arm_of(&balanced);
+        vec![balanced, natural]
     }
 
     fn render(&self, _ctx: &RunContext, outputs: &[CellOutput]) {
@@ -1401,20 +1396,22 @@ impl Experiment for QuantInt8 {
     }
 
     fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
-        vec![
+        let f32_cell =
             CellSpec::new("VPN-app", QUANT_VARIANTS[0], "per-flow/frozen", |ctx, cfg| {
                 let prep = ctx.prep(Task::VpnApp);
                 let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
                 run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
-            }),
+            });
+        let int8_cell =
             CellSpec::new("VPN-app", QUANT_VARIANTS[1], "per-flow/frozen", |ctx, cfg| {
                 let prep = ctx.prep(Task::VpnApp);
                 let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
                 let tokens = prep.tokens(&enc, TokenVariant::Repeated);
                 let quant = enc.quantize();
                 frozen_arm(&prep, cfg, |rows| quant.encode_tokens(&gather(&tokens, rows))).into()
-            }),
-        ]
+            })
+            .arm_of(&f32_cell);
+        vec![f32_cell, int8_cell]
     }
 
     fn render(&self, ctx: &RunContext, outputs: &[CellOutput]) {
@@ -1497,6 +1494,30 @@ mod tests {
                 let key = (cell.task.clone(), cell.model.clone(), cell.setting.clone());
                 assert!(seen.insert(key.clone()), "{}: duplicate cell identity {key:?}", exp.id());
             }
+        }
+    }
+
+    #[test]
+    fn ablation_arms_share_their_controls_seed() {
+        // An arm seeded from its own setting draws other samples, folds
+        // and head initialisation than its control, so the comparison
+        // would vary more than the one factor under study.
+        let ctx = RunContext::from_preset(Preset::Fast, 42, None);
+        let r = default_registry();
+        for id in ["repeat_vs_pad", "balance_ablation", "quant_int8"] {
+            let cells = r.get(id).unwrap().cells(&ctx);
+            let seeds: Vec<u64> = cells.iter().map(|c| c.identity(id, &ctx).1.seed).collect();
+            assert_eq!(seeds.len(), 2, "{id}");
+            assert_eq!(seeds[0], seeds[1], "{id}: arm and control must share a seed");
+            let control = &cells[0];
+            let own = ctx.cell_seed(id, &control.task, &control.model, &control.setting);
+            assert_eq!(seeds[0], own, "{id}: the control keeps its own seed");
+        }
+        // Cells that are no ablation arm keep the seed of their own
+        // identity; Fig. 6 is regenerated from exactly these.
+        for cell in r.get("fig6").unwrap().cells(&ctx) {
+            let own = ctx.cell_seed("fig6", &cell.task, &cell.model, &cell.setting);
+            assert_eq!(cell.identity("fig6", &ctx).1.seed, own);
         }
     }
 

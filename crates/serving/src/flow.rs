@@ -18,7 +18,7 @@ use dataset::record::PacketRecord;
 use debunk_core::obs::EvictionReason;
 use net_packet::conntrack::{ConnTracker, TcpState};
 use net_packet::frame::{FlowKey, IpInfo, ParsedFrame};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Packets stored per flow for classification. Later packets still
 /// update counters and TCP state but are not retained — classification
@@ -52,8 +52,11 @@ fn ts_order_bits(ts: f64) -> u64 {
     }
 }
 
-/// See [`FlowTable::deadline`]; free-standing so `push` can call it
-/// while holding the `flows` entry borrow.
+/// The conservative deadline candidate for a flow in its current
+/// state: one ulp below `last_ts + window`, so the stored bound is
+/// strictly below every `now` that can satisfy the exact eviction
+/// predicate (float addition may round up; `next_down` compensates).
+/// Free-standing so `push` can call it while holding the slot borrow.
 fn deadline_for(flow: &TrackedFlow, idle_timeout: f64, linger: f64) -> f64 {
     let window = if flow.conn.state() == TcpState::Closed { linger } else { idle_timeout };
     (flow.last_ts + window).next_down()
@@ -97,19 +100,52 @@ pub enum Ingest {
     NonIp,
 }
 
+/// A deadline-queue entry: `(ts_order_bits(due), flow id, slot)`.
+/// Field order is the sort order (derived `Ord`), so entries pop by
+/// due time and then by id. An entry is stale once its slot is empty
+/// or holds a flow with a different id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Deadline {
+    bits: u64,
+    id: u64,
+    slot: u32,
+}
+
 /// The serving flow table.
+///
+/// Storage is a slab: `index` maps a key to a slot in `slots`, and
+/// retired slots are reused LIFO from `free`, so the hash map holds a
+/// key and a `u32` per flow and rehashing never moves the 224-byte
+/// [`TrackedFlow`].
+///
+/// The deadline index is three sorted containers whose union holds
+/// every `(due, id, slot)` candidate: `idle_queue` for flows on the
+/// idle window, `linger_queue` for TCP-closed flows on the linger
+/// window, and `stragglers` for entries that would break a queue's
+/// order. A candidate is inserted on every packet and validated lazily
+/// on pop. The due time stored is a conservative (one-ulp-early) bound,
+/// so a flow whose exact eviction predicate fires is always popped;
+/// stale or slightly-early entries are revalidated against the flow's
+/// current state and re-armed or discarded. [`FlowTable::poll`] is
+/// therefore O(due) instead of O(tracked), which is what lets a
+/// per-packet poll schedule scale to million-flow tables.
 #[derive(Debug)]
 pub struct FlowTable {
-    flows: HashMap<FlowKey, TrackedFlow>,
-    /// Deadline index: `(ts_order_bits(due), flow id, key)` candidates,
-    /// inserted on every packet and validated lazily on pop. The due
-    /// time stored is a conservative (one-ulp-early) bound, so a flow
-    /// whose exact eviction predicate fires is always popped — stale or
-    /// slightly-early entries are revalidated against the flow's
-    /// current state and reinserted or discarded. This keeps
-    /// [`FlowTable::poll`] O(due) instead of O(tracked), which is what
-    /// lets a per-packet poll schedule scale to million-flow tables.
-    deadlines: BTreeSet<(u64, u64, FlowKey)>,
+    /// Flow key → slot in `slots`.
+    index: HashMap<FlowKey, u32>,
+    /// The live flows; `None` marks a free slot.
+    slots: Vec<Option<TrackedFlow>>,
+    /// Free slots, reused last-in first-out.
+    free: Vec<u32>,
+    /// Deadlines on the idle window, in pop order. A deadline is the
+    /// packet's timestamp plus a constant window, so with
+    /// non-decreasing timestamps every push lands at the back: O(1).
+    idle_queue: VecDeque<Deadline>,
+    /// Deadlines on the linger window of TCP-closed flows, in pop order.
+    linger_queue: VecDeque<Deadline>,
+    /// Entries that arrived below their queue's back: out-of-order
+    /// capture timestamps and the ulp-early re-arms of `poll`.
+    stragglers: BTreeSet<Deadline>,
     idle_timeout: f64,
     linger: f64,
 }
@@ -125,8 +161,12 @@ impl FlowTable {
             ));
         }
         Ok(FlowTable {
-            flows: HashMap::new(),
-            deadlines: BTreeSet::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            idle_queue: VecDeque::new(),
+            linger_queue: VecDeque::new(),
+            stragglers: BTreeSet::new(),
             idle_timeout,
             linger: CLOSE_LINGER_SECS.min(idle_timeout),
         })
@@ -134,20 +174,34 @@ impl FlowTable {
 
     /// Flows currently tracked.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.index.len()
     }
 
     /// True when no flow is in flight.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.index.is_empty()
     }
 
-    /// The conservative deadline candidate for a flow in its current
-    /// state: one ulp below `last_ts + window`, so the stored bound is
-    /// strictly below every `now` that can satisfy the exact eviction
-    /// predicate (float addition may round up; `next_down` compensates).
-    fn deadline(&self, flow: &TrackedFlow) -> f64 {
-        deadline_for(flow, self.idle_timeout, self.linger)
+    /// Queue a deadline candidate in its window's queue (`closed`:
+    /// the linger queue). An entry below the queue's back is a
+    /// straggler; when it still fits above the entry before the back,
+    /// the back is the odd one out (say one far-future timestamp) and
+    /// moves to `stragglers` instead, so a single outlier cannot push
+    /// every later packet off the O(1) path.
+    fn arm(&mut self, entry: Deadline, closed: bool) {
+        let queue = if closed { &mut self.linger_queue } else { &mut self.idle_queue };
+        match queue.back() {
+            Some(&back) if entry < back => {
+                if queue.len() < 2 || queue[queue.len() - 2] <= entry {
+                    queue.pop_back();
+                    queue.push_back(entry);
+                    self.stragglers.insert(back);
+                } else {
+                    self.stragglers.insert(entry);
+                }
+            }
+            _ => queue.push_back(entry),
+        }
     }
 
     /// Feed one frame observed as global packet `seq` at `ts`. Parsing
@@ -163,20 +217,32 @@ impl FlowTable {
         };
         let src = endpoint(&parsed);
         let mut opened = false;
-        let flow = self.flows.entry(key).or_insert_with(|| {
+        let slot = *self.index.entry(key).or_insert_with(|| {
             opened = true;
-            TrackedFlow {
+            let flow = TrackedFlow {
                 id: seq,
                 key,
                 conn: ConnTracker::new(),
-                records: Vec::new(),
+                // Most flows of a SYN flood or scan are one packet.
+                records: Vec::with_capacity(1),
                 first_ts: ts,
                 last_ts: ts,
                 packets: 0,
                 bytes: 0,
                 client: src,
+            };
+            match self.free.pop() {
+                Some(slot) => {
+                    self.slots[slot as usize] = Some(flow);
+                    slot
+                }
+                None => {
+                    self.slots.push(Some(flow));
+                    u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live flows")
+                }
             }
         });
+        let flow = self.slots[slot as usize].as_mut().expect("indexed slot holds a flow");
         let from_client = src == flow.client;
         flow.conn.push(&parsed, ts, from_client);
         flow.last_ts = ts;
@@ -193,8 +259,9 @@ impl FlowTable {
             });
         }
         let due = deadline_for(flow, self.idle_timeout, self.linger);
-        let id = flow.id;
-        self.deadlines.insert((ts_order_bits(due), id, key));
+        let entry = Deadline { bits: ts_order_bits(due), id: flow.id, slot };
+        let closed = flow.conn.state() == TcpState::Closed;
+        self.arm(entry, closed);
         Ingest::Tracked { opened }
     }
 
@@ -211,6 +278,26 @@ impl FlowTable {
         }
     }
 
+    /// Pop the smallest deadline candidate of the three containers if
+    /// it is due by `horizon` (a [`ts_order_bits`] value).
+    fn pop_due(&mut self, horizon: u64) -> Option<Deadline> {
+        let idle = self.idle_queue.front().copied();
+        let linger = self.linger_queue.front().copied();
+        let straggler = self.stragglers.first().copied();
+        let next = [idle, linger, straggler].into_iter().flatten().min()?;
+        if next.bits > horizon {
+            return None;
+        }
+        if Some(next) == idle {
+            self.idle_queue.pop_front();
+        } else if Some(next) == linger {
+            self.linger_queue.pop_front();
+        } else {
+            self.stragglers.pop_first();
+        }
+        Some(next)
+    }
+
     /// Retire every flow that is done as of `now`: TCP-closed flows
     /// past their linger, and any flow idle beyond the timeout.
     /// Returned in `id` order — the verdict stream order. Only flows
@@ -219,44 +306,49 @@ impl FlowTable {
     pub fn poll(&mut self, now: f64) -> Vec<(TrackedFlow, EvictionReason)> {
         let horizon = ts_order_bits(now);
         let mut due: Vec<(TrackedFlow, EvictionReason)> = Vec::new();
-        let mut keep: Vec<(u64, u64, FlowKey)> = Vec::new();
-        while let Some(&entry) = self.deadlines.first() {
-            let (bits, id, key) = entry;
-            if bits > horizon {
-                break;
-            }
-            self.deadlines.remove(&entry);
+        let mut keep: Vec<(Deadline, bool)> = Vec::new();
+        while let Some(entry) = self.pop_due(horizon) {
             // Stale candidates: the flow was already retired, or the
-            // key was reused by a younger flow.
-            let Some(flow) = self.flows.get(&key) else { continue };
-            if flow.id != id {
+            // slot was reused by a younger flow.
+            let Some(flow) = &self.slots[entry.slot as usize] else { continue };
+            if flow.id != entry.id {
                 continue;
             }
-            match self.due_reason(flow, now) {
-                Some(reason) => {
-                    let flow = self.flows.remove(&key).expect("flow just looked up");
-                    due.push((flow, reason));
-                }
-                None => {
-                    // Popped early (a newer packet moved the deadline,
-                    // or the conservative bound fired an ulp ahead of
-                    // the exact predicate): restore the flow's current
-                    // deadline candidate after the drain loop.
-                    let current = self.deadline(flow);
-                    keep.push((ts_order_bits(current), id, key));
-                }
+            if let Some(reason) = self.due_reason(flow, now) {
+                let flow = self.slots[entry.slot as usize].take().expect("flow just looked up");
+                self.index.remove(&flow.key);
+                self.free.push(entry.slot);
+                due.push((flow, reason));
+                continue;
+            }
+            // Not due. If a later packet moved the deadline, the
+            // candidate that packet queued is still pending and this
+            // one is dropped. If this is the flow's current candidate
+            // (the conservative bound fired an ulp ahead of the exact
+            // predicate), re-arm it after the drain loop. A NaN
+            // deadline (NaN timestamp) is never due, so only the next
+            // packet of the flow re-arms it.
+            let current = deadline_for(flow, self.idle_timeout, self.linger);
+            if !current.is_nan() && ts_order_bits(current) == entry.bits {
+                keep.push((entry, flow.conn.state() == TcpState::Closed));
             }
         }
-        self.deadlines.extend(keep);
-        due.sort_by_key(|(f, _)| f.id);
+        for (entry, closed) in keep {
+            self.arm(entry, closed);
+        }
+        due.sort_unstable_by_key(|(f, _)| f.id);
         due
     }
 
     /// End-of-stream: retire everything still tracked, in `id` order.
     pub fn flush(&mut self) -> Vec<(TrackedFlow, EvictionReason)> {
-        self.deadlines.clear();
-        let mut rest: Vec<TrackedFlow> = self.flows.drain().map(|(_, f)| f).collect();
-        rest.sort_by_key(|f| f.id);
+        self.index.clear();
+        self.free.clear();
+        self.idle_queue.clear();
+        self.linger_queue.clear();
+        self.stragglers.clear();
+        let mut rest: Vec<TrackedFlow> = self.slots.drain(..).flatten().collect();
+        rest.sort_unstable_by_key(|f| f.id);
         rest.into_iter().map(|f| (f, EvictionReason::Flush)).collect()
     }
 }
@@ -388,5 +480,46 @@ mod tests {
         let evicted = table.poll(1e12);
         assert_eq!(evicted.len(), tracked);
         assert!(table.is_empty());
+    }
+
+    fn queued(table: &FlowTable) -> usize {
+        table.idle_queue.len() + table.linger_queue.len() + table.stragglers.len()
+    }
+
+    /// One far-future timestamp must not leave every later in-order
+    /// packet to the straggler set: the outlier is what moves there.
+    #[test]
+    fn one_far_future_timestamp_keeps_in_order_pushes_on_the_queues() {
+        let replay = SynthSpec::parse("iscx:3:1").unwrap().replay();
+        let mut table = FlowTable::new(5.0).unwrap();
+        let mut tracked = 0;
+        for (i, p) in replay.iter().enumerate() {
+            let ts = if i == 0 { 1e12 } else { i as f64 * 1e-3 };
+            if table.push(i as u64, ts, &p.frame) != Ingest::NonIp {
+                tracked += 1;
+            }
+        }
+        assert!(tracked > 100);
+        assert_eq!(queued(&table), tracked);
+        assert_eq!(table.stragglers.len(), 1, "only the outlier is a straggler");
+    }
+
+    /// A NaN timestamp is never due, so its candidate is dropped on the
+    /// first pop instead of being re-armed and re-examined every poll.
+    #[test]
+    fn nan_timestamped_flows_leave_the_deadline_index_until_their_next_packet() {
+        let replay = SynthSpec::parse("iscx:3:1").unwrap().replay();
+        let mut table = FlowTable::new(5.0).unwrap();
+        for (i, p) in replay.iter().enumerate() {
+            table.push(i as u64, -f64::NAN, &p.frame);
+        }
+        let tracked = table.len();
+        assert!(table.poll(0.0).is_empty());
+        assert_eq!(queued(&table), 0);
+        assert_eq!(table.len(), tracked);
+        // A real timestamp re-arms the flow it lands on.
+        table.push(replay.len() as u64, 1.0, &replay[0].frame);
+        assert_eq!(table.poll(7.0).len(), 1);
+        assert_eq!(table.flush().len(), tracked - 1);
     }
 }

@@ -13,8 +13,10 @@
 #   2. warm: rerunning --workers 4 against its populated cache must
 #      replay to byte-identical outputs with ZERO builds.
 #   3. crash + resume: SIGKILL the coordinator AND its workers
-#      mid-sweep (whole process group — a machine-crash stand-in),
-#      rerun with --resume, and require byte-identical outputs.
+#      mid-sweep (whole process group — a machine-crash stand-in)
+#      once 3 cells are done, rerun with --resume, and
+#      require byte-identical outputs. The leg fails if the sweep
+#      finishes before the kill lands.
 #
 # Environment knobs:
 #   REPRO_BIN   path to the repro binary (default target/release/repro)
@@ -76,21 +78,33 @@ setsid "$REPRO_BIN" "$EXP" --fast --workers 2 --cache-dir "$WORK_DIR/cache_kill"
     --out "$kill_out" >/dev/null 2>&1 &
 coord=$!
 
-# Wait until a worker has opened its journal (work is underway), let a
-# few cells land, then kill coordinator + workers as one process group.
-for _ in $(seq 1 100); do
+# Kill coordinator + workers as one process group once KILL_AFTER
+# cells are journaled done across the workers: late enough that the
+# resume has finished cells to replay, early enough that the sweep is
+# still running. A sweep that ends before the kill lands fails the leg:
+# its resume would be a warm replay and test nothing.
+KILL_AFTER=3
+done_cells() {
+    cat "$kill_out"/workers/w*/journal.jsonl 2>/dev/null | grep -c '"status":"done"' || true
+}
+for _ in $(seq 1 1200); do
     kill -0 "$coord" 2>/dev/null || break
-    [ -s "$kill_out/workers/w00/journal.jsonl" ] && break
-    sleep 0.2
+    [ "$(done_cells)" -ge "$KILL_AFTER" ] && break
+    sleep 0.05
 done
-sleep 2
-if kill -0 "$coord" 2>/dev/null; then
-    kill -KILL -- "-$coord" 2>/dev/null || true
-    echo "ok: killed coordinator process group mid-sweep"
-else
-    echo "note: sweep finished before the kill landed; resume leg degrades to a warm replay"
+kill -KILL -- "-$coord" 2>/dev/null || true
+status=0
+wait "$coord" 2>/dev/null || status=$?
+killed_at=$(done_cells)
+if [ "$status" -ne 137 ]; then
+    echo "FAIL: the sweep exited ($status) before the kill landed" >&2
+    exit 1
 fi
-wait "$coord" 2>/dev/null || true
+if [ "$killed_at" -lt "$KILL_AFTER" ]; then
+    echo "FAIL: killed after $killed_at done cells, fewer than $KILL_AFTER" >&2
+    exit 1
+fi
+echo "ok: killed coordinator process group mid-sweep after $killed_at done cells"
 
 "$REPRO_BIN" "$EXP" --fast --workers 2 --resume --cache-dir "$WORK_DIR/cache_kill" \
     --out "$kill_out" >/dev/null 2>&1
