@@ -1125,18 +1125,25 @@ impl Experiment for PoolingAblation {
     }
 
     fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
+        let cell = |mode: PoolingMode| {
+            CellSpec::silent("VPN-app", "Pcap-Encoder", mode.name(), move |ctx, cfg| {
+                let prep = ctx.prep(Task::VpnApp);
+                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
+                let tokens = prep.tokens(&enc, TokenVariant::Repeated);
+                let embed = |rows: &[usize]| {
+                    pool_batch(&enc.embedding, &gather(&tokens, rows), mode, cfg.seed)
+                };
+                frozen_arm(&prep, cfg, embed).into()
+            })
+        };
+        // Mean pooling, the paper's choice, is the control; the other
+        // modes are its arms. Cells stay in paper order.
+        let mean = cell(PoolingMode::Mean);
         PoolingMode::ALL
             .into_iter()
-            .map(|mode| {
-                CellSpec::silent("VPN-app", "Pcap-Encoder", mode.name(), move |ctx, cfg| {
-                    let prep = ctx.prep(Task::VpnApp);
-                    let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
-                    let tokens = prep.tokens(&enc, TokenVariant::Repeated);
-                    let embed = |rows: &[usize]| {
-                        pool_batch(&enc.embedding, &gather(&tokens, rows), mode, cfg.seed)
-                    };
-                    frozen_arm(&prep, cfg, embed).into()
-                })
+            .map(|mode| match mode {
+                PoolingMode::Mean => mean.clone(),
+                _ => cell(mode).arm_of(&mean),
             })
             .collect()
     }
@@ -1504,15 +1511,25 @@ mod tests {
         // would vary more than the one factor under study.
         let ctx = RunContext::from_preset(Preset::Fast, 42, None);
         let r = default_registry();
-        for id in ["repeat_vs_pad", "balance_ablation", "quant_int8"] {
+        // (experiment, cells, index of the control)
+        for (id, n, ctl) in [
+            ("repeat_vs_pad", 2, 0),
+            ("balance_ablation", 2, 0),
+            ("quant_int8", 2, 0),
+            ("pooling", 3, 1),
+        ] {
             let cells = r.get(id).unwrap().cells(&ctx);
             let seeds: Vec<u64> = cells.iter().map(|c| c.identity(id, &ctx).1.seed).collect();
-            assert_eq!(seeds.len(), 2, "{id}");
-            assert_eq!(seeds[0], seeds[1], "{id}: arm and control must share a seed");
-            let control = &cells[0];
+            assert_eq!(seeds.len(), n, "{id}");
+            for seed in &seeds {
+                assert_eq!(*seed, seeds[ctl], "{id}: arms and control must share a seed");
+            }
+            let control = &cells[ctl];
             let own = ctx.cell_seed(id, &control.task, &control.model, &control.setting);
-            assert_eq!(seeds[0], own, "{id}: the control keeps its own seed");
+            assert_eq!(seeds[ctl], own, "{id}: the control keeps its own seed");
         }
+        let pooling = r.get("pooling").unwrap().cells(&ctx);
+        assert_eq!(pooling[1].setting, PoolingMode::Mean.name(), "mean pooling is the control");
         // Cells that are no ablation arm keep the seed of their own
         // identity; Fig. 6 is regenerated from exactly these.
         for cell in r.get("fig6").unwrap().cells(&ctx) {

@@ -60,14 +60,22 @@ pub fn micro_f1(pred: &[u16], truth: &[u16]) -> f64 {
 /// break to the smallest label, so the vote is deterministic. An empty
 /// vote yields label 0.
 pub fn majority(labels: &[u16]) -> u16 {
-    let mut counts: Vec<(u16, usize)> = Vec::new();
+    majority_with(labels, &mut Vec::new())
+}
+
+/// [`majority`] with the caller's per-label `counts` scratch, so a hot
+/// loop voting flow after flow allocates nothing.
+pub fn majority_with(labels: &[u16], counts: &mut Vec<u32>) -> u16 {
+    counts.clear();
     for &l in labels {
-        match counts.iter_mut().find(|(c, _)| *c == l) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((l, 1)),
+        let l = usize::from(l);
+        if l >= counts.len() {
+            counts.resize(l + 1, 0);
         }
+        counts[l] += 1;
     }
-    counts.into_iter().max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0))).map(|(l, _)| l).unwrap_or(0)
+    // the last maximum of the reversed counts is the smallest label
+    counts.iter().enumerate().rev().max_by_key(|&(_, &n)| n).map_or(0, |(l, _)| l as u16)
 }
 
 /// Per-class precision/recall/F1 report (sklearn-style), rendered as a

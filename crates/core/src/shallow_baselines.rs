@@ -76,7 +76,6 @@ pub fn run_shallow(
     let train_x = feats(&sample.train);
     let test_x = feats(&sample.test);
     let train_rows: Vec<&[f32]> = train_x.iter().map(|r| r.as_slice()).collect();
-    let test_rows: Vec<&[f32]> = test_x.iter().map(|r| r.as_slice()).collect();
     let n_classes = sample.n_classes;
 
     let mut importance = None;
@@ -92,7 +91,8 @@ pub fn run_shallow(
             importance = Some(rf.feature_importance());
             let train_secs = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
-            let preds = rf.predict(&test_rows);
+            let mut preds = Vec::with_capacity(test_x.len());
+            rf.predict_into(&test_x, &mut Vec::new(), &mut preds);
             (train_secs, preds, t1.elapsed().as_secs_f64())
         }
         ShallowModel::XgbLike | ShallowModel::LgbmLike => {
@@ -108,7 +108,8 @@ pub fn run_shallow(
             let gb = GradientBoosting::fit(&train_rows, train_y, n_classes, params);
             let train_secs = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
-            let preds = gb.predict(&test_rows);
+            let mut preds = Vec::with_capacity(test_x.len());
+            gb.predict_into(&test_x, &mut Vec::new(), &mut preds);
             (train_secs, preds, t1.elapsed().as_secs_f64())
         }
         ShallowModel::Mlp => {

@@ -22,17 +22,18 @@
 //! verdict line, so a live reload replayed as a planned boundary list
 //! reproduces the stream byte-for-byte.
 
-use crate::bundle::{feature_rows, ModelBundle};
+use crate::bundle::{ModelBundle, SERVING_FEATURES};
 use crate::flow::{FlowTable, Ingest, TrackedFlow};
 use crate::policy::Policy;
 use crate::reload::ReloadSource;
 use crate::source::ReplayPacket;
 use dataset::record::PacketRecord;
 use debunk_core::engine::journal::escape_json;
-use debunk_core::metrics::majority;
+use debunk_core::metrics::majority_with;
 use debunk_core::obs::{EvictionReason, ObsSink, Value};
 use encoders::EncodeScratch;
 use nn::{MlpScratch, Tensor};
+use shallow::{extract_features, N_FEATURES};
 use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::Instant;
@@ -198,9 +199,11 @@ fn verdict_line(
 
 /// Reusable buffers threaded through every [`classify_batch`] call of
 /// one serve loop: encoder token/pooled scratch, the encoding tensor,
-/// MLP activations and the label vectors. After the first few batches
-/// the encoder path performs no allocation per verdict batch — the
-/// whole batch is one set of kernel dispatches against these buffers.
+/// MLP activations, the label vectors, and a flow's packet feature rows
+/// with the shallow models' vote/score scratch. After the first few
+/// batches the encoder path performs no allocation per verdict batch —
+/// the whole batch is one set of kernel dispatches against these
+/// buffers — and the forest and gbdt paths none per flow.
 #[derive(Default)]
 struct VerdictScratch {
     enc: EncodeScratch,
@@ -208,6 +211,10 @@ struct VerdictScratch {
     mlp: MlpScratch,
     labels_f32: Vec<u16>,
     labels_int8: Vec<u16>,
+    rows: Vec<[f32; N_FEATURES]>,
+    packet_labels: Vec<u16>,
+    votes: Vec<u32>,
+    scores: Vec<f32>,
 }
 
 /// Classify a batch of pending flows (all from one epoch) and emit
@@ -260,14 +267,20 @@ fn classify_batch(
                 l
             }
             ModelTarget::Forest | ModelTarget::Gbdt | ModelTarget::Knn => {
-                let rows = feature_rows(&p.flow.records);
-                let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-                let per_packet = match p.target {
-                    ModelTarget::Forest => bundle.forest.predict(&refs),
-                    ModelTarget::Gbdt => bundle.gbdt.predict(&refs),
-                    _ => bundle.knn.predict(&refs),
-                };
-                majority(&per_packet)
+                let s = &mut *scratch;
+                s.rows.clear();
+                s.rows.extend(p.flow.records.iter().map(|r| extract_features(r, SERVING_FEATURES)));
+                match p.target {
+                    ModelTarget::Forest => {
+                        bundle.forest.predict_into(&s.rows, &mut s.votes, &mut s.packet_labels)
+                    }
+                    ModelTarget::Gbdt => {
+                        bundle.gbdt.predict_into(&s.rows, &mut s.scores, &mut s.packet_labels)
+                    }
+                    _ => bundle.knn.predict_into(&s.rows, &mut s.packet_labels),
+                }
+                // the vote scratch doubles as the per-label counts
+                majority_with(&s.packet_labels, &mut s.votes)
             }
         };
         let line = verdict_line(&p.flow, p.target, label, bundle.class_name(label), epoch);
@@ -496,6 +509,11 @@ where
     let mut classify_secs = 0.0f64;
     let t_run = Instant::now();
 
+    // Two clock reads per packet, chained: `serve:ingest` runs from the
+    // previous stamp through the source's `next()`, reload polling and
+    // `frame()`; `serve:classify` covers `tick()`. The two add up to the
+    // loop's wall time.
+    let mut t_prev = t_run;
     let mut seq = 0u64;
     for p in packets {
         let p = std::borrow::Borrow::borrow(&p);
@@ -506,15 +524,15 @@ where
         for (boundary, bundle) in reload.poll(seq, policy, &mut stats, sink) {
             shard.add_epoch(boundary, bundle);
         }
-        let t0 = Instant::now();
         stats.packets += 1;
         if shard.frame(seq, p.ts, &p.frame, sink) == Ingest::NonIp {
             stats.non_ip += 1;
         }
-        ingest_secs += t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
+        let t_frame = Instant::now();
+        ingest_secs += (t_frame - t_prev).as_secs_f64();
         shard.tick(seq, p.ts, sink, &mut |_, _, line| out.write_all(line.as_bytes()))?;
-        classify_secs += t1.elapsed().as_secs_f64();
+        t_prev = Instant::now();
+        classify_secs += (t_prev - t_frame).as_secs_f64();
         seq += 1;
     }
     // Boundaries landing exactly on the flush sequence (the packet
@@ -522,9 +540,10 @@ where
     for (boundary, bundle) in reload.poll(seq, policy, &mut stats, sink) {
         shard.add_epoch(boundary, bundle);
     }
-    let t1 = Instant::now();
+    let t_flush = Instant::now();
+    ingest_secs += (t_flush - t_prev).as_secs_f64();
     shard.finish(seq, sink, &mut |_, _, line| out.write_all(line.as_bytes()))?;
-    classify_secs += t1.elapsed().as_secs_f64();
+    classify_secs += t_flush.elapsed().as_secs_f64();
     out.flush()?;
 
     stats.flows = shard.stats.flows;

@@ -1,6 +1,6 @@
 //! Bagged random forest with Gini feature importance (Fig. 5).
 
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{walk, DecisionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,18 +78,35 @@ impl RandomForest {
         RandomForest { trees, n_classes, n_features: d }
     }
 
+    /// Majority-vote labels of `rows` into `out`, with the caller's
+    /// per-row `votes` scratch. Ties go to the largest label.
+    pub fn predict_into<R: AsRef<[f32]>>(
+        &self,
+        rows: &[R],
+        votes: &mut Vec<u32>,
+        out: &mut Vec<u16>,
+    ) {
+        let nc = self.n_classes;
+        votes.clear();
+        votes.resize(rows.len() * nc, 0);
+        let trees = self.trees.iter().map(|t| &t.tree);
+        walk(trees, rows, |row, _, label| votes[row * nc + usize::from(label)] += 1);
+        out.clear();
+        out.extend(votes.chunks_exact(nc).map(|v| {
+            v.iter().enumerate().max_by_key(|(_, &n)| n).map(|(l, _)| l as u16).unwrap_or(0)
+        }));
+    }
+
     /// Majority-vote prediction for one row.
     pub fn predict_one(&self, x: &[f32]) -> u16 {
-        let mut votes = vec![0u32; self.n_classes];
-        for t in &self.trees {
-            votes[usize::from(t.predict_one(x))] += 1;
-        }
-        votes.iter().enumerate().max_by_key(|(_, &v)| v).map(|(l, _)| l as u16).unwrap_or(0)
+        self.predict(&[x])[0]
     }
 
     /// Majority-vote predictions for many rows.
     pub fn predict(&self, x: &[&[f32]]) -> Vec<u16> {
-        x.iter().map(|r| self.predict_one(r)).collect()
+        let mut out = Vec::new();
+        self.predict_into(x, &mut Vec::new(), &mut out);
+        out
     }
 
     /// Normalised Gini feature importance, summing to 1.
@@ -140,10 +157,11 @@ impl nn::frozen::FrozenArtifact for RandomForest {
         let mut trees = Vec::with_capacity(n_trees);
         for t in 0..n_trees {
             let tree = DecisionTree::read_payload(r)?;
-            if usize::from(tree.max_leaf_label()) >= n_classes {
+            // splits carry label 0, so the largest payload is a leaf's
+            let max_label = tree.tree.payload.iter().copied().max().unwrap_or(0);
+            if usize::from(max_label) >= n_classes {
                 return Err(format!(
-                    "tree {t}: leaf label {} out of range (n_classes {n_classes})",
-                    tree.max_leaf_label()
+                    "tree {t}: leaf label {max_label} out of range (n_classes {n_classes})"
                 ));
             }
             if tree.importance.len() != n_features {

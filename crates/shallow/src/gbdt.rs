@@ -11,6 +11,7 @@
 //! per-node index/threshold buffers are reused across nodes.
 
 use crate::presort::Presorted;
+use crate::tree::{walk, FlatTree};
 
 /// Leaf-growth policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,38 +49,6 @@ impl Default for GbdtParams {
             max_leaves: 15,
             policy: GrowthPolicy::DepthWise,
             max_thresholds: 12,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct RegNode {
-    feature: usize,
-    threshold: f32,
-    left: i32,  // negative => leaf, value = -(leaf_id+1)
-    right: i32, // same encoding
-}
-
-#[derive(Debug, Clone)]
-struct RegTree {
-    nodes: Vec<RegNode>,
-    leaf_values: Vec<f32>,
-    root_is_leaf: bool,
-}
-
-impl RegTree {
-    fn predict(&self, x: &[f32]) -> f32 {
-        if self.root_is_leaf {
-            return self.leaf_values[0];
-        }
-        let mut n = 0usize;
-        loop {
-            let node = &self.nodes[n];
-            let next = if x[node.feature] <= node.threshold { node.left } else { node.right };
-            if next < 0 {
-                return self.leaf_values[(-next - 1) as usize];
-            }
-            n = next as usize;
         }
     }
 }
@@ -209,6 +178,9 @@ fn seed_candidate(
     LeafCandidate { lo, hi, depth, gain: 0.0, feature: 0, threshold: 0.0 }
 }
 
+/// Fit one regression tree. Its splits come first, in the order they
+/// were taken, then its leaves, in frontier order; the export relies
+/// on that layout.
 fn fit_reg_tree(
     x: &[&[f32]],
     grad: &[f32],
@@ -216,24 +188,18 @@ fn fit_reg_tree(
     params: &GbdtParams,
     pre: &mut Presorted,
     s: &mut SplitScratch,
-) -> RegTree {
+) -> FlatTree<f32> {
     let n = x.len();
-    let mut tree = RegTree { nodes: Vec::new(), leaf_values: Vec::new(), root_is_leaf: false };
+    let mut tree = FlatTree::default();
     if x[0].is_empty() {
-        // no feature columns: a single leaf over everything
-        tree.root_is_leaf = true;
-        let mut g = 0.0f32;
-        let mut h = 0.0f32;
-        for i in 0..n {
-            g += grad[i];
-            h += hess[i];
-        }
-        tree.leaf_values.push(-g / (h + 1.0));
+        // no feature columns: a single leaf over everything, in row order
+        let rows: Vec<u32> = (0..n as u32).collect();
+        tree.push_leaf(leaf_value(&rows, grad, hess));
         return tree;
     }
     pre.reset();
     // Frontier of splittable leaves; parent linkage via (node, is_left).
-    let mut frontier: Vec<(LeafCandidate, Option<(usize, bool)>)> = Vec::new();
+    let mut frontier: Vec<(LeafCandidate, Option<(u32, bool)>)> = Vec::new();
     frontier.push((seed_candidate(x, pre, 0, n, 0, grad, hess, params, s), None));
     let leaf_budget = match params.policy {
         GrowthPolicy::DepthWise => usize::MAX,
@@ -256,19 +222,9 @@ fn fit_reg_tree(
             break;
         }
         let (cand, parent) = frontier.swap_remove(pick.expect("checked above"));
-        let node_id = tree.nodes.len();
-        tree.nodes.push(RegNode {
-            feature: cand.feature,
-            threshold: cand.threshold,
-            left: 0,
-            right: 0,
-        });
+        let node_id = tree.push_split(cand.feature as u16, cand.threshold);
         if let Some((p, is_left)) = parent {
-            if is_left {
-                tree.nodes[p].left = node_id as i32;
-            } else {
-                tree.nodes[p].right = node_id as i32;
-            }
+            tree.set_child(p, is_left, node_id);
         }
         // Frontier segments are pairwise disjoint, so splitting this one
         // in place never disturbs another pending candidate.
@@ -279,29 +235,24 @@ fn fit_reg_tree(
         frontier.push((l, Some((node_id, true))));
         frontier.push((r, Some((node_id, false))));
     }
-    if tree.nodes.is_empty() {
-        tree.root_is_leaf = true;
-        tree.leaf_values.push(leaf_value(pre.seg(0, 0, n), grad, hess));
+    if tree.payload.is_empty() {
+        tree.push_leaf(leaf_value(pre.seg(0, 0, n), grad, hess));
         return tree;
     }
     // turn remaining frontier entries into leaves
     for (cand, parent) in frontier {
-        let leaf_id = tree.leaf_values.len();
-        tree.leaf_values.push(leaf_value(pre.seg(0, cand.lo, cand.hi), grad, hess));
+        let leaf = tree.push_leaf(leaf_value(pre.seg(0, cand.lo, cand.hi), grad, hess));
         let (p, is_left) = parent.expect("non-root frontier nodes have parents");
-        let enc = -((leaf_id as i32) + 1);
-        if is_left {
-            tree.nodes[p].left = enc;
-        } else {
-            tree.nodes[p].right = enc;
-        }
+        tree.set_child(p, is_left, leaf);
     }
+    tree.seal(x[0].len()).expect("fit links every split forward");
     tree
 }
 
 /// A trained gradient-boosting classifier.
 pub struct GradientBoosting {
-    trees: Vec<Vec<RegTree>>, // [round][class]
+    /// Round-major: round `r`'s tree for class `c` is `trees[r * n_classes + c]`.
+    trees: Vec<FlatTree<f32>>,
     n_classes: usize,
     eta: f32,
 }
@@ -310,6 +261,7 @@ impl GradientBoosting {
     /// Fit on feature rows and labels.
     pub fn fit(x: &[&[f32]], y: &[u16], n_classes: usize, params: GbdtParams) -> GradientBoosting {
         assert!(!x.is_empty(), "empty training set");
+        assert!(x[0].len() <= 1 << 16, "at most 65536 feature columns");
         let n = x.len();
         // one presort shared by every tree of every round
         let mut pre = Presorted::new(x);
@@ -318,9 +270,8 @@ impl GradientBoosting {
         let mut probs = vec![0.0f32; n * n_classes];
         let mut grad = vec![0.0f32; n];
         let mut hess = vec![0.0f32; n];
-        let mut rounds = Vec::with_capacity(params.rounds);
+        let mut trees = Vec::with_capacity(params.rounds * n_classes);
         for _ in 0..params.rounds {
-            let mut round_trees = Vec::with_capacity(n_classes);
             // softmax probabilities
             for i in 0..n {
                 let s = &scores[i * n_classes..(i + 1) * n_classes];
@@ -342,53 +293,78 @@ impl GradientBoosting {
                     hess[i] = p * (1.0 - p);
                 }
                 let tree = fit_reg_tree(x, &grad, &hess, &params, &mut pre, &mut scratch);
-                for i in 0..n {
-                    scores[i * n_classes + c] += params.eta * tree.predict(x[i]);
-                }
-                round_trees.push(tree);
+                walk(std::iter::once(&tree), x, |i, _, v| {
+                    scores[i * n_classes + c] += params.eta * v
+                });
+                trees.push(tree);
             }
-            rounds.push(round_trees);
         }
-        GradientBoosting { trees: rounds, n_classes, eta: params.eta }
+        GradientBoosting { trees, n_classes, eta: params.eta }
+    }
+
+    /// Class scores of `rows` into `scores` (row-major, `n_classes` per
+    /// row) and their argmax labels into `out`. Each row adds
+    /// `eta * value` round by round, class by class, so its scores do
+    /// not depend on the rows batched with it.
+    pub fn predict_into<R: AsRef<[f32]>>(
+        &self,
+        rows: &[R],
+        scores: &mut Vec<f32>,
+        out: &mut Vec<u16>,
+    ) {
+        let nc = self.n_classes;
+        scores.clear();
+        scores.resize(rows.len() * nc, 0.0);
+        walk(self.trees.iter(), rows, |row, k, v| scores[row * nc + k % nc] += self.eta * v);
+        out.clear();
+        out.extend(scores.chunks_exact(nc).map(|s| {
+            s.iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(c, _)| c as u16)
+                .unwrap_or(0)
+        }));
     }
 
     /// Class scores for one row.
     pub fn scores_one(&self, x: &[f32]) -> Vec<f32> {
-        let mut s = vec![0.0f32; self.n_classes];
-        for round in &self.trees {
-            for (c, tree) in round.iter().enumerate() {
-                s[c] += self.eta * tree.predict(x);
-            }
-        }
-        s
+        let mut scores = Vec::new();
+        self.predict_into(&[x], &mut scores, &mut Vec::new());
+        scores
     }
 
     /// Predicted label for one row.
     pub fn predict_one(&self, x: &[f32]) -> u16 {
-        let s = self.scores_one(x);
-        s.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(c, _)| c as u16).unwrap_or(0)
+        self.predict(&[x])[0]
     }
 
     /// Predicted labels for many rows.
     pub fn predict(&self, x: &[&[f32]]) -> Vec<u16> {
-        x.iter().map(|r| self.predict_one(r)).collect()
+        let mut out = Vec::new();
+        self.predict_into(x, &mut Vec::new(), &mut out);
+        out
     }
 }
 
-fn write_reg_tree(w: &mut nn::envelope::PayloadWriter, tree: &RegTree) {
-    w.u8(u8::from(tree.root_is_leaf));
-    w.u64(tree.nodes.len() as u64);
-    for node in &tree.nodes {
-        w.u32(node.feature as u32);
-        w.f32(node.threshold);
-        // i32 child links stored as their two's-complement bit patterns
-        w.u32(node.left as u32);
-        w.u32(node.right as u32);
+/// The export keeps the layout of a tree with separate leaf storage:
+/// splits as `(feature, threshold, left, right)`, where a negative link
+/// `-(k + 1)` names leaf value `k`, then the leaf values.
+fn write_reg_tree(w: &mut nn::envelope::PayloadWriter, tree: &FlatTree<f32>) {
+    let n_splits = (0..tree.payload.len()).take_while(|&i| tree.split(i).is_some()).count();
+    let link = |c: u32| if c as usize >= n_splits { !(c - n_splits as u32) } else { c };
+    w.u8(u8::from(n_splits == 0));
+    w.u64(n_splits as u64);
+    for i in 0..n_splits {
+        let (feature, threshold, left, right) = tree.split(i).expect("splits come first");
+        w.u32(u32::from(feature));
+        w.f32(threshold);
+        w.u32(link(left));
+        w.u32(link(right));
     }
-    w.f32s(&tree.leaf_values);
+    w.f32s(&tree.payload[n_splits..]);
 }
 
-fn read_reg_tree(r: &mut nn::envelope::PayloadReader) -> Result<RegTree, String> {
+fn read_reg_tree(r: &mut nn::envelope::PayloadReader) -> Result<FlatTree<f32>, String> {
     let root_is_leaf = match r.u8()? {
         0 => false,
         1 => true,
@@ -398,41 +374,35 @@ fn read_reg_tree(r: &mut nn::envelope::PayloadReader) -> Result<RegTree, String>
     if n > 1 << 24 {
         return Err(format!("implausible regression tree size {n}"));
     }
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let feature = r.u32()? as usize;
-        let threshold = r.f32()?;
-        let left = r.u32()? as i32;
-        let right = r.u32()? as i32;
-        nodes.push(RegNode { feature, threshold, left, right });
+    let mut tree = FlatTree::default();
+    for i in 0..n {
+        let feature = r.u32()?;
+        let feature = u16::try_from(feature)
+            .map_err(|_| format!("node {i}: split feature {feature} out of range"))?;
+        let id = tree.push_split(feature, r.f32()?);
+        for is_left in [true, false] {
+            // Leaf value k, linked as -(k + 1), lands at node n + k. A
+            // split link must point forward to a split; any other lands
+            // out of range, and `seal` refuses it.
+            let link = r.u32()? as i32;
+            let child = match usize::try_from(link) {
+                Ok(l) if l > i && l < n => l,
+                Ok(_) => usize::MAX,
+                Err(_) => n + !link as usize,
+            };
+            tree.set_child(id, is_left, child as u32);
+        }
     }
     let leaf_values = r.f32s()?;
-    if root_is_leaf {
-        if leaf_values.is_empty() {
-            return Err("leaf-only regression tree without a value".into());
-        }
-    } else if nodes.is_empty() {
-        return Err("regression tree with neither nodes nor leaf root".into());
+    if root_is_leaf != (n == 0) || (root_is_leaf && leaf_values.len() != 1) {
+        let m = leaf_values.len();
+        return Err(format!("tree with {n} splits, {m} values, root_is_leaf {root_is_leaf}"));
     }
-    // Interior children always point forward (they are created after
-    // their parent) and leaf links must decode to a stored value, so a
-    // validated tree cannot loop or index out of bounds at prediction.
-    for (i, node) in nodes.iter().enumerate() {
-        for link in [node.left, node.right] {
-            if link < 0 {
-                let leaf = (-link - 1) as usize;
-                if leaf >= leaf_values.len() {
-                    return Err(format!(
-                        "node {i}: leaf link {leaf} out of range ({} values)",
-                        leaf_values.len()
-                    ));
-                }
-            } else if (link as usize) <= i || (link as usize) >= nodes.len() {
-                return Err(format!("node {i}: bad child link {link} of {}", nodes.len()));
-            }
-        }
+    for v in leaf_values {
+        tree.push_leaf(v);
     }
-    Ok(RegTree { nodes, leaf_values, root_is_leaf })
+    tree.seal(1 << 16)?;
+    Ok(tree)
 }
 
 impl nn::frozen::FrozenArtifact for GradientBoosting {
@@ -441,11 +411,9 @@ impl nn::frozen::FrozenArtifact for GradientBoosting {
     fn write_payload(&self, w: &mut nn::envelope::PayloadWriter) {
         w.u32(self.n_classes as u32);
         w.f32(self.eta);
-        w.u64(self.trees.len() as u64);
-        for round in &self.trees {
-            for tree in round {
-                write_reg_tree(w, tree);
-            }
+        w.u64((self.trees.len() / self.n_classes) as u64);
+        for tree in &self.trees {
+            write_reg_tree(w, tree);
         }
     }
 
@@ -459,14 +427,8 @@ impl nn::frozen::FrozenArtifact for GradientBoosting {
         if n_rounds > 1 << 16 {
             return Err(format!("implausible round count {n_rounds}"));
         }
-        let mut trees = Vec::with_capacity(n_rounds);
-        for _ in 0..n_rounds {
-            let mut round = Vec::with_capacity(n_classes);
-            for _ in 0..n_classes {
-                round.push(read_reg_tree(r)?);
-            }
-            trees.push(round);
-        }
+        let trees =
+            (0..n_rounds * n_classes).map(|_| read_reg_tree(r)).collect::<Result<_, _>>()?;
         Ok(GradientBoosting { trees, n_classes, eta })
     }
 }

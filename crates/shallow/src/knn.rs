@@ -75,6 +75,12 @@ impl KnnClassifier {
             .unwrap_or(0)
     }
 
+    /// Labels of `rows` into `out`.
+    pub fn predict_into<R: AsRef<[f32]>>(&self, rows: &[R], out: &mut Vec<u16>) {
+        out.clear();
+        out.extend(rows.iter().map(|r| self.predict_one(r.as_ref())));
+    }
+
     /// Predict labels for many rows.
     pub fn predict(&self, rows: &[&[f32]]) -> Vec<u16> {
         rows.iter().map(|r| self.predict_one(r)).collect()

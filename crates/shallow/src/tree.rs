@@ -43,16 +43,122 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf { label: u16 },
-    Split { feature: usize, threshold: f32, left: usize, right: usize },
+/// Rows one batch walk moves through a tree together.
+const LANES: usize = 16;
+
+/// One node of a compiled tree, 16 bytes. A leaf links to itself with
+/// threshold +∞, so a walk that steps past it stays put.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    threshold: f32,
+    feature: u16,
+    left: u32,
+    right: u32,
+}
+
+/// A tree as one flat node array, the leaf payload (a CART label or a
+/// GBDT value) in a parallel array, and the longest root-to-leaf path.
+/// Children always come after their parent.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FlatTree<P> {
+    nodes: Vec<Node>,
+    pub(crate) payload: Vec<P>,
+    depth: u32,
+}
+
+impl<P: Copy + Default> FlatTree<P> {
+    pub(crate) fn push_leaf(&mut self, value: P) -> u32 {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node { threshold: f32::INFINITY, feature: 0, left: id, right: id });
+        self.payload.push(value);
+        id
+    }
+
+    /// A split whose children [`FlatTree::set_child`] links later.
+    pub(crate) fn push_split(&mut self, feature: u16, threshold: f32) -> u32 {
+        self.payload.push(P::default());
+        self.nodes.push(Node { threshold, feature, left: 0, right: 0 });
+        self.nodes.len() as u32 - 1
+    }
+
+    pub(crate) fn set_child(&mut self, node: u32, is_left: bool, child: u32) {
+        let n = &mut self.nodes[node as usize];
+        *(if is_left { &mut n.left } else { &mut n.right }) = child;
+    }
+
+    /// `(feature, threshold, left, right)` of node `i`, `None` for a leaf.
+    pub(crate) fn split(&self, i: usize) -> Option<(u16, f32, u32, u32)> {
+        let n = self.nodes[i];
+        (n.left as usize != i).then_some((n.feature, n.threshold, n.left, n.right))
+    }
+
+    /// Check every link and feature and record the depth. Links that
+    /// only point forward make the tree acyclic, and one pass in index
+    /// order then finds the longest path.
+    pub(crate) fn seal(&mut self, n_features: usize) -> Result<(), String> {
+        let n = self.nodes.len();
+        let mut depth = vec![0u32; n];
+        for (i, node) in self.nodes.iter().enumerate() {
+            let (l, r) = (node.left as usize, node.right as usize);
+            if l == i && r == i {
+                continue;
+            }
+            if l <= i || r <= i || l >= n || r >= n {
+                return Err(format!("node {i}: bad child links {l}/{r} of {n}"));
+            }
+            if usize::from(node.feature) >= n_features {
+                let f = node.feature;
+                return Err(format!("split feature {f} out of range (n_features {n_features})"));
+            }
+            for c in [l, r] {
+                depth[c] = depth[c].max(depth[i] + 1);
+            }
+        }
+        self.depth = depth.into_iter().max().unwrap_or(0);
+        Ok(())
+    }
+}
+
+/// Walk `rows` through `trees`, [`LANES`] rows at a time, and call
+/// `f(row, tree, leaf payload)` for every pair. Each round moves every
+/// row one step, `i = if x[f] <= t { left } else { right }`, so the
+/// rows' loads overlap instead of each waiting on a mispredicted
+/// branch; a NaN compares false and goes right. A tree's walk stops
+/// once no row moved, or after `depth` rounds.
+pub(crate) fn walk<'a, P: Copy + 'a, R: AsRef<[f32]>>(
+    trees: impl Iterator<Item = &'a FlatTree<P>> + Clone,
+    rows: &[R],
+    mut f: impl FnMut(usize, usize, P),
+) {
+    let mut at = [0u32; LANES];
+    for (c, chunk) in rows.chunks(LANES).enumerate() {
+        let at = &mut at[..chunk.len()];
+        for (k, tree) in trees.clone().enumerate() {
+            at.fill(0);
+            for _ in 0..tree.depth {
+                let mut moved = false;
+                for (i, row) in at.iter_mut().zip(chunk) {
+                    let n = tree.nodes[*i as usize];
+                    let x = row.as_ref()[usize::from(n.feature)];
+                    let next = if x <= n.threshold { n.left } else { n.right };
+                    moved |= next != *i;
+                    *i = next;
+                }
+                if !moved {
+                    break;
+                }
+            }
+            for (lane, &i) in at.iter().enumerate() {
+                f(c * LANES + lane, k, tree.payload[i as usize]);
+            }
+        }
+    }
 }
 
 /// A trained CART decision tree.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
-    nodes: Vec<Node>,
+    pub(crate) tree: FlatTree<u16>,
     /// Total Gini-impurity decrease credited to each feature.
     pub importance: Vec<f64>,
 }
@@ -111,7 +217,9 @@ impl DecisionTree {
         assert_eq!(x.len(), y.len());
         assert!(!x.is_empty(), "empty training set");
         let n_features = x[0].len();
-        let mut tree = DecisionTree { nodes: Vec::new(), importance: vec![0.0; n_features] };
+        assert!(n_features <= 1 << 16, "at most 65536 feature columns");
+        let mut tree =
+            DecisionTree { tree: FlatTree::default(), importance: vec![0.0; n_features] };
         let mut rng = StdRng::seed_from_u64(seed);
         if n_features == 0 {
             // No columns to split on: a single majority leaf.
@@ -119,11 +227,12 @@ impl DecisionTree {
             for &l in y {
                 counts[usize::from(l)] += 1;
             }
-            tree.nodes.push(Node::Leaf { label: majority_label(&counts) });
-            return tree;
+            tree.tree.push_leaf(majority_label(&counts));
+        } else {
+            let mut s = Scratch::new(x, n_classes);
+            tree.build(x, y, 0, x.len(), 0, params, &mut s, &mut rng);
         }
-        let mut s = Scratch::new(x, n_classes);
-        tree.build(x, y, 0, x.len(), 0, params, &mut s, &mut rng);
+        tree.tree.seal(n_features).expect("fit links every split forward");
         tree
     }
 
@@ -139,8 +248,7 @@ impl DecisionTree {
         params: TreeParams,
         s: &mut Scratch,
         rng: &mut StdRng,
-    ) -> usize {
-        let node_id = self.nodes.len();
+    ) -> u32 {
         s.counts.fill(0);
         for &i in s.pre.seg(0, lo, hi) {
             s.counts[usize::from(y[i as usize])] += 1;
@@ -149,8 +257,7 @@ impl DecisionTree {
         let node_gini = gini(&s.counts, total);
         let pure = s.counts.iter().filter(|&&c| c > 0).count() <= 1;
         if pure || depth >= params.max_depth || hi - lo < params.min_samples_split {
-            self.nodes.push(Node::Leaf { label: majority_label(&s.counts) });
-            return node_id;
+            return self.tree.push_leaf(majority_label(&s.counts));
         }
         // choose candidate features
         let n_features = x[0].len();
@@ -228,60 +335,44 @@ impl DecisionTree {
             }
         }
         let Some((feature, threshold, w)) = best else {
-            self.nodes.push(Node::Leaf { label: majority_label(&s.counts) });
-            return node_id;
+            return self.tree.push_leaf(majority_label(&s.counts));
         };
         let decrease = (node_gini - w) * f64::from(total);
         if decrease <= 1e-12 {
-            self.nodes.push(Node::Leaf { label: majority_label(&s.counts) });
-            return node_id;
+            return self.tree.push_leaf(majority_label(&s.counts));
         }
         self.importance[feature] += decrease;
         let mid = s.pre.split(x, feature, threshold, lo, hi);
-        self.nodes.push(Node::Split { feature, threshold, left: 0, right: 0 });
+        let node_id = self.tree.push_split(feature as u16, threshold);
         let left = self.build(x, y, lo, mid, depth + 1, params, s, rng);
         let right = self.build(x, y, mid, hi, depth + 1, params, s, rng);
-        if let Node::Split { left: l, right: r, .. } = &mut self.nodes[node_id] {
-            *l = left;
-            *r = right;
-        }
+        self.tree.set_child(node_id, true, left);
+        self.tree.set_child(node_id, false, right);
         node_id
+    }
+
+    /// Labels of `rows` into `out`, walked 16 rows at a time.
+    pub fn predict_into<R: AsRef<[f32]>>(&self, rows: &[R], out: &mut Vec<u16>) {
+        out.clear();
+        out.resize(rows.len(), 0);
+        walk(std::iter::once(&self.tree), rows, |row, _, label| out[row] = label);
     }
 
     /// Predict the label of one feature row.
     pub fn predict_one(&self, x: &[f32]) -> u16 {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { label } => return *label,
-                Node::Split { feature, threshold, left, right } => {
-                    node = if x[*feature] <= *threshold { *left } else { *right };
-                }
-            }
-        }
+        self.predict(&[x])[0]
     }
 
     /// Predict labels for many rows.
     pub fn predict(&self, x: &[&[f32]]) -> Vec<u16> {
-        x.iter().map(|r| self.predict_one(r)).collect()
+        let mut out = Vec::new();
+        self.predict_into(x, &mut out);
+        out
     }
 
     /// Number of nodes (diagnostics).
     pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Largest leaf label in the tree (for cross-checking against a
-    /// class count stored alongside the tree in an ensemble export).
-    pub(crate) fn max_leaf_label(&self) -> u16 {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Leaf { label } => Some(*label),
-                Node::Split { .. } => None,
-            })
-            .max()
-            .unwrap_or(0)
+        self.tree.nodes.len()
     }
 }
 
@@ -289,19 +380,19 @@ impl nn::frozen::FrozenArtifact for DecisionTree {
     const KIND: &'static str = "tree";
 
     fn write_payload(&self, w: &mut nn::envelope::PayloadWriter) {
-        w.u64(self.nodes.len() as u64);
-        for node in &self.nodes {
-            match node {
-                Node::Leaf { label } => {
+        w.u64(self.tree.payload.len() as u64);
+        for (i, &label) in self.tree.payload.iter().enumerate() {
+            match self.tree.split(i) {
+                None => {
                     w.u8(0);
-                    w.u16(*label);
+                    w.u16(label);
                 }
-                Node::Split { feature, threshold, left, right } => {
+                Some((feature, threshold, left, right)) => {
                     w.u8(1);
-                    w.u32(*feature as u32);
-                    w.f32(*threshold);
-                    w.u32(*left as u32);
-                    w.u32(*right as u32);
+                    w.u32(u32::from(feature));
+                    w.f32(threshold);
+                    w.u32(left);
+                    w.u32(right);
                 }
             }
         }
@@ -313,38 +404,31 @@ impl nn::frozen::FrozenArtifact for DecisionTree {
         if n == 0 || n > 1 << 24 {
             return Err(format!("implausible tree size {n}"));
         }
-        let mut nodes = Vec::with_capacity(n);
+        let mut tree = FlatTree::default();
         for i in 0..n {
             match r.u8()? {
-                0 => nodes.push(Node::Leaf { label: r.u16()? }),
+                0 => {
+                    tree.push_leaf(r.u16()?);
+                }
                 1 => {
-                    let feature = r.u32()? as usize;
-                    let threshold = r.f32()?;
-                    let left = r.u32()? as usize;
-                    let right = r.u32()? as usize;
-                    // Children are always created after their parent, so
-                    // strictly-descending-only links guarantee the tree
-                    // is acyclic and prediction terminates.
-                    if left <= i || right <= i || left >= n || right >= n {
-                        return Err(format!("node {i}: bad child links {left}/{right} of {n}"));
+                    let feature = r.u32()?;
+                    let feature = u16::try_from(feature)
+                        .map_err(|_| format!("node {i}: split feature {feature} out of range"))?;
+                    let id = tree.push_split(feature, r.f32()?);
+                    let (left, right) = (r.u32()?, r.u32()?);
+                    // a split linked to itself would read back as a leaf
+                    if left == id || right == id {
+                        return Err(format!("node {i}: split links to itself"));
                     }
-                    nodes.push(Node::Split { feature, threshold, left, right });
+                    tree.set_child(id, true, left);
+                    tree.set_child(id, false, right);
                 }
                 t => return Err(format!("node {i}: unknown tag {t}")),
             }
         }
         let importance = r.f64s()?;
-        for node in &nodes {
-            if let Node::Split { feature, .. } = node {
-                if *feature >= importance.len() {
-                    return Err(format!(
-                        "split feature {feature} out of range (n_features {})",
-                        importance.len()
-                    ));
-                }
-            }
-        }
-        Ok(DecisionTree { nodes, importance })
+        tree.seal(importance.len())?;
+        Ok(DecisionTree { tree, importance })
     }
 }
 

@@ -79,3 +79,53 @@ fn every_layout_matches_its_golden_bytes() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A small labelled feature set with ties, a constant column and a few
+/// NaN and infinite values, for the tree-model pins.
+fn labelled(rows: usize) -> (Vec<[f32; 4]>, Vec<u16>) {
+    let mut x = Vec::with_capacity(rows);
+    let mut y = Vec::with_capacity(rows);
+    for i in 0..rows {
+        let c = (i * 7 % 3) as u16;
+        let mut r = [
+            f32::from(c) + (i % 5) as f32 * 0.25,
+            (i * 13 % 11) as f32,
+            f32::from(c) * 0.5 - (i % 4) as f32 * 0.125,
+            1.0,
+        ];
+        match i % 17 {
+            3 => r[1] = f32::NAN,
+            8 => r[0] = f32::INFINITY,
+            12 => r[2] = f32::NEG_INFINITY,
+            _ => {}
+        }
+        x.push(r);
+        y.push(c);
+    }
+    (x, y)
+}
+
+#[test]
+fn tree_model_exports_match_their_golden_bytes() {
+    use debunk::shallow::forest::{ForestParams, RandomForest};
+    use debunk::shallow::gbdt::{GbdtParams, GradientBoosting};
+    let (x, y) = labelled(120);
+    let rows: Vec<&[f32]> = x.iter().map(|r| r.as_slice()).collect();
+
+    let forest =
+        RandomForest::fit(&rows, &y, 3, ForestParams { n_trees: 4, ..Default::default() }, 7);
+    let bytes = forest.to_frozen_bytes();
+    assert_eq!(
+        (fnv64(&bytes), bytes.len()),
+        (0xbf07_e5f6_dcf4_3a85, 914),
+        "forest.frozen layout changed"
+    );
+
+    let gbdt = GradientBoosting::fit(&rows, &y, 3, GbdtParams { rounds: 3, ..Default::default() });
+    let bytes = gbdt.to_frozen_bytes();
+    assert_eq!(
+        (fnv64(&bytes), bytes.len()),
+        (0x1aff_ac42_b099_f860, 837),
+        "gbdt.frozen layout changed"
+    );
+}
