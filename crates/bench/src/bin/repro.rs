@@ -346,9 +346,6 @@ fn main() {
         max_attempts: cli.max_attempts,
         max_cell_seconds: cli.max_cell_seconds,
         trace: cli.trace,
-        // run_worker forces this on for worker processes; plain and
-        // coordinator runs journal only executed cells.
-        journal_replays: false,
     };
     let t0 = std::time::Instant::now();
     let result = if let Some(index) = cli.worker {

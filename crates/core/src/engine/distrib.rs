@@ -18,9 +18,9 @@
 //! every `<experiment>.json` record file and `run-manifest.json` are
 //! byte-identical to an uninterrupted single-process `--jobs` run and
 //! invariant across worker counts, cold or warm cache, and across a
-//! worker SIGKILL + `--resume` — because workers journal replayed cells
-//! too ([`crate::engine::runner::RunOptions::journal_replays`]) and the
-//! merge normalises every finished cell to one `started`/`done` pair at
+//! worker SIGKILL + `--resume` — because worker sessions journal
+//! replayed cells too (`start_worker_session`) and the merge
+//! normalises every finished cell to one `started`/`done` pair at
 //! attempt 1. Failed cells are normalised to `max_attempts`
 //! `started`/`failed` pairs carrying the last recorded error, which is
 //! worker-count invariant but can legitimately differ from a
@@ -221,9 +221,9 @@ fn out_root(opts: &RunOptions) -> Result<PathBuf, RunError> {
 /// enumeration order, skip cells a sibling already finished (combined
 /// journal state), claim the rest one at a time and execute each
 /// through the standard cell runner (panic isolation, bounded retry,
-/// artifact-cache replay — with `journal_replays` forced on so the
-/// coordinator's merge sees every cell). Serial within the worker;
-/// parallelism comes from the worker count.
+/// artifact-cache replay — in a worker session, which journals cache
+/// replays too so the coordinator's merge sees every cell). Serial
+/// within the worker; parallelism comes from the worker count.
 pub fn run_worker(
     registry: &Registry,
     filter: &str,
@@ -233,11 +233,10 @@ pub fn run_worker(
 ) -> Result<RunSummary, RunError> {
     check_filter(registry, filter)?;
     let root = out_root(opts)?;
-    let opts = RunOptions { journal_replays: true, ..opts.clone() };
     std::fs::create_dir_all(root.join(CLAIMS_DIR))
         .map_err(|e| JournalError::Io(root.join(CLAIMS_DIR), e))?;
     let prior = combined_state(&root, ctx.run_fingerprint(), opts.resume)?;
-    let session = start_worker_session(ctx, &opts, &worker_dir(&root, index), prior)?;
+    let session = start_worker_session(ctx, opts, &worker_dir(&root, index), prior)?;
     nn::set_kernel_threads(opts.kernel_threads.unwrap_or_else(|| opts.jobs.max(1)));
     for exp in registry.iter().filter(|exp| matches(filter, exp.id())) {
         let cells = exp.cells(ctx);
@@ -250,7 +249,7 @@ pub fn run_worker(
                 continue; // another worker owns it right now
             }
             session.bump_total(1);
-            session.run_cell(exp.id(), &cells, i, ctx, &opts);
+            session.run_cell(exp.id(), &cells, i, ctx, opts);
         }
     }
     Ok(session.finish())

@@ -68,13 +68,6 @@ pub struct RunOptions {
     /// (aggregated at finish). Strictly separate from records, journal
     /// and manifest, whose bytes are identical with tracing on or off.
     pub trace: bool,
-    /// Journal a `started`/`done` pair even for cells replayed from the
-    /// artifact cache. Off for normal runs (a warm single-process run
-    /// journals nothing for replayed cells); worker processes under
-    /// `--workers` set it so the coordinator's merged journal covers
-    /// every cell regardless of cache state — the distrib byte-stability
-    /// contract (`engine::distrib`).
-    pub journal_replays: bool,
 }
 
 impl Default for RunOptions {
@@ -87,7 +80,6 @@ impl Default for RunOptions {
             max_attempts: 1,
             max_cell_seconds: None,
             trace: false,
-            journal_replays: false,
         }
     }
 }
@@ -180,6 +172,13 @@ pub struct RunSession {
     /// on the context and caches for the session's lifetime.
     obs: Arc<ObsSink>,
     started: Instant,
+    /// Journal a `started`/`done` pair even for cells replayed from the
+    /// artifact cache. Off for normal sessions (a warm single-process
+    /// run journals nothing for replayed cells); on for distrib worker
+    /// sessions, so the coordinator's merged journal covers every cell
+    /// regardless of cache state — the distrib byte-stability contract
+    /// (`engine::distrib`).
+    journal_replays: bool,
 }
 
 /// Open a session: create (or, with `resume`, replay) the journal under
@@ -202,6 +201,7 @@ pub fn start_session(ctx: &RunContext, opts: &RunOptions) -> Result<RunSession, 
         run_fp_hex: format!("{:016x}", ctx.run_fingerprint()),
         obs: sink,
         started: Instant::now(),
+        journal_replays: false,
     };
     if let Some(dir) = &opts.out_dir {
         std::fs::create_dir_all(dir).map_err(|e| JournalError::Io(dir.clone(), e))?;
@@ -266,6 +266,7 @@ pub(crate) fn start_worker_session(
         run_fp_hex: format!("{:016x}", ctx.run_fingerprint()),
         obs: sink,
         started: Instant::now(),
+        journal_replays: true,
     })
 }
 
@@ -504,7 +505,7 @@ impl RunSession {
         let cell_parts =
             [self.run_fp_hex.as_str(), exp_id, &spec.task, &spec.model, &spec.setting, &seed_hex];
         if let Some(out) = self.artifacts.lookup::<CellOutput>(&cell_parts) {
-            if opts.journal_replays {
+            if self.journal_replays {
                 // Worker mode: the replayed cell must still appear in
                 // this worker's journal, because the coordinator's merge
                 // reconstructs the canonical journal purely from worker

@@ -200,35 +200,6 @@ struct KernelBudget {
     kernel_threads: u64,
 }
 
-#[derive(Debug, Default, Clone)]
-struct ServingAgg {
-    packets: u64,
-    non_ip: u64,
-    flows_opened: u64,
-    evicted_closed: u64,
-    evicted_idle: u64,
-    flushed: u64,
-    batches: u64,
-    verdicts: u64,
-    /// Hot-reloads applied (bundle swapped at an epoch boundary).
-    reloads_applied: u64,
-    /// Reload candidates refused (corrupt or policy-incompatible).
-    reloads_refused: u64,
-    /// Packet sequence numbers where each applied reload took effect —
-    /// the exact boundaries a planned replay needs to reproduce the
-    /// verdict stream byte-for-byte.
-    boundaries: Vec<u64>,
-    /// Per-shard serving totals, keyed by worker index.
-    shards: BTreeMap<usize, ShardAgg>,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct ShardAgg {
-    flows: u64,
-    verdicts: u64,
-    busy_secs: f64,
-}
-
 /// Why the serving flow table retired a flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionReason {
@@ -259,7 +230,6 @@ struct Agg {
     retries: u64,
     backoff_ms: u64,
     kernel: Option<KernelBudget>,
-    serving: ServingAgg,
 }
 
 /// A structured event/metrics sink. Cheap to share (`Arc`); every method
@@ -458,146 +428,6 @@ impl ObsSink {
         self.agg().experiments.entry(experiment.to_string()).or_default().wall_secs += wall_secs;
     }
 
-    /// Record serving ingest progress: `packets` frames examined, of
-    /// which `non_ip` carried no flow key (ARP, malformed, ...).
-    pub fn record_serving_packets(&self, packets: u64, non_ip: u64) {
-        let mut agg = self.agg();
-        agg.serving.packets += packets;
-        agg.serving.non_ip += non_ip;
-    }
-
-    /// Record a flow entering the serving flow table.
-    pub fn record_serving_flow_opened(&self) {
-        self.agg().serving.flows_opened += 1;
-    }
-
-    /// Record a flow leaving the serving flow table.
-    pub fn record_serving_eviction(&self, reason: EvictionReason) {
-        let mut agg = self.agg();
-        match reason {
-            EvictionReason::Closed => agg.serving.evicted_closed += 1,
-            EvictionReason::Idle => agg.serving.evicted_idle += 1,
-            EvictionReason::Flush => agg.serving.flushed += 1,
-        }
-    }
-
-    /// Record one classification batch producing `verdicts` verdicts.
-    pub fn record_serving_batch(&self, verdicts: usize) {
-        let mut agg = self.agg();
-        agg.serving.batches += 1;
-        agg.serving.verdicts += verdicts as u64;
-    }
-
-    /// Record a model hot-reload applied at packet sequence `boundary`.
-    pub fn record_serving_reload(&self, boundary: u64) {
-        let mut agg = self.agg();
-        agg.serving.reloads_applied += 1;
-        agg.serving.boundaries.push(boundary);
-    }
-
-    /// Record a reload candidate refused (corrupt or incompatible);
-    /// the previous bundle keeps serving.
-    pub fn record_serving_reload_refused(&self) {
-        self.agg().serving.reloads_refused += 1;
-    }
-
-    /// Record one shard worker's end-of-run totals.
-    pub fn record_serving_shard(&self, shard: usize, flows: u64, verdicts: u64, busy_secs: f64) {
-        let mut agg = self.agg();
-        let sh = agg.serving.shards.entry(shard).or_default();
-        sh.flows += flows;
-        sh.verdicts += verdicts;
-        sh.busy_secs += busy_secs;
-    }
-
-    /// Render the serving counters (plus any recorded stages) as
-    /// deterministic-structure JSON. Strictly out of band: nothing in
-    /// here ever reaches the verdict stream.
-    pub fn serving_metrics_json(&self, total_secs: f64) -> String {
-        let agg = self.agg();
-        let sv = &agg.serving;
-        let counts = &self.event_counts;
-        let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"debunk-serving-metrics-v2\",\n");
-        s.push_str(&format!("  \"total_secs\": {},\n", format_f64(total_secs)));
-        s.push_str(&format!(
-            "  \"packets\": {{\"seen\": {}, \"non_ip\": {}}},\n",
-            sv.packets, sv.non_ip
-        ));
-        s.push_str(&format!(
-            "  \"flows\": {{\"opened\": {}, \"evicted_closed\": {}, \"evicted_idle\": {}, \
-             \"flushed\": {}}},\n",
-            sv.flows_opened, sv.evicted_closed, sv.evicted_idle, sv.flushed
-        ));
-        s.push_str(&format!(
-            "  \"batches\": {{\"count\": {}, \"verdicts\": {}}},\n",
-            sv.batches, sv.verdicts
-        ));
-        let boundaries: Vec<String> = sv.boundaries.iter().map(|b| b.to_string()).collect();
-        s.push_str(&format!(
-            "  \"reloads\": {{\"applied\": {}, \"refused\": {}, \"boundaries\": [{}]}},\n",
-            sv.reloads_applied,
-            sv.reloads_refused,
-            boundaries.join(", ")
-        ));
-        s.push_str("  \"shards\": {");
-        for (i, (idx, sh)) in sv.shards.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let fps = if sh.busy_secs > 0.0 { sh.flows as f64 / sh.busy_secs } else { 0.0 };
-            s.push_str(&format!(
-                "\n    \"{}\": {{\"flows\": {}, \"verdicts\": {}, \"busy_secs\": {}, \
-                 \"flows_per_sec\": {}}}",
-                idx,
-                sh.flows,
-                sh.verdicts,
-                format_f64(sh.busy_secs),
-                format_f64(fps)
-            ));
-        }
-        s.push_str(if sv.shards.is_empty() { "},\n" } else { "\n  },\n" });
-        let kernel_stats = nn::kernel::kernel_stats();
-        s.push_str(&format!(
-            "  \"simd\": {{\"lane\": \"{}\", \"dispatches\": {}}},\n",
-            nn::simd::active_lane().name(),
-            kernel_stats.simd_dispatches,
-        ));
-        s.push_str(&format!(
-            "  \"events\": {{\"debug\": {}, \"info\": {}, \"warn\": {}, \"error\": {}}},\n",
-            counts[0].load(Ordering::Relaxed),
-            counts[1].load(Ordering::Relaxed),
-            counts[2].load(Ordering::Relaxed),
-            counts[3].load(Ordering::Relaxed),
-        ));
-        s.push_str("  \"stages\": {");
-        for (i, (name, st)) in agg.stages.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"secs\": {}}}",
-                escape_json(name),
-                st.count,
-                format_f64(st.secs)
-            ));
-        }
-        s.push_str(if agg.stages.is_empty() { "}\n" } else { "\n  }\n" });
-        s.push('}');
-        s
-    }
-
-    /// Write the serving metrics atomically as `metrics.json` under this
-    /// sink's directory. `Ok(None)` for a stderr-only sink.
-    pub fn write_serving_metrics(&self, total_secs: f64) -> io::Result<Option<PathBuf>> {
-        let Some(dir) = &self.dir else { return Ok(None) };
-        let path = dir.join(METRICS_FILE);
-        let mut body = self.serving_metrics_json(total_secs);
-        body.push('\n');
-        atomic_write(&path, body.as_bytes())?;
-        Ok(Some(path))
-    }
-
     /// Render the aggregated metrics as deterministic-structure JSON.
     /// Artifact-cache and cell counters come from the session's
     /// [`RunSummary`](crate::engine::RunSummary), so `metrics.json`
@@ -607,8 +437,6 @@ impl ObsSink {
         summary: &crate::engine::runner::RunSummary,
         total_secs: f64,
     ) -> String {
-        let agg = self.agg();
-        let kernel_stats = nn::kernel::kernel_stats();
         let mut s = String::from("{\n");
         s.push_str("  \"schema\": 1,\n");
         s.push_str(&format!("  \"total_secs\": {},\n", format_f64(total_secs)));
@@ -616,13 +444,65 @@ impl ObsSink {
             "  \"cells\": {{\"total\": {}, \"done\": {}, \"failed\": {}, \"resumed\": {}}},\n",
             summary.cells_total, summary.cells_done, summary.cells_failed, summary.cells_resumed
         ));
-        s.push_str(&format!("  \"attempts\": {},\n", agg.attempts));
-        s.push_str(&format!("  \"retries\": {},\n", agg.retries));
-        s.push_str(&format!("  \"backoff_ms\": {},\n", agg.backoff_ms));
-        s.push_str(&format!(
-            "  \"artifacts\": {{\"builds\": {}, \"mem_hits\": {}, \"disk_hits\": {}}},\n",
-            summary.artifacts.builds, summary.artifacts.mem_hits, summary.artifacts.disk_hits
-        ));
+        {
+            let agg = self.agg();
+            s.push_str(&format!("  \"attempts\": {},\n", agg.attempts));
+            s.push_str(&format!("  \"retries\": {},\n", agg.retries));
+            s.push_str(&format!("  \"backoff_ms\": {},\n", agg.backoff_ms));
+            s.push_str(&format!(
+                "  \"artifacts\": {{\"builds\": {}, \"mem_hits\": {}, \"disk_hits\": {}}},\n",
+                summary.artifacts.builds, summary.artifacts.mem_hits, summary.artifacts.disk_hits
+            ));
+            match &agg.kernel {
+                Some(k) => {
+                    let kernel_stats = nn::kernel::kernel_stats();
+                    s.push_str(&format!(
+                        "  \"kernel\": {{\"jobs\": {}, \"cell_jobs\": {}, \"kernel_threads\": {}, \
+                         \"parallel_dispatches\": {}, \"serial_dispatches\": {}}},\n",
+                        k.jobs,
+                        k.cell_jobs,
+                        k.kernel_threads,
+                        kernel_stats.parallel_dispatches,
+                        kernel_stats.serial_dispatches,
+                    ));
+                }
+                None => s.push_str("  \"kernel\": null,\n"),
+            }
+            s.push_str("  \"experiments\": {");
+            for (i, (name, e)) in agg.experiments.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                s.push_str(&format!(
+                    "\n    \"{}\": {{\"cells\": {}, \"executed\": {}, \"replayed\": {}, \
+                     \"failed\": {}, \"attempts\": {}, \"retries\": {}, \"backoff_ms\": {}, \
+                     \"wall_secs\": {}, \"cell_secs\": {}, \"train_secs\": {}, \"infer_secs\": {}}}",
+                    escape_json(name),
+                    e.cells,
+                    e.executed,
+                    e.replayed,
+                    e.failed,
+                    e.attempts,
+                    e.retries,
+                    e.backoff_ms,
+                    format_f64(e.wall_secs),
+                    format_f64(e.cell_secs),
+                    format_f64(e.train_secs),
+                    format_f64(e.infer_secs),
+                ));
+            }
+            s.push_str(if agg.experiments.is_empty() { "},\n" } else { "\n  },\n" });
+        }
+        self.close_metrics_json(&mut s);
+        s
+    }
+
+    /// Append the blocks every `metrics.json` ends with — `events`
+    /// (counts per level), `simd` (active lane and dispatches) and
+    /// `stages` (count and seconds per named stage) — and close the
+    /// object. The run metrics above and `serve run`'s serving metrics
+    /// both finish through here.
+    pub fn close_metrics_json(&self, s: &mut String) {
         let counts = &self.event_counts;
         s.push_str(&format!(
             "  \"events\": {{\"debug\": {}, \"info\": {}, \"warn\": {}, \"error\": {}}},\n",
@@ -631,24 +511,13 @@ impl ObsSink {
             counts[2].load(Ordering::Relaxed),
             counts[3].load(Ordering::Relaxed),
         ));
-        match &agg.kernel {
-            Some(k) => s.push_str(&format!(
-                "  \"kernel\": {{\"jobs\": {}, \"cell_jobs\": {}, \"kernel_threads\": {}, \
-                 \"parallel_dispatches\": {}, \"serial_dispatches\": {}}},\n",
-                k.jobs,
-                k.cell_jobs,
-                k.kernel_threads,
-                kernel_stats.parallel_dispatches,
-                kernel_stats.serial_dispatches,
-            )),
-            None => s.push_str("  \"kernel\": null,\n"),
-        }
         s.push_str(&format!(
             "  \"simd\": {{\"lane\": \"{}\", \"dispatches\": {}}},\n",
             nn::simd::active_lane().name(),
-            kernel_stats.simd_dispatches,
+            nn::kernel::kernel_stats().simd_dispatches,
         ));
         s.push_str("  \"stages\": {");
+        let agg = self.agg();
         for (i, (name, st)) in agg.stages.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -660,33 +529,7 @@ impl ObsSink {
                 format_f64(st.secs)
             ));
         }
-        s.push_str(if agg.stages.is_empty() { "},\n" } else { "\n  },\n" });
-        s.push_str("  \"experiments\": {");
-        for (i, (name, e)) in agg.experiments.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    \"{}\": {{\"cells\": {}, \"executed\": {}, \"replayed\": {}, \
-                 \"failed\": {}, \"attempts\": {}, \"retries\": {}, \"backoff_ms\": {}, \
-                 \"wall_secs\": {}, \"cell_secs\": {}, \"train_secs\": {}, \"infer_secs\": {}}}",
-                escape_json(name),
-                e.cells,
-                e.executed,
-                e.replayed,
-                e.failed,
-                e.attempts,
-                e.retries,
-                e.backoff_ms,
-                format_f64(e.wall_secs),
-                format_f64(e.cell_secs),
-                format_f64(e.train_secs),
-                format_f64(e.infer_secs),
-            ));
-        }
-        s.push_str(if agg.experiments.is_empty() { "}\n" } else { "\n  }\n" });
-        s.push('}');
-        s
+        s.push_str(if agg.stages.is_empty() { "}\n}" } else { "\n  }\n}" });
     }
 
     /// Write `metrics.json` atomically under this sink's directory.
@@ -696,9 +539,19 @@ impl ObsSink {
         summary: &crate::engine::runner::RunSummary,
         total_secs: f64,
     ) -> io::Result<Option<PathBuf>> {
+        self.write_metrics_with(|| self.metrics_json(summary, total_secs))
+    }
+
+    /// Write the document `render` returns atomically as `metrics.json`
+    /// under this sink's directory. A stderr-only sink renders nothing
+    /// and returns `Ok(None)`.
+    pub fn write_metrics_with(
+        &self,
+        render: impl FnOnce() -> String,
+    ) -> io::Result<Option<PathBuf>> {
         let Some(dir) = &self.dir else { return Ok(None) };
         let path = dir.join(METRICS_FILE);
-        let mut body = self.metrics_json(summary, total_secs);
+        let mut body = render();
         body.push('\n');
         atomic_write(&path, body.as_bytes())?;
         Ok(Some(path))
@@ -930,46 +783,6 @@ mod tests {
         let report = trace_report(&json).expect("report renders");
         assert!(report.contains("| table8 | 3 | 1 | 1 | 1 |"), "report: {report}");
         assert!(report.contains("| tokenize | 2 |"));
-    }
-
-    #[test]
-    fn serving_counters_aggregate_into_metrics() {
-        let sink = ObsSink::stderr(LogFormat::Text);
-        sink.record_serving_packets(90, 3);
-        sink.record_serving_packets(10, 1);
-        sink.record_serving_flow_opened();
-        sink.record_serving_flow_opened();
-        sink.record_serving_eviction(EvictionReason::Closed);
-        sink.record_serving_eviction(EvictionReason::Flush);
-        sink.record_serving_batch(2);
-        sink.record_serving_reload(120);
-        sink.record_serving_reload_refused();
-        sink.record_serving_shard(0, 2, 2, 0.5);
-        sink.add_stage("serve:classify", 0.125);
-        let json = sink.serving_metrics_json(1.5);
-        let j = parse_json(&json).expect("serving metrics parse");
-        assert!(json.contains("\"debunk-serving-metrics-v2\""));
-        let rl = j.get("reloads").expect("reloads section");
-        assert_eq!(get_u64(rl, "applied"), 1);
-        assert_eq!(get_u64(rl, "refused"), 1);
-        assert!(json.contains("\"boundaries\": [120]"), "{json}");
-        let sh = j.get("shards").and_then(|s| s.get("0")).expect("shard 0 section");
-        assert_eq!(get_u64(sh, "flows"), 2);
-        assert_eq!(get_f64(sh, "busy_secs"), 0.5);
-        let pk = j.get("packets").expect("packets section");
-        assert_eq!(get_u64(pk, "seen"), 100);
-        assert_eq!(get_u64(pk, "non_ip"), 4);
-        let fl = j.get("flows").expect("flows section");
-        assert_eq!(get_u64(fl, "opened"), 2);
-        assert_eq!(get_u64(fl, "evicted_closed"), 1);
-        assert_eq!(get_u64(fl, "flushed"), 1);
-        let b = j.get("batches").expect("batches section");
-        assert_eq!(get_u64(b, "count"), 1);
-        assert_eq!(get_u64(b, "verdicts"), 2);
-        let st = j.get("stages").unwrap().get("serve:classify").expect("stage entry");
-        assert_eq!(get_f64(st, "secs"), 0.125);
-        let simd = j.get("simd").expect("simd section");
-        assert_eq!(simd.get("lane"), Some(&Json::Str(nn::simd::active_lane().name().to_string())));
     }
 
     #[test]

@@ -44,7 +44,6 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
 
 const USAGE: &str = "usage:
   serve export --out DIR [--synth SPEC] [--seed N] [--quant int8]
@@ -309,7 +308,6 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
         None => packets,
     };
     let opts = ServeOptions { batch, idle_timeout, workers };
-    let started = Instant::now();
     let result = match &out_path {
         None => {
             let mut stdout = std::io::stdout();
@@ -328,9 +326,6 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
         Ok(s) => s,
         Err(e) => return run_err(&format!("serve failed: {e}")),
     };
-    if let Err(e) = sink.write_serving_metrics(started.elapsed().as_secs_f64()) {
-        return run_err(&format!("cannot write metrics: {e}"));
-    }
     eprintln!(
         "served {} packets / {} flows -> {} verdicts ({} dropped, {} non-IP, {} reloads, \
          {} refused)",
@@ -339,7 +334,7 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
         stats.verdicts,
         stats.dropped,
         stats.non_ip,
-        stats.reloads,
+        stats.reload_boundaries.len(),
         stats.reloads_refused
     );
     ExitCode::SUCCESS

@@ -33,7 +33,7 @@ use debunk_core::metrics::majority_with;
 use debunk_core::obs::{EvictionReason, ObsSink, Value};
 use encoders::EncodeScratch;
 use nn::{MlpScratch, Tensor};
-use shallow::{extract_features, N_FEATURES};
+use shallow::{extract_features, KnnScratch, N_FEATURES};
 use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,8 +58,11 @@ impl Default for ServeOptions {
     }
 }
 
-/// End-of-run counters (also reported out of band via the sink).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// End-of-run totals. Each is a pure function of the packet stream,
+/// the bundle sequence and the policy, so runs at any worker count or
+/// batch size compare equal; what depends on scheduling (batches, the
+/// per-shard split, busy time) stays in `ShardTotals`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Frames ingested.
     pub packets: u64,
@@ -71,11 +74,41 @@ pub struct ServeStats {
     pub verdicts: u64,
     /// Flows retired without a verdict (unmatched or routed to `drop`).
     pub dropped: u64,
-    /// Model hot-reloads applied (epoch boundaries crossed).
-    pub reloads: u64,
+    /// Flows retired by a TCP teardown (both FINs or RST).
+    pub evicted_closed: u64,
+    /// Flows retired after the idle timeout.
+    pub evicted_idle: u64,
+    /// Flows retired by the end-of-stream flush.
+    pub flushed: u64,
+    /// Packet sequence numbers where each applied hot-reload took
+    /// effect, in order: the boundaries a planned replay needs to
+    /// reproduce the verdict stream byte for byte.
+    pub reload_boundaries: Vec<u64>,
     /// Reload candidates refused (corrupt or policy-incompatible);
     /// the previous bundle kept serving.
     pub reloads_refused: u64,
+}
+
+impl ServeStats {
+    /// Add one shard's flow-side counts (flows, verdicts, drops,
+    /// evictions); the dispatcher owns packets and reloads.
+    pub(crate) fn absorb(&mut self, shard: &ServeStats) {
+        self.flows += shard.flows;
+        self.verdicts += shard.verdicts;
+        self.dropped += shard.dropped;
+        self.evicted_closed += shard.evicted_closed;
+        self.evicted_idle += shard.evicted_idle;
+        self.flushed += shard.flushed;
+    }
+}
+
+/// One shard's end-of-run counts, including those that depend on
+/// scheduling: how many classification batches it ran and how long it
+/// was busy. Reported per shard in `metrics.json`, never compared.
+pub(crate) struct ShardTotals {
+    pub(crate) stats: ServeStats,
+    pub(crate) batches: u64,
+    pub(crate) busy_secs: f64,
 }
 
 /// Which model a policy target selects.
@@ -200,10 +233,11 @@ fn verdict_line(
 /// Reusable buffers threaded through every [`classify_batch`] call of
 /// one serve loop: encoder token/pooled scratch, the encoding tensor,
 /// MLP activations, the label vectors, and a flow's packet feature rows
-/// with the shallow models' vote/score scratch. After the first few
-/// batches the encoder path performs no allocation per verdict batch —
-/// the whole batch is one set of kernel dispatches against these
-/// buffers — and the forest and gbdt paths none per flow.
+/// with the shallow models' vote/score/neighbour scratch. After the
+/// first few batches the encoder path performs no allocation per
+/// verdict batch — the whole batch is one set of kernel dispatches
+/// against these buffers — and the forest, gbdt and knn paths none per
+/// flow.
 #[derive(Default)]
 struct VerdictScratch {
     enc: EncodeScratch,
@@ -215,6 +249,7 @@ struct VerdictScratch {
     packet_labels: Vec<u16>,
     votes: Vec<u32>,
     scores: Vec<f32>,
+    knn: KnnScratch,
 }
 
 /// Classify a batch of pending flows (all from one epoch) and emit
@@ -277,7 +312,7 @@ fn classify_batch(
                     ModelTarget::Gbdt => {
                         bundle.gbdt.predict_into(&s.rows, &mut s.scores, &mut s.packet_labels)
                     }
-                    _ => bundle.knn.predict_into(&s.rows, &mut s.packet_labels),
+                    _ => bundle.knn.predict_into(&s.rows, &mut s.knn, &mut s.packet_labels),
                 }
                 // the vote scratch doubles as the per-label counts
                 majority_with(&s.packet_labels, &mut s.votes)
@@ -287,7 +322,6 @@ fn classify_batch(
         emit(p.evict_seq, p.flow.id, line)?;
         emitted += 1;
     }
-    sink.record_serving_batch(emitted as usize);
     sink.debug(
         "serve",
         "batch classified",
@@ -313,9 +347,11 @@ pub(crate) struct Shard<'a> {
     /// Sorted packet-sequence boundaries; crossing `boundaries[i]`
     /// enters epoch `i + 1`.
     boundaries: Vec<u64>,
-    /// Partial stats: flows / verdicts / dropped (the dispatcher owns
-    /// packets / non_ip / reload counts).
-    pub(crate) stats: ServeStats,
+    /// Flows, verdicts, drops and evictions (the dispatcher owns
+    /// packets, non-IP frames and reloads).
+    stats: ServeStats,
+    /// Classification batches run.
+    batches: u64,
 }
 
 impl<'a> Shard<'a> {
@@ -335,7 +371,13 @@ impl<'a> Shard<'a> {
             bundles: vec![bundle],
             boundaries: Vec::new(),
             stats: ServeStats::default(),
+            batches: 0,
         })
+    }
+
+    /// This shard's counts, with `busy_secs` as measured by its driver.
+    pub(crate) fn totals(self, busy_secs: f64) -> ShardTotals {
+        ShardTotals { stats: self.stats, batches: self.batches, busy_secs }
     }
 
     /// Install a reloaded bundle taking effect at packet `boundary`.
@@ -353,11 +395,10 @@ impl<'a> Shard<'a> {
     }
 
     /// Ingest one frame owned by this shard (global packet `seq`).
-    pub(crate) fn frame(&mut self, seq: u64, ts: f64, frame: &[u8], sink: &ObsSink) -> Ingest {
+    pub(crate) fn frame(&mut self, seq: u64, ts: f64, frame: &[u8]) -> Ingest {
         let ingest = self.table.push(seq, ts, frame);
         if ingest == (Ingest::Tracked { opened: true }) {
             self.stats.flows += 1;
-            sink.record_serving_flow_opened();
         }
         ingest
     }
@@ -373,7 +414,7 @@ impl<'a> Shard<'a> {
         emit: &mut dyn FnMut(u64, u64, String) -> io::Result<()>,
     ) -> io::Result<()> {
         for (flow, reason) in self.table.poll(ts) {
-            self.route(flow, reason, seq, sink);
+            self.route(flow, reason, seq);
         }
         while self.pending.len() >= self.batch_size {
             let rest = self.pending.split_off(self.batch_size);
@@ -392,7 +433,7 @@ impl<'a> Shard<'a> {
         emit: &mut dyn FnMut(u64, u64, String) -> io::Result<()>,
     ) -> io::Result<()> {
         for (flow, reason) in self.table.flush() {
-            self.route(flow, reason, flush_seq, sink);
+            self.route(flow, reason, flush_seq);
         }
         let pending = std::mem::take(&mut self.pending);
         for batch in pending.chunks(self.batch_size) {
@@ -412,8 +453,12 @@ impl<'a> Shard<'a> {
         }
     }
 
-    fn route(&mut self, flow: TrackedFlow, reason: EvictionReason, evict_seq: u64, sink: &ObsSink) {
-        sink.record_serving_eviction(reason);
+    fn route(&mut self, flow: TrackedFlow, reason: EvictionReason, evict_seq: u64) {
+        match reason {
+            EvictionReason::Closed => self.stats.evicted_closed += 1,
+            EvictionReason::Idle => self.stats.evicted_idle += 1,
+            EvictionReason::Flush => self.stats.flushed += 1,
+        }
         match self.policy.match_flow(&flow.key).and_then(|r| ModelTarget::parse(&r.target)) {
             Some(ModelTarget::Drop) | None => self.stats.dropped += 1,
             Some(target) => self.pending.push(PendingFlow { flow, target, evict_seq }),
@@ -444,6 +489,7 @@ impl<'a> Shard<'a> {
                 sink,
                 emit,
             )?;
+            self.batches += 1;
             start = end;
         }
         Ok(())
@@ -454,7 +500,8 @@ impl<'a> Shard<'a> {
 /// against the initial bundle, then drive one inline shard
 /// (`opts.workers <= 1`) or the flow-hash-sharded worker pool
 /// ([`crate::shard::serve_sharded`]), applying reloads from `reload`
-/// at deterministic packet boundaries.
+/// at deterministic packet boundaries. When `sink` writes files, the
+/// run's serving metrics land in its `metrics.json` at the end.
 ///
 /// `packets` is any replay source: a borrowed `&[ReplayPacket]` (the
 /// in-memory benches), or an owning iterator such as the shard-dir
@@ -480,10 +527,15 @@ where
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         }
     }
-    if opts.workers > 1 {
-        return crate::shard::serve_sharded(bundle, policy, packets, opts, reload, out, sink);
-    }
-    serve_inline(bundle, policy, packets, opts, reload, out, sink)
+    let t_run = Instant::now();
+    let (stats, shards) = if opts.workers > 1 {
+        crate::shard::serve_sharded(bundle, policy, packets, opts, reload, out, sink)?
+    } else {
+        serve_inline(bundle, policy, packets, opts, reload, out, sink)?
+    };
+    let total_secs = t_run.elapsed().as_secs_f64();
+    sink.write_metrics_with(|| crate::metrics::render(&stats, &shards, sink, total_secs))?;
+    Ok(stats)
 }
 
 /// The single-worker loop: one [`Shard`] driven on the caller thread,
@@ -497,7 +549,7 @@ fn serve_inline<I>(
     reload: ReloadSource<'_>,
     out: &mut (dyn Write + Send),
     sink: &ObsSink,
-) -> io::Result<ServeStats>
+) -> io::Result<(ServeStats, Vec<ShardTotals>)>
 where
     I: IntoIterator,
     I::Item: std::borrow::Borrow<ReplayPacket>,
@@ -525,7 +577,7 @@ where
             shard.add_epoch(boundary, bundle);
         }
         stats.packets += 1;
-        if shard.frame(seq, p.ts, &p.frame, sink) == Ingest::NonIp {
+        if shard.frame(seq, p.ts, &p.frame) == Ingest::NonIp {
             stats.non_ip += 1;
         }
         let t_frame = Instant::now();
@@ -546,11 +598,8 @@ where
     classify_secs += t_flush.elapsed().as_secs_f64();
     out.flush()?;
 
-    stats.flows = shard.stats.flows;
-    stats.verdicts = shard.stats.verdicts;
-    stats.dropped = shard.stats.dropped;
-    sink.record_serving_packets(stats.packets, stats.non_ip);
-    sink.record_serving_shard(0, stats.flows, stats.verdicts, t_run.elapsed().as_secs_f64());
+    let totals = shard.totals(t_run.elapsed().as_secs_f64());
+    stats.absorb(&totals.stats);
     sink.add_stage("serve:ingest", ingest_secs);
     sink.add_stage("serve:classify", classify_secs);
     sink.debug(
@@ -561,10 +610,10 @@ where
             ("flows", Value::U64(stats.flows)),
             ("verdicts", Value::U64(stats.verdicts)),
             ("dropped", Value::U64(stats.dropped)),
-            ("reloads", Value::U64(stats.reloads)),
+            ("reloads", Value::U64(stats.reload_boundaries.len() as u64)),
         ],
     );
-    Ok(stats)
+    Ok((stats, vec![totals]))
 }
 
 /// Back-compat single-bundle entry point: no reload source, worker
@@ -752,7 +801,7 @@ mod tests {
             &sink,
         )
         .unwrap();
-        assert_eq!(stats.reloads, 1);
+        assert_eq!(stats.reload_boundaries, [boundary]);
         assert_eq!(stats.verdicts, stats.flows, "no flow dropped across the boundary");
         let text = String::from_utf8(out).unwrap();
         let epochs: Vec<usize> = text

@@ -19,6 +19,7 @@
 pub mod bundle;
 pub mod engine;
 pub mod flow;
+mod metrics;
 pub mod policy;
 pub mod reload;
 pub mod shard;

@@ -91,7 +91,7 @@ impl<'a> ReloadSource<'a> {
 
     /// Reloads due before processing packet `seq`, as the applied
     /// `(boundary, bundle)` pairs in order; every decision (applied or
-    /// refused) is counted in `stats` and reported to `sink`. The
+    /// refused) is counted in `stats` and logged to `sink`. The
     /// inline loop installs the pairs as epochs, the sharded dispatcher
     /// broadcasts them. At end of stream, call once more with the flush
     /// sequence — the packet count — so boundaries landing exactly
@@ -107,8 +107,7 @@ impl<'a> ReloadSource<'a> {
             .into_iter()
             .filter_map(|action| match action {
                 ReloadAction::Apply { boundary, bundle, origin } => {
-                    stats.reloads += 1;
-                    sink.record_serving_reload(boundary);
+                    stats.reload_boundaries.push(boundary);
                     sink.info(
                         "serve",
                         "bundle reloaded",
@@ -118,7 +117,6 @@ impl<'a> ReloadSource<'a> {
                 }
                 ReloadAction::Refuse { origin, error } => {
                     stats.reloads_refused += 1;
-                    sink.record_serving_reload_refused();
                     sink.warn(
                         "serve",
                         "reload candidate refused; old bundle keeps serving",

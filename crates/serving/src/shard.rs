@@ -22,7 +22,7 @@
 //! it).
 
 use crate::bundle::ModelBundle;
-use crate::engine::{EpochBundle, ServeOptions, ServeStats, Shard as EngineShard};
+use crate::engine::{EpochBundle, ServeOptions, ServeStats, Shard as EngineShard, ShardTotals};
 use crate::policy::Policy;
 use crate::reload::ReloadSource;
 use crate::source::ReplayPacket;
@@ -87,14 +87,14 @@ enum MergeMsg {
 
 /// Drive one worker: apply events in order, buffer emitted verdicts,
 /// and after every event batch publish them plus a fresh watermark.
-/// Returns this shard's partial stats and busy seconds.
+/// Returns this shard's totals.
 fn run_worker<'a>(
     idx: usize,
     mut shard: EngineShard<'a>,
     rx: Receiver<Vec<Event<'a>>>,
     tx: &Sender<(usize, MergeMsg)>,
     sink: &ObsSink,
-) -> io::Result<(ServeStats, f64)> {
+) -> io::Result<ShardTotals> {
     let mut busy = 0.0f64;
     let mut last_seq = 0u64;
     while let Ok(events) = rx.recv() {
@@ -109,7 +109,7 @@ fn run_worker<'a>(
             for ev in events {
                 match ev {
                     Event::Frame { seq, ts, frame } => {
-                        shard.frame(seq, ts, &frame, sink);
+                        shard.frame(seq, ts, &frame);
                         shard.tick(seq, ts, sink, &mut emit)?;
                         last_seq = seq;
                     }
@@ -131,7 +131,7 @@ fn run_worker<'a>(
         }
         if finished {
             let _ = tx.send((idx, MergeMsg::Done));
-            return Ok((shard.stats, busy));
+            return Ok(shard.totals(busy));
         }
         let (s, id) = shard.emit_bound(last_seq);
         let _ = tx.send((idx, MergeMsg::Watermark(s, id)));
@@ -228,7 +228,7 @@ pub(crate) fn serve_sharded<I>(
     mut reload: ReloadSource<'_>,
     out: &mut (dyn Write + Send),
     sink: &ObsSink,
-) -> io::Result<ServeStats>
+) -> io::Result<(ServeStats, Vec<ShardTotals>)>
 where
     I: IntoIterator,
     I::Item: std::borrow::Borrow<ReplayPacket>,
@@ -243,7 +243,7 @@ where
     let mut stats = ServeStats::default();
     let t_run = Instant::now();
 
-    let result: io::Result<Vec<(ServeStats, f64)>> = std::thread::scope(|scope| {
+    let result: io::Result<Vec<ShardTotals>> = std::thread::scope(|scope| {
         let mut event_txs: Vec<Sender<Vec<Event<'_>>>> = Vec::with_capacity(n);
         let (merge_tx, merge_rx) = channel::<(usize, MergeMsg)>();
         let mut workers = Vec::with_capacity(n);
@@ -311,13 +311,9 @@ where
     });
 
     let parts = result?;
-    for (idx, (part, busy)) in parts.iter().enumerate() {
-        stats.flows += part.flows;
-        stats.verdicts += part.verdicts;
-        stats.dropped += part.dropped;
-        sink.record_serving_shard(idx, part.flows, part.verdicts, *busy);
+    for part in &parts {
+        stats.absorb(&part.stats);
     }
-    sink.record_serving_packets(stats.packets, stats.non_ip);
     sink.add_stage("serve:wall", t_run.elapsed().as_secs_f64());
     sink.debug(
         "serve",
@@ -327,10 +323,10 @@ where
             ("packets", Value::U64(stats.packets)),
             ("flows", Value::U64(stats.flows)),
             ("verdicts", Value::U64(stats.verdicts)),
-            ("reloads", Value::U64(stats.reloads)),
+            ("reloads", Value::U64(stats.reload_boundaries.len() as u64)),
         ],
     );
-    Ok(stats)
+    Ok((stats, parts))
 }
 
 #[cfg(test)]

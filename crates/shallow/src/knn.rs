@@ -42,49 +42,72 @@ impl KnnClassifier {
         KnnClassifier { k: k.max(1), x: xs, y: y.to_vec(), mean, std }
     }
 
-    fn standardise(&self, row: &[f32]) -> Vec<f32> {
-        row.iter().zip(&self.mean).zip(&self.std).map(|((v, m), s)| (v - m) / s).collect()
-    }
-
     /// Predict the label of one row by majority among the k nearest.
     pub fn predict_one(&self, row: &[f32]) -> u16 {
-        let q = self.standardise(row);
-        let mut dists: Vec<(f32, u16)> = self
-            .x
-            .iter()
-            .zip(&self.y)
-            .map(|(t, &label)| {
-                let d: f32 = t.iter().zip(&q).map(|(a, b)| (a - b) * (a - b)).sum();
-                (d, label)
-            })
-            .collect();
-        let k = self.k.min(dists.len());
-        dists.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0));
-        let mut counts = std::collections::HashMap::new();
-        for (_, l) in &dists[..k] {
-            *counts.entry(*l).or_insert(0u32) += 1;
-        }
-        // Break vote ties toward the smallest label: HashMap iteration
-        // order varies per process, and a tie-break that depends on it
-        // would make predictions — and every serialised record built
-        // from them — nondeterministic across runs.
-        counts
-            .into_iter()
-            .max_by_key(|&(l, c)| (c, std::cmp::Reverse(l)))
-            .map(|(l, _)| l)
-            .unwrap_or(0)
+        self.predict_with(row, &mut KnnScratch::default())
     }
 
-    /// Labels of `rows` into `out`.
-    pub fn predict_into<R: AsRef<[f32]>>(&self, rows: &[R], out: &mut Vec<u16>) {
+    /// [`predict_one`](Self::predict_one) against caller-held buffers:
+    /// once `scratch` has grown to the training-set size, a prediction
+    /// allocates nothing.
+    fn predict_with(&self, row: &[f32], scratch: &mut KnnScratch) -> u16 {
+        let KnnScratch { query, dists, counts } = scratch;
+        query.clear();
+        query.extend(row.iter().zip(&self.mean).zip(&self.std).map(|((v, m), s)| (v - m) / s));
+        dists.clear();
+        dists.extend(self.x.iter().zip(&self.y).map(|(t, &label)| {
+            let d: f32 = t.iter().zip(query.iter()).map(|(a, b)| (a - b) * (a - b)).sum();
+            (d, label)
+        }));
+        let k = self.k.min(dists.len());
+        dists.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0));
+        let nearest = &dists[..k];
+        for &(_, l) in nearest {
+            if counts.len() <= l as usize {
+                counts.resize(l as usize + 1, 0);
+            }
+            counts[l as usize] += 1;
+        }
+        // Most votes wins; a tie goes to the smallest label, so the
+        // answer never depends on the neighbours' selection order.
+        let best = nearest
+            .iter()
+            .map(|&(_, l)| (counts[l as usize], std::cmp::Reverse(l)))
+            .max()
+            .map_or(0, |(_, std::cmp::Reverse(l))| l);
+        for &(_, l) in nearest {
+            counts[l as usize] = 0;
+        }
+        best
+    }
+
+    /// Labels of `rows` into `out`, reusing `scratch` across rows and
+    /// calls: after the first call no prediction allocates.
+    pub fn predict_into<R: AsRef<[f32]>>(
+        &self,
+        rows: &[R],
+        scratch: &mut KnnScratch,
+        out: &mut Vec<u16>,
+    ) {
         out.clear();
-        out.extend(rows.iter().map(|r| self.predict_one(r.as_ref())));
+        out.extend(rows.iter().map(|r| self.predict_with(r.as_ref(), scratch)));
     }
 
     /// Predict labels for many rows.
     pub fn predict(&self, rows: &[&[f32]]) -> Vec<u16> {
-        rows.iter().map(|r| self.predict_one(r)).collect()
+        let mut scratch = KnnScratch::default();
+        rows.iter().map(|r| self.predict_with(r, &mut scratch)).collect()
     }
+}
+
+/// Reusable buffers for [`KnnClassifier::predict_into`]: the
+/// standardised query, one `(distance, label)` pair per training row,
+/// and the vote count per label (all zero between predictions).
+#[derive(Debug, Default)]
+pub struct KnnScratch {
+    query: Vec<f32>,
+    dists: Vec<(f32, u16)>,
+    counts: Vec<u32>,
 }
 
 impl nn::frozen::FrozenArtifact for KnnClassifier {

@@ -18,10 +18,9 @@ pub mod knn;
 pub mod presort;
 pub mod purity;
 pub mod tree;
-pub mod tune;
 
 pub use features::{extract_features, feature_names, FeatureConfig, N_FEATURES};
 pub use forest::RandomForest;
 pub use gbdt::{GradientBoosting, GrowthPolicy};
-pub use knn::KnnClassifier;
+pub use knn::{KnnClassifier, KnnScratch};
 pub use tree::DecisionTree;

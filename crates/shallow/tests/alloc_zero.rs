@@ -8,6 +8,7 @@
 
 use shallow::forest::{ForestParams, RandomForest};
 use shallow::gbdt::{GbdtParams, GradientBoosting, GrowthPolicy};
+use shallow::knn::{KnnClassifier, KnnScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -117,4 +118,24 @@ fn gbdt_batch_prediction_allocates_nothing_after_warmup() {
         );
         assert_eq!((scores, out), want, "{policy:?}");
     }
+}
+
+#[test]
+fn knn_batch_prediction_allocates_nothing_after_warmup() {
+    let (x, y) = dataset(300);
+    let rows: Vec<&[f32]> = x.iter().map(|r| r.as_slice()).collect();
+    let knn = KnnClassifier::fit(&rows, &y, 5);
+    let mut scratch = KnnScratch::default();
+    let mut out = Vec::new();
+    knn.predict_into(&x, &mut scratch, &mut out);
+    let want = out.clone();
+    assert_eq!(want, knn.predict(&rows), "batch and one-shot predictions agree");
+    let allocs = count_allocs(|| {
+        for n in [300, 1, 17, 34, 0, 299] {
+            knn.predict_into(&x[..n], &mut scratch, &mut out);
+        }
+        knn.predict_into(&x, &mut scratch, &mut out);
+    });
+    assert_eq!(allocs, 0, "KnnClassifier::predict_into allocated {allocs} times");
+    assert_eq!(out, want);
 }

@@ -3,9 +3,10 @@
 # synthetic capture through it at two batch sizes, and require
 # (a) byte-identical verdict streams — the engine's determinism
 # contract must hold end to end through the real binary — (b) a
-# policy-routed run that also reproduces itself byte-for-byte,
-# (c) out-of-band serving metrics that parse, (d) a quick
-# bench_json --serving pass that reports the latency keys.
+# policy-routed run that reproduces itself byte-for-byte at
+# --serve-workers 1 and 2, (c) out-of-band serving metrics whose
+# counters reconcile with each other and with the verdict file, (d) a
+# quick bench_json --serving pass that reports the latency keys.
 #
 # Environment knobs:
 #   SERVE_BIN   path to the serve binary (default target/release/serve)
@@ -43,20 +44,43 @@ cat > "$WORK_DIR/policy.txt" <<'EOF'
 *:udp     -> knn
 default   -> forest
 EOF
-for run in p1 p2; do
+for w in 1 2; do
     "$SERVE_BIN" run --models "$models" --synth "$REPLAY" \
-        --policy "$WORK_DIR/policy.txt" --batch 16 \
-        --out "$WORK_DIR/$run.jsonl" \
-        --metrics-dir "$WORK_DIR/$run-obs" >/dev/null 2>&1
+        --policy "$WORK_DIR/policy.txt" --batch 16 --serve-workers "$w" \
+        --out "$WORK_DIR/p$w.jsonl" \
+        --metrics-dir "$WORK_DIR/p$w-obs" >/dev/null 2>&1
 done
 cmp "$WORK_DIR/p1.jsonl" "$WORK_DIR/p2.jsonl"
-echo "ok: policy-routed replay reproduces byte-for-byte"
+echo "ok: policy-routed replay reproduces byte-for-byte at 1 and 2 workers"
 
-for key in 'debunk-serving-metrics-v2' '"packets"' '"flows"' '"verdicts"'; do
-    grep -q "$key" "$WORK_DIR/p1-obs/metrics.json" \
-        || { echo "FAIL: metrics.json lacks $key" >&2; exit 1; }
+# Every opened flow is retired exactly once, every verdict line is
+# counted, and the per-shard flows add up to the run's.
+reconcile() { # reconcile METRICS_JSON VERDICTS_JSONL
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    m = json.load(f)
+with open(sys.argv[2]) as f:
+    lines = sum(1 for _ in f)
+fl = m["flows"]
+checks = [
+    ("schema", m["schema"], "debunk-serving-metrics-v2"),
+    ("flows.opened vs evictions", fl["opened"],
+     fl["evicted_closed"] + fl["evicted_idle"] + fl["flushed"]),
+    ("batches.verdicts vs verdict lines", m["batches"]["verdicts"], lines),
+    ("flows.opened vs per-shard flows", fl["opened"],
+     sum(s["flows"] for s in m["shards"].values())),
+]
+bad = [f"{name}: {a} != {b}" for name, a, b in checks if a != b]
+if bad:
+    print(f"FAIL: {sys.argv[1]}: " + "; ".join(bad), file=sys.stderr)
+    sys.exit(1)
+EOF
+}
+for w in 1 2; do
+    reconcile "$WORK_DIR/p$w-obs/metrics.json" "$WORK_DIR/p$w.jsonl"
 done
-echo "ok: serving metrics.json carries the counters"
+echo "ok: serving metrics reconcile at 1 and 2 workers"
 
 # Every verdict line is a standalone JSON object with the envelope.
 bad=$(grep -cv '^{"flow":.*"target":.*"label":.*"class":.*}$' \
