@@ -361,9 +361,10 @@ const LOCK_POLL: Duration = Duration::from_millis(10);
 
 /// Cross-process single-flight lock for one on-disk file: a sibling
 /// `<file>.lock` created with `O_EXCL` (`create_new`) holding the
-/// owner's PID. Released by `Drop` — including on panic unwind — so only
-/// a killed process leaves a lock behind, and that lock is detectably
-/// stale because its PID no longer exists.
+/// owner's PID and start time ([`owner_record`]). Released by `Drop` —
+/// including on panic unwind — so only a killed process leaves a lock
+/// behind, and that lock is detectably stale because its holder no
+/// longer runs, even once another process has reused its PID.
 struct PathLock {
     path: PathBuf,
 }
@@ -386,10 +387,11 @@ impl PathLock {
         match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
             Ok(mut f) => {
                 use std::io::Write as _;
-                // Losing the PID write only costs stale-detection
+                // Losing the owner write only costs stale-detection
                 // precision (the age backstop still applies), never
-                // correctness — the O_EXCL create is the lock.
-                let _ = write!(f, "{}", std::process::id());
+                // correctness — the O_EXCL create is the lock. One
+                // write, so no reader sees half a start time.
+                let _ = f.write_all(owner_record().as_bytes());
                 let _ = f.flush();
                 Some(PathLock { path })
             }
@@ -425,36 +427,83 @@ impl Drop for PathLock {
     }
 }
 
+/// The fields of `/proc/<pid>/stat` from field 3 (the state) on: they
+/// follow the last `)`, since the command name may itself contain
+/// parentheses.
+fn proc_stat_fields(stat: &str) -> Option<std::str::SplitWhitespace<'_>> {
+    stat.rfind(')').map(|i| stat[i + 1..].split_whitespace())
+}
+
+/// A process's start time in clock ticks since boot (field 22 of
+/// `/proc/<pid>/stat`), or `None` without procfs. A PID names a process
+/// only until it exits; the PID and its start time together name one
+/// process for as long as the host runs.
+pub(crate) fn pid_start_time(pid: u32) -> Option<u64> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // field 3 is the first after the `)`, so field 22 is the 20th
+    proc_stat_fields(&stat)?.nth(19)?.parse().ok()
+}
+
+/// What a build lock holds: this process's PID, then its start time
+/// when procfs reports one.
+fn owner_record() -> String {
+    let pid = std::process::id();
+    match pid_start_time(pid) {
+        Some(start) => format!("{pid} {start}"),
+        None => pid.to_string(),
+    }
+}
+
 /// Best-effort liveness probe via procfs; without procfs every PID
 /// counts as dead, so callers that can do better check for procfs first.
 ///
 /// A killed process whose parent never reaps it keeps its `/proc/<pid>`
 /// entry as a zombie, so existence alone is not liveness: the state
-/// field of `/proc/<pid>/stat` (after the last `)`, since the command
-/// name may itself contain parentheses) must not be `Z` or `X`.
-pub(crate) fn pid_alive(pid: u32) -> bool {
+/// field of `/proc/<pid>/stat` must not be `Z` or `X`. With `start`
+/// (the holder's [`pid_start_time`] as recorded), a process that
+/// started at another time reused the PID and does not count; without,
+/// the PID alone decides.
+pub(crate) fn pid_alive(pid: u32, start: Option<u64>) -> bool {
     let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
         return false;
     };
-    let state = stat.rfind(')').and_then(|i| stat[i + 1..].split_whitespace().next());
-    !matches!(state, None | Some("Z" | "X"))
+    let Some(mut fields) = proc_stat_fields(&stat) else {
+        return false;
+    };
+    if matches!(fields.next(), None | Some("Z" | "X")) {
+        return false;
+    }
+    // the state was field 3, so field 22 is the 19th after it
+    start.is_none_or(|start| fields.nth(18).and_then(|t| t.parse::<u64>().ok()) == Some(start))
+}
+
+/// A build lock's holder as `(pid, start time)`; a record from before
+/// start times were written holds the PID alone.
+fn parse_owner(content: &str) -> Option<(u32, Option<u64>)> {
+    let mut fields = content.split_whitespace();
+    let pid = fields.next()?.parse().ok()?;
+    let start = match fields.next() {
+        Some(t) => Some(t.parse().ok()?),
+        None => None,
+    };
+    fields.next().is_none().then_some((pid, start))
 }
 
 fn lock_is_stale(lock: &Path) -> bool {
     match std::fs::read_to_string(lock) {
-        Ok(content) => match content.trim().parse::<u32>() {
-            Ok(pid) => {
+        Ok(content) => match parse_owner(&content) {
+            Some((pid, start)) => {
                 if Path::new("/proc/self").exists() {
-                    !pid_alive(pid)
+                    !pid_alive(pid, start)
                 } else {
                     // No procfs: fall back to an age backstop generous
                     // enough for any real build.
                     older_than(lock, Duration::from_secs(600))
                 }
             }
-            // PID not written yet (holder between create and write) or
+            // Owner not written yet (holder between create and write) or
             // damaged: stale only once clearly abandoned.
-            Err(_) => older_than(lock, Duration::from_secs(10)),
+            None => older_than(lock, Duration::from_secs(10)),
         },
         // Already gone — nothing to steal.
         Err(_) => false,
@@ -963,6 +1012,38 @@ mod tests {
         assert!(stolen, "a zombie holder's lock must be taken over");
         assert!(!PathLock::lock_path(&target).exists(), "stolen lock removed");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A lock naming our own PID with another start time was left by
+    /// an earlier process that had this PID: stale. With our own start
+    /// time it is ours: live. A PID-only record keeps the PID check.
+    #[test]
+    fn build_lock_from_a_reused_pid_is_stale() {
+        let dir = temp_dir("debunk-artifact-reused-pid-lock");
+        std::fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("art-test-blob-0000000000000000.bin");
+        let lock = PathLock::lock_path(&target);
+        let pid = std::process::id();
+        let start = pid_start_time(pid).expect("procfs reports our start time");
+        std::fs::write(&lock, format!("{pid} {start}")).unwrap();
+        assert!(!lock_is_stale(&lock), "our own pid and start time are live");
+        std::fs::write(&lock, pid.to_string()).unwrap();
+        assert!(!lock_is_stale(&lock), "a pid-only record falls back to the pid check");
+        std::fs::write(&lock, format!("{pid} {}", start + 1)).unwrap();
+        assert!(lock_is_stale(&lock), "a reused pid's lock is stale");
+        assert!(PathLock::steal_if_stale(&target), "and is taken over");
+        assert!(!lock.exists(), "stolen lock removed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The owner record is `<pid> <start time>` and round-trips.
+    #[test]
+    fn owner_record_names_this_process() {
+        let pid = std::process::id();
+        assert_eq!(parse_owner(&owner_record()), Some((pid, pid_start_time(pid))));
+        assert!(pid_alive(pid, pid_start_time(pid)));
+        assert_eq!(parse_owner("12 x"), None, "a damaged start time is no owner");
+        assert_eq!(parse_owner("12 34 56"), None);
     }
 
     /// A live holder's lock is NOT stolen: stale detection keys on PID

@@ -28,10 +28,11 @@
 //! fails fast without retrying).
 //!
 //! Claim records are liveness hints, not results: a claim whose owner
-//! PID is dead is swept and the cell re-claimed by the next wave, so a
+//! is dead (its PID gone, or running a process with another start
+//! time) is swept and the cell re-claimed by the next wave, so a
 //! SIGKILLed worker never wedges the suite.
 
-use crate::artifact::pid_alive;
+use crate::artifact::{pid_alive, pid_start_time};
 use crate::engine::context::RunContext;
 use crate::engine::journal::{
     parse_json, CellId, Journal, JournalEntry, JournalError, JournalState, Json, RunManifest,
@@ -93,11 +94,14 @@ fn try_claim(root: &Path, cell: u64, worker: usize) -> bool {
     match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
         Ok(mut file) => {
             use std::io::Write as _;
-            let _ = write!(
-                file,
-                "{{\"cell\":\"{cell:016x}\",\"worker\":{worker},\"pid\":{}}}",
-                std::process::id()
+            let pid = std::process::id();
+            let start = pid_start_time(pid).map(|t| format!(",\"pid_start\":{t}"));
+            let record = format!(
+                "{{\"cell\":\"{cell:016x}\",\"worker\":{worker},\"pid\":{pid}{}}}",
+                start.unwrap_or_default()
             );
+            // One write, so no sweeper sees half a start time.
+            let _ = file.write_all(record.as_bytes());
             let _ = file.flush();
             true
         }
@@ -119,8 +123,8 @@ pub fn sweep_stale_claims(root: &Path) -> usize {
     for entry in entries.flatten() {
         let path = entry.path();
         let stale = match std::fs::read_to_string(&path) {
-            Ok(content) => match claim_pid(&content) {
-                Some(pid) => !pid_alive(pid),
+            Ok(content) => match claim_owner(&content) {
+                Some((pid, start)) => !pid_alive(pid, start),
                 None => true,
             },
             Err(_) => true,
@@ -132,12 +136,17 @@ pub fn sweep_stale_claims(root: &Path) -> usize {
     swept
 }
 
-fn claim_pid(content: &str) -> Option<u32> {
-    let pid = parse_json(content).ok()?.get("pid").and_then(Json::num)?;
-    if pid.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&pid) {
-        return None;
-    }
-    Some(pid as u32)
+/// A claim's owner as `(pid, start time)`; a record from before start
+/// times were written carries the PID alone.
+fn claim_owner(content: &str) -> Option<(u32, Option<u64>)> {
+    let json = parse_json(content).ok()?;
+    let whole = |v: f64, max: f64| (v.fract() == 0.0 && (0.0..=max).contains(&v)).then_some(v);
+    let pid = whole(json.get("pid").and_then(Json::num)?, u32::MAX as f64)? as u32;
+    let start = match json.get("pid_start") {
+        Some(t) => Some(whole(t.num()?, u64::MAX as f64)? as u64),
+        None => None,
+    };
+    Some((pid, start))
 }
 
 /// Fold every worker journal (and, on `resume`, a previously merged or
@@ -647,6 +656,28 @@ mod tests {
         assert_eq!(sweep_stale_claims(&dir), 2);
         assert!(claim_path(&dir, 7).exists(), "live claim kept");
         assert!(!claim_path(&dir, 9).exists(), "dead claim swept");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A claim naming our own PID with another start time was left by
+    /// an earlier process that had this PID, and is swept; with our own
+    /// start time it is ours and kept.
+    #[test]
+    fn claims_from_a_reused_pid_sweep() {
+        let dir = temp_dir("reused-pid");
+        std::fs::create_dir_all(dir.join(CLAIMS_DIR)).unwrap();
+        let pid = std::process::id();
+        let start = pid_start_time(pid).expect("procfs reports our start time");
+        assert!(try_claim(&dir, 12, 0));
+        assert_eq!(claim_owner(&read(&claim_path(&dir, 12))), Some((pid, Some(start))));
+        std::fs::write(
+            claim_path(&dir, 13),
+            format!("{{\"cell\":\"d\",\"worker\":0,\"pid\":{pid},\"pid_start\":{}}}", start + 1),
+        )
+        .unwrap();
+        assert_eq!(sweep_stale_claims(&dir), 1);
+        assert!(claim_path(&dir, 12).exists(), "our own pid and start time are live");
+        assert!(!claim_path(&dir, 13).exists(), "a reused pid's claim is stale");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -196,24 +196,22 @@ impl<'a> EpochBundle<'a> {
     }
 }
 
+/// A flow as a shard tracks it: routed to its model when it opened,
+/// `None` for flows the policy drops or does not match.
+type Flow = TrackedFlow<ModelTarget>;
+
 /// One flow awaiting classification: routed target plus the sequence
 /// number of the packet whose arrival retired it (the first half of its
 /// verdict-stream sort key, and what pins its bundle epoch).
 pub(crate) struct PendingFlow {
-    flow: TrackedFlow,
+    flow: Flow,
     target: ModelTarget,
     pub(crate) evict_seq: u64,
 }
 
 /// Format one verdict line. `class` is escaped — label tables come from
 /// user-supplied `labels.txt`.
-fn verdict_line(
-    flow: &TrackedFlow,
-    target: ModelTarget,
-    label: u16,
-    class: &str,
-    epoch: usize,
-) -> String {
+fn verdict_line(flow: &Flow, target: ModelTarget, label: u16, class: &str, epoch: usize) -> String {
     format!(
         "{{\"flow\":{},\"first_ts\":{:.6},\"last_ts\":{:.6},\"packets\":{},\"bytes\":{},\
          \"proto\":{},\"target\":\"{}\",\"label\":{},\"class\":\"{}\",\"epoch\":{}}}\n",
@@ -337,9 +335,11 @@ fn classify_batch(
 /// verdicts keyed `(evict_seq, flow_id)` through the same code, which
 /// is what makes worker count a pure throughput knob.
 pub(crate) struct Shard<'a> {
-    table: FlowTable,
+    table: FlowTable<ModelTarget>,
     policy: &'a Policy,
     batch_size: usize,
+    /// Flows the last poll retired; drained by `tick`.
+    retired: Vec<(Flow, EvictionReason)>,
     pending: Vec<PendingFlow>,
     scratch: VerdictScratch,
     /// Bundle for each epoch; `bundles.len() == boundaries.len() + 1`.
@@ -360,12 +360,13 @@ impl<'a> Shard<'a> {
         policy: &'a Policy,
         opts: &ServeOptions,
     ) -> io::Result<Shard<'a>> {
-        let table = FlowTable::new(opts.idle_timeout)
+        let table = FlowTable::new_routed(opts.idle_timeout)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         Ok(Shard {
             table,
             policy,
             batch_size: opts.batch.max(1),
+            retired: Vec::new(),
             pending: Vec::new(),
             scratch: VerdictScratch::default(),
             bundles: vec![bundle],
@@ -394,9 +395,16 @@ impl<'a> Shard<'a> {
         self.boundaries.partition_point(|&b| b <= evict_seq)
     }
 
-    /// Ingest one frame owned by this shard (global packet `seq`).
+    /// Ingest one frame owned by this shard (global packet `seq`). The
+    /// policy depends only on the flow key and is fixed for the run, so
+    /// a flow is routed once, when it opens; a flow no model will read
+    /// stores no packets.
     pub(crate) fn frame(&mut self, seq: u64, ts: f64, frame: &[u8]) -> Ingest {
-        let ingest = self.table.push(seq, ts, frame);
+        let policy = self.policy;
+        let ingest = self.table.push_routed(seq, ts, frame, |key| {
+            let target = policy.match_flow(key).and_then(|r| ModelTarget::parse(&r.target));
+            target.filter(|&t| t != ModelTarget::Drop)
+        });
         if ingest == (Ingest::Tracked { opened: true }) {
             self.stats.flows += 1;
         }
@@ -413,9 +421,12 @@ impl<'a> Shard<'a> {
         sink: &ObsSink,
         emit: &mut dyn FnMut(u64, u64, String) -> io::Result<()>,
     ) -> io::Result<()> {
-        for (flow, reason) in self.table.poll(ts) {
-            self.route(flow, reason, seq);
+        let mut retired = std::mem::take(&mut self.retired);
+        self.table.poll_into(ts, &mut retired);
+        for (flow, reason) in retired.drain(..) {
+            self.retire(flow, reason, seq);
         }
+        self.retired = retired;
         while self.pending.len() >= self.batch_size {
             let rest = self.pending.split_off(self.batch_size);
             let batch = std::mem::replace(&mut self.pending, rest);
@@ -433,7 +444,7 @@ impl<'a> Shard<'a> {
         emit: &mut dyn FnMut(u64, u64, String) -> io::Result<()>,
     ) -> io::Result<()> {
         for (flow, reason) in self.table.flush() {
-            self.route(flow, reason, flush_seq);
+            self.retire(flow, reason, flush_seq);
         }
         let pending = std::mem::take(&mut self.pending);
         for batch in pending.chunks(self.batch_size) {
@@ -453,15 +464,16 @@ impl<'a> Shard<'a> {
         }
     }
 
-    fn route(&mut self, flow: TrackedFlow, reason: EvictionReason, evict_seq: u64) {
+    /// Count a retired flow and queue it for its model, if it has one.
+    fn retire(&mut self, flow: Flow, reason: EvictionReason, evict_seq: u64) {
         match reason {
             EvictionReason::Closed => self.stats.evicted_closed += 1,
             EvictionReason::Idle => self.stats.evicted_idle += 1,
             EvictionReason::Flush => self.stats.flushed += 1,
         }
-        match self.policy.match_flow(&flow.key).and_then(|r| ModelTarget::parse(&r.target)) {
-            Some(ModelTarget::Drop) | None => self.stats.dropped += 1,
+        match flow.route {
             Some(target) => self.pending.push(PendingFlow { flow, target, evict_seq }),
+            None => self.stats.dropped += 1,
         }
     }
 

@@ -13,12 +13,19 @@
 //! monotone in first-seen order, and — crucially for multi-worker
 //! serving — identical no matter how the packet stream is partitioned
 //! across flow tables.
+//!
+//! Routing: a caller whose routing depends only on the flow key routes
+//! each flow once, when it opens ([`FlowTable::push_routed`]). A flow
+//! routed nowhere keeps its counters, TCP state and eviction schedule
+//! but stores no packets.
 
 use dataset::record::PacketRecord;
 use debunk_core::obs::EvictionReason;
 use net_packet::conntrack::{ConnTracker, TcpState};
 use net_packet::frame::{FlowKey, IpInfo, ParsedFrame};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Packets stored per flow for classification. Later packets still
 /// update counters and TCP state but are not retained — classification
@@ -29,6 +36,9 @@ pub const MAX_STORED_PACKETS: usize = 32;
 /// How long after a TCP close the flow lingers so trailing ACKs join
 /// the same flow instead of opening a spurious one-packet successor.
 const CLOSE_LINGER_SECS: f64 = 1.0;
+
+/// End of a hash chain.
+const NIL: u32 = u32::MAX;
 
 /// One endpoint as (address, port), address widened to u128 so v4 and
 /// v6 share a representation (matching [`FlowKey`]).
@@ -56,15 +66,18 @@ fn ts_order_bits(ts: f64) -> u64 {
 /// state: one ulp below `last_ts + window`, so the stored bound is
 /// strictly below every `now` that can satisfy the exact eviction
 /// predicate (float addition may round up; `next_down` compensates).
-/// Free-standing so `push` can call it while holding the slot borrow.
-fn deadline_for(flow: &TrackedFlow, idle_timeout: f64, linger: f64) -> f64 {
+/// Free-standing so `push_routed` can call it while holding the slot
+/// borrow.
+fn deadline_for<R>(flow: &TrackedFlow<R>, idle_timeout: f64, linger: f64) -> f64 {
     let window = if flow.conn.state() == TcpState::Closed { linger } else { idle_timeout };
     (flow.last_ts + window).next_down()
 }
 
-/// A flow being assembled from live packets.
+/// A flow being assembled from live packets, routed to an `R` when it
+/// opened (`()` for [`FlowTable::push`], which stores every flow's
+/// packets).
 #[derive(Debug, Clone)]
-pub struct TrackedFlow {
+pub struct TrackedFlow<R = ()> {
     /// Sequence number of the opening packet (also the verdict
     /// stream's `flow` field). Unique and monotone in first-seen
     /// order, independent of how the stream is sharded.
@@ -74,7 +87,8 @@ pub struct TrackedFlow {
     /// TCP lifecycle (untouched for UDP flows).
     pub conn: ConnTracker,
     /// The first [`MAX_STORED_PACKETS`] packets, as records the
-    /// feature extractors and encoders consume directly.
+    /// feature extractors and encoders consume directly. Always empty
+    /// for a flow routed `None`.
     pub records: Vec<PacketRecord>,
     /// Timestamp of the first packet.
     pub first_ts: f64,
@@ -84,8 +98,13 @@ pub struct TrackedFlow {
     pub packets: u64,
     /// Total frame bytes seen.
     pub bytes: u64,
+    /// Where the flow was routed when it opened; `None`: nowhere, so
+    /// no packets are stored.
+    pub route: Option<R>,
     /// (address, port) of the flow opener — defines `from_client`.
     client: (u128, u16),
+    /// Next slot of this flow's hash chain, or [`NIL`].
+    next: u32,
 }
 
 /// Outcome of feeding one frame to the table.
@@ -111,12 +130,53 @@ struct Deadline {
     slot: u32,
 }
 
+/// The index's hasher. Its keys are already keyed SipHash values of
+/// flow keys, so it passes them through instead of hashing again.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the flow index hashes only u64 keys")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// Move `flow` into a free slot (last freed first) or a new one.
+fn occupy<R>(
+    slots: &mut Vec<Option<TrackedFlow<R>>>,
+    free: &mut Vec<u32>,
+    flow: TrackedFlow<R>,
+) -> u32 {
+    match free.pop() {
+        Some(slot) => {
+            slots[slot as usize] = Some(flow);
+            slot
+        }
+        None => {
+            slots.push(Some(flow));
+            u32::try_from(slots.len() - 1).expect("fewer than 2^32 live flows")
+        }
+    }
+}
+
 /// The serving flow table.
 ///
-/// Storage is a slab: `index` maps a key to a slot in `slots`, and
-/// retired slots are reused LIFO from `free`, so the hash map holds a
-/// key and a `u32` per flow and rehashing never moves the 224-byte
-/// [`TrackedFlow`].
+/// Storage is a slab of [`TrackedFlow`]s, whose retired slots are
+/// reused LIFO from `free`. The index maps a keyed SipHash of the flow
+/// key (`RandomState`, as a `HashMap<FlowKey, _>` would use) to the
+/// first slot of a chain; flows whose keys hash alike are linked
+/// through their `next` slot, and a lookup compares the full keys in
+/// the slab. An index entry is thus a `u64` and a `u32` — 16 bytes
+/// where a key-holding entry takes 64 — and rehashing never moves a
+/// flow. Which flows share a chain never affects eviction order.
 ///
 /// The deadline index is three sorted containers whose union holds
 /// every `(due, id, slot)` candidate: `idle_queue` for flows on the
@@ -126,15 +186,17 @@ struct Deadline {
 /// on pop. The due time stored is a conservative (one-ulp-early) bound,
 /// so a flow whose exact eviction predicate fires is always popped;
 /// stale or slightly-early entries are revalidated against the flow's
-/// current state and re-armed or discarded. [`FlowTable::poll`] is
+/// current state and re-armed or discarded. [`FlowTable::poll_into`] is
 /// therefore O(due) instead of O(tracked), which is what lets a
 /// per-packet poll schedule scale to million-flow tables.
 #[derive(Debug)]
-pub struct FlowTable {
-    /// Flow key → slot in `slots`.
-    index: HashMap<FlowKey, u32>,
+pub struct FlowTable<R = ()> {
+    /// Flow-key hash → first slot of its chain in `slots`.
+    index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// The index's keyed hash of a flow key.
+    hasher: RandomState,
     /// The live flows; `None` marks a free slot.
-    slots: Vec<Option<TrackedFlow>>,
+    slots: Vec<Option<TrackedFlow<R>>>,
     /// Free slots, reused last-in first-out.
     free: Vec<u32>,
     /// Deadlines on the idle window, in pop order. A deadline is the
@@ -144,10 +206,16 @@ pub struct FlowTable {
     /// Deadlines on the linger window of TCP-closed flows, in pop order.
     linger_queue: VecDeque<Deadline>,
     /// Entries that arrived below their queue's back: out-of-order
-    /// capture timestamps and the ulp-early re-arms of `poll`.
+    /// capture timestamps and the ulp-early re-arms of `poll_into`.
     stragglers: BTreeSet<Deadline>,
+    /// `poll_into`'s candidates to re-arm after its drain loop, kept
+    /// so a poll does not allocate.
+    rearm: Vec<(Deadline, bool)>,
     idle_timeout: f64,
     linger: f64,
+    /// Every key hashes alike, so the unit tests can drive one chain.
+    #[cfg(test)]
+    collide: bool,
 }
 
 impl FlowTable {
@@ -155,31 +223,59 @@ impl FlowTable {
     /// A non-positive or non-finite timeout is a configuration error,
     /// reported — never silently clamped.
     pub fn new(idle_timeout: f64) -> Result<FlowTable, String> {
+        FlowTable::new_routed(idle_timeout)
+    }
+
+    /// Feed one frame observed as global packet `seq` at `ts`, storing
+    /// packets for every flow: [`FlowTable::push_routed`] with every
+    /// flow routed to `()`.
+    pub fn push(&mut self, seq: u64, ts: f64, frame: &[u8]) -> Ingest {
+        self.push_routed(seq, ts, frame, |_| Some(()))
+    }
+}
+
+impl<R> FlowTable<R> {
+    /// [`FlowTable::new`] for a table whose flows are routed to an `R`
+    /// when they open.
+    pub fn new_routed(idle_timeout: f64) -> Result<FlowTable<R>, String> {
         if !(idle_timeout > 0.0 && idle_timeout.is_finite()) {
             return Err(format!(
                 "idle timeout must be a positive finite number of seconds (got {idle_timeout})"
             ));
         }
         Ok(FlowTable {
-            index: HashMap::new(),
+            index: HashMap::default(),
+            hasher: RandomState::new(),
             slots: Vec::new(),
             free: Vec::new(),
             idle_queue: VecDeque::new(),
             linger_queue: VecDeque::new(),
             stragglers: BTreeSet::new(),
+            rearm: Vec::new(),
             idle_timeout,
             linger: CLOSE_LINGER_SECS.min(idle_timeout),
+            #[cfg(test)]
+            collide: false,
         })
     }
 
     /// Flows currently tracked.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len() - self.free.len()
     }
 
     /// True when no flow is in flight.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
+    }
+
+    /// The index key of a flow key.
+    fn key_hash(&self, key: &FlowKey) -> u64 {
+        #[cfg(test)]
+        if self.collide {
+            return 0;
+        }
+        self.hasher.hash_one(key)
     }
 
     /// Queue a deadline candidate in its window's queue (`closed`:
@@ -207,8 +303,15 @@ impl FlowTable {
     /// Feed one frame observed as global packet `seq` at `ts`. Parsing
     /// failures and keyless traffic are reported, never panicked on —
     /// capture files contain garbage. A packet that opens a flow gives
-    /// the flow `id = seq`.
-    pub fn push(&mut self, seq: u64, ts: f64, frame: &[u8]) -> Ingest {
+    /// the flow `id = seq` and `route(&key)` as its route, asked once
+    /// per flow; a flow routed `None` stores no packets.
+    pub fn push_routed(
+        &mut self,
+        seq: u64,
+        ts: f64,
+        frame: &[u8],
+        route: impl FnOnce(&FlowKey) -> Option<R>,
+    ) -> Ingest {
         let Ok(parsed) = ParsedFrame::parse(frame) else {
             return Ingest::NonIp;
         };
@@ -216,39 +319,54 @@ impl FlowTable {
             return Ingest::NonIp;
         };
         let src = endpoint(&parsed);
-        let mut opened = false;
-        let slot = *self.index.entry(key).or_insert_with(|| {
-            opened = true;
-            let flow = TrackedFlow {
+        let open = |next: u32| {
+            let route = route(&key);
+            TrackedFlow {
                 id: seq,
                 key,
                 conn: ConnTracker::new(),
                 // Most flows of a SYN flood or scan are one packet.
-                records: Vec::with_capacity(1),
+                records: if route.is_some() { Vec::with_capacity(1) } else { Vec::new() },
                 first_ts: ts,
                 last_ts: ts,
                 packets: 0,
                 bytes: 0,
+                route,
                 client: src,
-            };
-            match self.free.pop() {
-                Some(slot) => {
-                    self.slots[slot as usize] = Some(flow);
-                    slot
+                next,
+            }
+        };
+        let hash = self.key_hash(&key);
+        let (slot, opened) = match self.index.entry(hash) {
+            Entry::Vacant(e) => {
+                (*e.insert(occupy(&mut self.slots, &mut self.free, open(NIL))), true)
+            }
+            Entry::Occupied(mut e) => {
+                let head = *e.get();
+                let mut at = head;
+                while at != NIL {
+                    let flow = self.slots[at as usize].as_ref().expect("chained slot holds a flow");
+                    if flow.key == key {
+                        break;
+                    }
+                    at = flow.next;
                 }
-                None => {
-                    self.slots.push(Some(flow));
-                    u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live flows")
+                if at != NIL {
+                    (at, false)
+                } else {
+                    let slot = occupy(&mut self.slots, &mut self.free, open(head));
+                    e.insert(slot);
+                    (slot, true)
                 }
             }
-        });
+        };
         let flow = self.slots[slot as usize].as_mut().expect("indexed slot holds a flow");
         let from_client = src == flow.client;
         flow.conn.push(&parsed, ts, from_client);
         flow.last_ts = ts;
         flow.packets += 1;
         flow.bytes += frame.len() as u64;
-        if flow.records.len() < MAX_STORED_PACKETS {
+        if flow.route.is_some() && flow.records.len() < MAX_STORED_PACKETS {
             flow.records.push(PacketRecord {
                 ts,
                 frame: frame.to_vec(),
@@ -267,7 +385,7 @@ impl FlowTable {
 
     /// Whether `flow` is due for eviction at `now` — the exact
     /// predicate the deadline index approximates from below.
-    fn due_reason(&self, flow: &TrackedFlow, now: f64) -> Option<EvictionReason> {
+    fn due_reason(&self, flow: &TrackedFlow<R>, now: f64) -> Option<EvictionReason> {
         let idle = now - flow.last_ts;
         if flow.conn.state() == TcpState::Closed && idle > self.linger {
             Some(EvictionReason::Closed)
@@ -298,15 +416,45 @@ impl FlowTable {
         Some(next)
     }
 
-    /// Retire every flow that is done as of `now`: TCP-closed flows
-    /// past their linger, and any flow idle beyond the timeout.
-    /// Returned in `id` order — the verdict stream order. Only flows
-    /// whose deadline candidates have come due are examined, so a call
-    /// with nothing to retire is O(1).
-    pub fn poll(&mut self, now: f64) -> Vec<(TrackedFlow, EvictionReason)> {
+    /// Take the flow out of `slot`: unlink it from its hash chain and
+    /// free the slot.
+    fn remove(&mut self, slot: u32) -> TrackedFlow<R> {
+        let flow = self.slots[slot as usize].take().expect("flow just looked up");
+        let hash = self.key_hash(&flow.key);
+        let Entry::Occupied(mut e) = self.index.entry(hash) else {
+            unreachable!("a live flow is indexed")
+        };
+        if *e.get() == slot {
+            if flow.next == NIL {
+                e.remove();
+            } else {
+                e.insert(flow.next);
+            }
+        } else {
+            let mut at = *e.get();
+            loop {
+                let prev = self.slots[at as usize].as_mut().expect("chained slot holds a flow");
+                if prev.next == slot {
+                    prev.next = flow.next;
+                    break;
+                }
+                at = prev.next;
+            }
+        }
+        self.free.push(slot);
+        flow
+    }
+
+    /// Retire every flow that is done as of `now` into `out` (cleared
+    /// first): TCP-closed flows past their linger, and any flow idle
+    /// beyond the timeout. Retired in `id` order — the verdict stream
+    /// order. Only flows whose deadline candidates have come due are
+    /// examined, so a call with nothing to retire is O(1), and one into
+    /// a buffer with room allocates nothing.
+    pub fn poll_into(&mut self, now: f64, out: &mut Vec<(TrackedFlow<R>, EvictionReason)>) {
+        out.clear();
         let horizon = ts_order_bits(now);
-        let mut due: Vec<(TrackedFlow, EvictionReason)> = Vec::new();
-        let mut keep: Vec<(Deadline, bool)> = Vec::new();
+        let mut rearm = std::mem::take(&mut self.rearm);
         while let Some(entry) = self.pop_due(horizon) {
             // Stale candidates: the flow was already retired, or the
             // slot was reused by a younger flow.
@@ -315,10 +463,7 @@ impl FlowTable {
                 continue;
             }
             if let Some(reason) = self.due_reason(flow, now) {
-                let flow = self.slots[entry.slot as usize].take().expect("flow just looked up");
-                self.index.remove(&flow.key);
-                self.free.push(entry.slot);
-                due.push((flow, reason));
+                out.push((self.remove(entry.slot), reason));
                 continue;
             }
             // Not due. If a later packet moved the deadline, the
@@ -330,24 +475,31 @@ impl FlowTable {
             // packet of the flow re-arms it.
             let current = deadline_for(flow, self.idle_timeout, self.linger);
             if !current.is_nan() && ts_order_bits(current) == entry.bits {
-                keep.push((entry, flow.conn.state() == TcpState::Closed));
+                rearm.push((entry, flow.conn.state() == TcpState::Closed));
             }
         }
-        for (entry, closed) in keep {
+        for (entry, closed) in rearm.drain(..) {
             self.arm(entry, closed);
         }
-        due.sort_unstable_by_key(|(f, _)| f.id);
+        self.rearm = rearm;
+        out.sort_unstable_by_key(|(f, _)| f.id);
+    }
+
+    /// [`FlowTable::poll_into`] into a new `Vec`.
+    pub fn poll(&mut self, now: f64) -> Vec<(TrackedFlow<R>, EvictionReason)> {
+        let mut due = Vec::new();
+        self.poll_into(now, &mut due);
         due
     }
 
     /// End-of-stream: retire everything still tracked, in `id` order.
-    pub fn flush(&mut self) -> Vec<(TrackedFlow, EvictionReason)> {
+    pub fn flush(&mut self) -> Vec<(TrackedFlow<R>, EvictionReason)> {
         self.index.clear();
         self.free.clear();
         self.idle_queue.clear();
         self.linger_queue.clear();
         self.stragglers.clear();
-        let mut rest: Vec<TrackedFlow> = self.slots.drain(..).flatten().collect();
+        let mut rest: Vec<TrackedFlow<R>> = self.slots.drain(..).flatten().collect();
         rest.sort_unstable_by_key(|f| f.id);
         rest.into_iter().map(|f| (f, EvictionReason::Flush)).collect()
     }
@@ -521,5 +673,134 @@ mod tests {
         table.push(replay.len() as u64, 1.0, &replay[0].frame);
         assert_eq!(table.poll(7.0).len(), 1);
         assert_eq!(table.flush().len(), tracked - 1);
+    }
+
+    /// A full-scan reference: flows in a plain list, found and retired
+    /// by scanning every entry with the exact idle/linger predicate. No
+    /// hashing, so it cannot share a chaining bug.
+    #[derive(Default)]
+    struct Scan {
+        flows: Vec<TrackedFlow>,
+    }
+
+    impl Scan {
+        fn push(&mut self, seq: u64, ts: f64, frame: &[u8]) -> Ingest {
+            let Ok(parsed) = ParsedFrame::parse(frame) else { return Ingest::NonIp };
+            let Some(key) = parsed.flow_key() else { return Ingest::NonIp };
+            let src = endpoint(&parsed);
+            let opened = !self.flows.iter().any(|f| f.key == key);
+            if opened {
+                self.flows.push(TrackedFlow {
+                    id: seq,
+                    key,
+                    conn: ConnTracker::new(),
+                    records: Vec::new(),
+                    first_ts: ts,
+                    last_ts: ts,
+                    packets: 0,
+                    bytes: 0,
+                    route: Some(()),
+                    client: src,
+                    next: NIL,
+                });
+            }
+            let flow = self.flows.iter_mut().find(|f| f.key == key).expect("opened above");
+            flow.conn.push(&parsed, ts, src == flow.client);
+            flow.last_ts = ts;
+            flow.packets += 1;
+            flow.bytes += frame.len() as u64;
+            Ingest::Tracked { opened }
+        }
+
+        fn retire(&mut self, due: impl Fn(&TrackedFlow) -> Option<EvictionReason>) -> Vec<Retired> {
+            let mut out = Vec::new();
+            self.flows.retain(|f| match due(f) {
+                Some(reason) => {
+                    out.push((f.id, reason, f.packets, f.bytes));
+                    false
+                }
+                None => true,
+            });
+            out.sort_unstable_by_key(|r| r.0);
+            out
+        }
+    }
+
+    /// `(id, reason, packets, bytes)` of a retired flow.
+    type Retired = (u64, EvictionReason, u64, u64);
+
+    fn retired(batch: Vec<(TrackedFlow, EvictionReason)>) -> Vec<Retired> {
+        batch.into_iter().map(|(f, r)| (f.id, r, f.packets, f.bytes)).collect()
+    }
+
+    /// Ids of the flows on the chain of index key 0, head first.
+    fn chain(table: &FlowTable) -> Vec<u64> {
+        let mut ids = Vec::new();
+        let mut at = table.index.get(&0).copied().unwrap_or(NIL);
+        while at != NIL {
+            let flow = table.slots[at as usize].as_ref().expect("chained slot holds a flow");
+            ids.push(flow.id);
+            at = flow.next;
+        }
+        ids
+    }
+
+    /// With every key hashing alike, the index is one chain. Flows
+    /// retired from its head, middle and tail, and keys found or
+    /// reopened behind a retired link, must match the full scan.
+    #[test]
+    fn one_hash_chain_matches_a_full_scan() {
+        let replay = SynthSpec::parse("iscx:2:1").unwrap().replay();
+        let mut table = FlowTable::new(0.5).unwrap();
+        table.collide = true;
+        let mut scan = Scan::default();
+        let (linger, idle) = (table.linger, table.idle_timeout);
+        // Retirements seen at the chain's [head, middle, tail].
+        let mut at = [0usize; 3];
+        let mut longest = 0;
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut ts = 0.0;
+        for (seq, p) in replay.iter().take(800).enumerate() {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            ts += match rng % 10 {
+                0..=6 => (rng >> 40) as f64 * 1e-9,
+                7 | 8 => 0.1 + (rng >> 40) as f64 * 1e-8,
+                _ => 0.6,
+            };
+            let seq = seq as u64;
+            assert_eq!(table.push(seq, ts, &p.frame), scan.push(seq, ts, &p.frame));
+            let ids = chain(&table);
+            assert_eq!(ids.len(), table.len(), "every flow is on the one chain");
+            longest = longest.max(ids.len());
+            let got = retired(table.poll(ts));
+            for (id, ..) in &got {
+                let pos = ids.iter().position(|i| i == id).expect("retired flow was chained");
+                if ids.len() > 2 {
+                    at[if pos == 0 {
+                        0
+                    } else if pos + 1 == ids.len() {
+                        2
+                    } else {
+                        1
+                    }] += 1;
+                }
+            }
+            let want = scan.retire(|f| {
+                let quiet = ts - f.last_ts;
+                if f.conn.state() == TcpState::Closed && quiet > linger {
+                    Some(EvictionReason::Closed)
+                } else if quiet > idle {
+                    Some(EvictionReason::Idle)
+                } else {
+                    None
+                }
+            });
+            assert_eq!(got, want, "poll after packet {seq} at {ts}");
+        }
+        assert_eq!(retired(table.flush()), scan.retire(|_| Some(EvictionReason::Flush)));
+        assert!(longest >= 3, "longest chain {longest}");
+        assert!(at.iter().all(|&n| n > 0), "retired at [head, middle, tail]: {at:?}");
     }
 }

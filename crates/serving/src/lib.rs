@@ -3,8 +3,9 @@
 //! The train side of the repo (`encoders`, `shallow`, `nn`) fits
 //! models; this crate is the inference side: it loads checksummed
 //! frozen artifacts ([`bundle::ModelBundle`]), assembles live packets
-//! into flows ([`flow::FlowTable`]), routes each retired flow through
-//! a user policy ([`policy::Policy`]), and emits a deterministic JSONL
+//! into flows ([`flow::FlowTable`]), routes each flow through a user
+//! policy ([`policy::Policy`]) when it opens, classifies it when it
+//! retires, and emits a deterministic JSONL
 //! verdict stream ([`engine::serve_stream`]). The `serve` binary wraps
 //! the two entry points: `serve export` trains and freezes a bundle,
 //! `serve run` replays packets against one.

@@ -3,15 +3,27 @@
 //! the table's determinism contract has to survive all of it. Frames
 //! are real synthesised traffic; timestamps are adversarial. An oracle
 //! table that scans every flow on every poll checks that the deadline
-//! index retires exactly the flows the eviction predicate names.
+//! index retires exactly the flows the eviction predicate names, and
+//! tables that route flows when they open (storing no packets for
+//! dropped ones) are held to the table that stores every flow's packets.
 
-use debunk_core::obs::EvictionReason;
+use dataset::record::{PacketRecord, Prepared};
+use debunk_core::engine::journal::escape_json;
+use debunk_core::metrics::majority_with;
+use debunk_core::obs::{EvictionReason, LogFormat, ObsSink};
+use encoders::EncodeScratch;
 use net_packet::conntrack::{ConnTracker, TcpState};
 use net_packet::frame::{FlowKey, IpInfo, ParsedFrame, TransportInfo};
+use nn::{MlpScratch, Tensor};
 use proptest::prelude::*;
+use serving::bundle::SERVING_FEATURES;
 use serving::flow::Ingest;
 use serving::source::SynthSpec;
-use serving::{FlowTable, MAX_STORED_PACKETS};
+use serving::{
+    serve, FlowTable, ModelBundle, Policy, ReloadSource, ServeOptions, ServeStats, TrackedFlow,
+    MAX_STORED_PACKETS,
+};
+use shallow::{extract_features, N_FEATURES};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -282,6 +294,58 @@ fn monotone(draws: &[(usize, u8, f64)]) -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// Replay `events` through a `push` table and a table routing each
+/// flow with `route` when it opens, polling after every push. Both must
+/// retire the same `(id, reason, packets, bytes)` stream; a flow routed
+/// `None` must carry no records, and one routed `Some` the same records
+/// as under `push`, with the route it was given.
+fn check_routed_against_push(
+    events: &[(usize, f64)],
+    route: fn(&FlowKey) -> Option<u16>,
+) -> Result<(), TestCaseError> {
+    fn same(
+        kept: Vec<(TrackedFlow, EvictionReason)>,
+        routed: Vec<(TrackedFlow<u16>, EvictionReason)>,
+        route: fn(&FlowKey) -> Option<u16>,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(kept.len(), routed.len());
+        for ((k, kr), (r, rr)) in kept.iter().zip(&routed) {
+            prop_assert_eq!((k.id, kr, k.packets, k.bytes), (r.id, rr, r.packets, r.bytes));
+            prop_assert_eq!(r.route, route(&r.key));
+            let frames = |records: &[PacketRecord]| -> Vec<Vec<u8>> {
+                records.iter().map(|p| p.frame.clone()).collect()
+            };
+            match r.route {
+                None => prop_assert!(r.records.is_empty(), "dropped flow {} kept packets", r.id),
+                Some(_) => prop_assert_eq!(frames(&k.records), frames(&r.records)),
+            }
+        }
+        Ok(())
+    }
+    let pool = frame_pool();
+    let mut kept = FlowTable::new(IDLE).unwrap();
+    let mut routed = FlowTable::new_routed(IDLE).unwrap();
+    for (seq, &(idx, ts)) in events.iter().enumerate() {
+        let frame = &pool[idx % pool.len()].1;
+        let seq = seq as u64;
+        prop_assert_eq!(kept.push(seq, ts, frame), routed.push_routed(seq, ts, frame, route));
+        same(kept.poll(ts), routed.poll(ts), route)?;
+        prop_assert_eq!(kept.len(), routed.len());
+    }
+    same(kept.flush(), routed.flush(), route)
+}
+
+/// Drop every flow at open.
+fn drop_all(_: &FlowKey) -> Option<u16> {
+    None
+}
+
+/// Keep a flow, routed to its low port, unless that port is a multiple
+/// of three.
+fn drop_some(key: &FlowKey) -> Option<u16> {
+    (!key.lo_port.is_multiple_of(3)).then_some(key.lo_port)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -295,6 +359,21 @@ proptest! {
         draws in proptest::collection::vec((0usize..4096, 0u8..8, 0.0f64..1.0), 1..160)
     ) {
         check_against_oracle(&monotone(&draws))?;
+    }
+
+    #[test]
+    fn flows_dropped_at_open_retire_as_under_push(evs in events()) {
+        check_routed_against_push(&evs, drop_all)?;
+        check_routed_against_push(&evs, drop_some)?;
+    }
+
+    #[test]
+    fn in_order_flows_dropped_at_open_retire_as_under_push(
+        draws in proptest::collection::vec((0usize..4096, 0u8..8, 0.0f64..1.0), 1..160)
+    ) {
+        let events = monotone(&draws);
+        check_routed_against_push(&events, drop_all)?;
+        check_routed_against_push(&events, drop_some)?;
     }
 }
 
@@ -332,4 +411,108 @@ fn monotone_streams_cover_teardowns_and_key_reuse() {
         closed > 0 && idle > 0 && reopened > 0,
         "closed {closed}, idle {idle}, reopened {reopened}"
     );
+}
+
+/// Routes to both model kinds, an explicit `drop`, and no `default`, so
+/// some flows match no rule.
+const MIXED_POLICY: &str = "*:udp -> drop\n*:tcp:443 -> encoder\n*:tcp:0-1023 -> forest\n";
+
+/// Serve's verdict lines and totals, rebuilt the way an outside walk
+/// over the public table sees them: `FlowTable::push` stores every
+/// flow's packets, and the policy is matched when a flow retires. Also
+/// returns how many flows went to `[encoder, forest, drop, no rule]`.
+fn walk_reference(
+    bundle: &ModelBundle,
+    policy: &Policy,
+    packets: &[serving::ReplayPacket],
+) -> (String, ServeStats, [u64; 4]) {
+    let mut table = FlowTable::new(ServeOptions::default().idle_timeout).unwrap();
+    let mut stats = ServeStats::default();
+    let mut lines = String::new();
+    let mut routes = [0u64; 4];
+    let (mut enc, mut x, mut mlp, mut votes) =
+        (EncodeScratch::default(), Tensor::default(), MlpScratch::default(), Vec::new());
+    let mut retire = |flow: TrackedFlow, reason: EvictionReason, stats: &mut ServeStats| {
+        match reason {
+            EvictionReason::Closed => stats.evicted_closed += 1,
+            EvictionReason::Idle => stats.evicted_idle += 1,
+            EvictionReason::Flush => stats.flushed += 1,
+        }
+        let target = policy.match_flow(&flow.key).map(|r| r.target.as_str());
+        let label = match target {
+            Some("encoder") => {
+                routes[0] += 1;
+                let mut labels = Vec::new();
+                bundle.encoder.encode_flows_into(
+                    &[flow.records.iter().collect()],
+                    &mut enc,
+                    &mut x,
+                );
+                bundle.head.predict_into(&x, &mut mlp, &mut labels);
+                labels[0]
+            }
+            Some("forest") => {
+                routes[1] += 1;
+                let rows: Vec<[f32; N_FEATURES]> =
+                    flow.records.iter().map(|r| extract_features(r, SERVING_FEATURES)).collect();
+                let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+                majority_with(&bundle.forest.predict(&refs), &mut votes)
+            }
+            other => {
+                routes[if other.is_some() { 2 } else { 3 }] += 1;
+                stats.dropped += 1;
+                return;
+            }
+        };
+        stats.verdicts += 1;
+        lines.push_str(&format!(
+            "{{\"flow\":{},\"first_ts\":{:.6},\"last_ts\":{:.6},\"packets\":{},\"bytes\":{},\
+             \"proto\":{},\"target\":\"{}\",\"label\":{},\"class\":\"{}\",\"epoch\":0}}\n",
+            flow.id,
+            flow.first_ts,
+            flow.last_ts,
+            flow.packets,
+            flow.bytes,
+            flow.key.protocol,
+            target.unwrap_or_default(),
+            label,
+            escape_json(bundle.class_name(label)),
+        ));
+    };
+    for (seq, p) in packets.iter().enumerate() {
+        stats.packets += 1;
+        match table.push(seq as u64, p.ts, &p.frame) {
+            Ingest::NonIp => stats.non_ip += 1,
+            Ingest::Tracked { opened } => stats.flows += u64::from(opened),
+        }
+        for (flow, reason) in table.poll(p.ts) {
+            retire(flow, reason, &mut stats);
+        }
+    }
+    for (flow, reason) in table.flush() {
+        retire(flow, reason, &mut stats);
+    }
+    (lines, stats, routes)
+}
+
+/// `serve()` routes flows when they open and stores no packets for the
+/// ones it drops; its verdict bytes and totals must equal the outside
+/// walk's, at one worker and at two.
+#[test]
+fn serve_with_drop_and_unmatched_flows_matches_a_push_walk() {
+    let spec = SynthSpec::parse("ustc:7:1").unwrap();
+    let bundle = ModelBundle::train(&Prepared::from_trace(&spec.trace()), 42);
+    let policy = Policy::parse(MIXED_POLICY).unwrap();
+    let packets = SynthSpec::parse("ustc:11:2").unwrap().replay();
+    let (want, want_stats, routes) = walk_reference(&bundle, &policy, &packets);
+    assert!(routes.iter().all(|&n| n > 0), "[encoder, forest, drop, no rule] = {routes:?}");
+    for (batch, workers) in [(1, 1), (16, 2)] {
+        let opts = ServeOptions { batch, workers, ..ServeOptions::default() };
+        let sink = ObsSink::stderr(LogFormat::Text);
+        let mut out = Vec::new();
+        let stats =
+            serve(&bundle, &policy, &packets, &opts, ReloadSource::None, &mut out, &sink).unwrap();
+        assert_eq!(stats, want_stats, "batch {batch}, workers {workers}");
+        assert_eq!(String::from_utf8(out).unwrap(), want, "batch {batch}, workers {workers}");
+    }
 }
