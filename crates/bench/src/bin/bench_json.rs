@@ -331,7 +331,7 @@ fn outofcore_rows(quick: bool) -> Vec<(&'static str, f64)> {
 fn serving_group(quick: bool, reps: usize) -> Vec<(&'static str, f64)> {
     use dataset::record::Prepared;
     use debunk_core::obs::{LogFormat, ObsSink};
-    use serving::engine::{serve, serve_stream, EpochBundle, ServeOptions};
+    use serving::engine::{serve, EpochBundle, ServeOptions};
     use serving::policy::Policy;
     use serving::reload::ReloadSource;
     use serving::source::SynthSpec;
@@ -372,7 +372,8 @@ fn serving_group(quick: bool, reps: usize) -> Vec<(&'static str, f64)> {
             name,
             bench_ms(reps, || {
                 let mut out = Vec::new();
-                serve_stream(&bundle, &policy, &replay, &opts, &mut out, &sink).unwrap()
+                serve(&bundle, &policy, &replay, &opts, ReloadSource::None, &mut out, &sink)
+                    .unwrap()
             }),
         ));
     }
@@ -381,11 +382,12 @@ fn serving_group(quick: bool, reps: usize) -> Vec<(&'static str, f64)> {
     let mixed = Policy::parse("*:tcp:443 -> encoder\n*:udp -> knn\ndefault -> forest\n").unwrap();
     let e2e_ms = bench_ms(reps, || {
         let mut out = Vec::new();
-        serve_stream(&bundle, &mixed, &replay, &opts, &mut out, &sink).unwrap()
+        serve(&bundle, &mixed, &replay, &opts, ReloadSource::None, &mut out, &sink).unwrap()
     });
     results.push(("serve_mixed_e2e", e2e_ms));
     let mut out = Vec::new();
-    let stats = serve_stream(&bundle, &mixed, &replay, &opts, &mut out, &sink).unwrap();
+    let stats =
+        serve(&bundle, &mixed, &replay, &opts, ReloadSource::None, &mut out, &sink).unwrap();
 
     // Sharded replay at 1/2/4 workers: same mixed policy, byte-identical
     // output — the spread shows dispatch overhead vs parallel speedup.

@@ -33,35 +33,42 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use traffic_synth::stream::fnv64;
 
-/// A cacheable prepare-stage product: a stage name plus a byte codec.
-/// `from_bytes(to_bytes(x))` must reproduce `x` exactly — loaded
-/// artifacts substitute for built ones byte-for-byte downstream.
+/// A cacheable prepare-stage product: a stage name plus a row-group
+/// codec. `from_groups` of `to_groups(x)` must reproduce `x` exactly —
+/// loaded artifacts substitute for built ones byte-for-byte downstream.
 pub trait Artifact: Send + Sync + Sized + 'static {
     /// Stage name, part of the content address (e.g. `"prepared"`).
     const STAGE: &'static str;
-    /// Serialise the payload for the disk tier.
-    fn to_bytes(&self) -> Vec<u8>;
-    /// Decode a payload; any inconsistency is an error, never a guess.
-    fn from_bytes(bytes: &[u8]) -> Result<Self, String>;
 
-    /// Split the payload into row groups for the v2 envelope. The
-    /// default is one group holding `to_bytes()`; row-chunked artifacts
-    /// override this so the disk tier can be written streamingly and
-    /// warm readers can touch only the groups they need.
-    fn to_groups(&self) -> Vec<RowGroup> {
-        vec![RowGroup { rows: 0, bytes: self.to_bytes() }]
-    }
+    /// Split the payload into the row groups of its envelope.
+    /// Row-chunked artifacts emit one group per chunk of rows, so the
+    /// disk tier can be written streamingly and warm readers can touch
+    /// only the groups they need; a single-payload artifact emits
+    /// [`single_group`].
+    fn to_groups(&self) -> Vec<RowGroup>;
 
-    /// Rebuild from v2 row-group payloads; must invert [`to_groups`]
-    /// (`Artifact::to_groups`). The default delegates to `from_bytes`,
-    /// which inverts the default `to_groups` exactly: a lone group is
-    /// decoded in place (a large artifact never exists twice in memory),
-    /// several are concatenated first.
-    fn from_groups(groups: Vec<Vec<u8>>) -> Result<Self, String> {
-        match groups.as_slice() {
-            [one] => Self::from_bytes(one),
-            _ => Self::from_bytes(&groups.concat()),
-        }
+    /// Rebuild from row-group payloads; must invert
+    /// [`Artifact::to_groups`]. Any inconsistency is an error, never a
+    /// guess.
+    fn from_groups(groups: Vec<Vec<u8>>) -> Result<Self, String>;
+}
+
+/// The groups of a single-payload artifact: one `rows: 0` group
+/// holding all of `bytes`.
+pub fn single_group(bytes: Vec<u8>) -> Vec<RowGroup> {
+    vec![RowGroup { rows: 0, bytes }]
+}
+
+/// Decode a [`single_group`] artifact with `decode`. The lone group is
+/// decoded in place, so a large artifact never exists twice in memory;
+/// any other group count is refused.
+pub fn from_single_group<A>(
+    groups: Vec<Vec<u8>>,
+    decode: impl FnOnce(&[u8]) -> Result<A, String>,
+) -> Result<A, String> {
+    match groups.as_slice() {
+        [one] => decode(one),
+        _ => Err(format!("expected one row group, found {}", groups.len())),
     }
 }
 
@@ -335,21 +342,13 @@ impl ArtifactCache {
 }
 
 /// One disk probe: `None` when the file is absent, `Some(Err)` when it
-/// exists but fails to read or decode (corrupt / torn / mis-keyed).
-/// v2 files decode through [`RowGroupFile`]; a legacy v1 file is the
-/// shared single-payload envelope and still serves (the compatibility
-/// policy tested in `tests/artifact_rowgroup.rs`).
+/// exists but fails to read or decode (corrupt / torn / mis-keyed, or
+/// any envelope other than v2).
 fn read_from_disk<A: Artifact>(path: &Path, key: &str) -> Option<Result<A, String>> {
     if !path.exists() {
         return None;
     }
-    let v2 = RowGroupFile::open(path, key).and_then(|mut f| f.decode::<A>());
-    Some(v2.or_else(|e| match std::fs::read(path) {
-        Ok(bytes) if bytes.get(4..8) == Some(&VERSION_V1.to_le_bytes()[..]) => {
-            envelope::open(&bytes, MAGIC, VERSION_V1, key).and_then(A::from_bytes)
-        }
-        _ => Err(e),
-    }))
+    Some(RowGroupFile::open(path, key).and_then(|mut f| f.decode::<A>()))
 }
 
 // ---------------------------------------------------------------------
@@ -547,7 +546,6 @@ pub fn artifact_key<A: Artifact>(parts: &[&str]) -> String {
 }
 
 const MAGIC: &[u8; 4] = b"DBAF";
-const VERSION_V1: u32 = 1;
 const VERSION_V2: u32 = 2;
 /// Fixed trailer size of a v2 envelope (see the byte diagram below).
 const TRAILER_LEN: usize = 48;
@@ -556,10 +554,10 @@ const TRAILER_LEN: usize = 48;
 // DBAF envelopes
 // ---------------------------------------------------------------------
 //
-// Both versions open with the shared `nn::envelope` header under magic
-// "DBAF" and the canonical key. v1 (legacy, still decoded) is the
-// shared single-payload layout (`envelope::seal`/`open`). v2 (written
-// by this version — row-group layout, DESIGN.md "On-disk formats"):
+// The shared `nn::envelope` header under magic "DBAF" and the canonical
+// key, then the v2 row-group layout (DESIGN.md "On-disk formats"). Any
+// other version, such as the v1 single-payload envelope written before
+// row groups, is refused and rebuilt:
 //
 //   header  := "DBAF" | u32 version=2 | u32 key_len | key
 //   body    := group[0] | group[1] | ... | group[n-1]      (contiguous)
@@ -900,11 +898,11 @@ mod tests {
 
     impl Artifact for Blob {
         const STAGE: &'static str = "test-blob";
-        fn to_bytes(&self) -> Vec<u8> {
-            self.0.clone()
+        fn to_groups(&self) -> Vec<RowGroup> {
+            single_group(self.0.clone())
         }
-        fn from_bytes(bytes: &[u8]) -> Result<Blob, String> {
-            Ok(Blob(bytes.to_vec()))
+        fn from_groups(groups: Vec<Vec<u8>>) -> Result<Blob, String> {
+            from_single_group(groups, |bytes| Ok(Blob(bytes.to_vec())))
         }
     }
 
@@ -1145,17 +1143,6 @@ mod tests {
 
     impl Artifact for Chunks {
         const STAGE: &'static str = "test-chunks";
-        fn to_bytes(&self) -> Vec<u8> {
-            let mut out = Vec::new();
-            for c in &self.0 {
-                out.extend_from_slice(&(c.len() as u32).to_le_bytes());
-                out.extend_from_slice(c);
-            }
-            out
-        }
-        fn from_bytes(_bytes: &[u8]) -> Result<Chunks, String> {
-            Err("chunked artifact has no v1 payload".to_string())
-        }
         fn to_groups(&self) -> Vec<RowGroup> {
             self.0
                 .iter()
@@ -1222,25 +1209,6 @@ mod tests {
         assert_eq!(f.decode::<Chunks>().unwrap(), value);
         let err = RowGroupFile::open(&path, "test-chunks|other").err().expect("wrong key");
         assert!(err.contains("key mismatch"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_envelopes_stay_readable() {
-        // A cache written before the v2 row-group upgrade holds v1
-        // single-payload envelopes; planted as a disk artifact, one
-        // must keep serving as a hit.
-        let key = "test-blob|k";
-        let payload = vec![3u8, 1, 4, 1, 5];
-        let v1 = envelope::seal(MAGIC, VERSION_V1, key, &payload);
-        let dir = temp_dir("debunk-artifact-v1compat");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(file_name(Blob::STAGE, fingerprint(key)));
-        std::fs::write(&path, &v1).unwrap();
-        let cache = ArtifactCache::new(Some(dir.clone()));
-        let hit = cache.lookup::<Blob>(&["k"]).expect("v1 disk hit");
-        assert_eq!(hit.0, payload);
-        assert_eq!(cache.stats().disk_hits, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,6 +1,6 @@
 //! Shared run state handed to every experiment cell.
 
-use crate::artifact::{Artifact, ArtifactCache};
+use crate::artifact::{from_single_group, single_group, Artifact, ArtifactCache, RowGroup};
 use crate::experiment::{build_encoder, CellConfig};
 use crate::obs::ObsSink;
 use crate::pipeline::{PreparedTask, TaskCache};
@@ -153,16 +153,18 @@ impl EncoderSpec {
 /// under the key are refused and rebuilt, never mis-decoded.
 impl Artifact for EncoderModel {
     const STAGE: &'static str = "encoder";
-    fn to_bytes(&self) -> Vec<u8> {
+    fn to_groups(&self) -> Vec<RowGroup> {
         let mut w = PayloadWriter::new();
         self.write_checkpoint(&mut w);
-        w.into_bytes()
+        single_group(w.into_bytes())
     }
-    fn from_bytes(bytes: &[u8]) -> Result<EncoderModel, String> {
-        let mut r = PayloadReader::new(bytes);
-        let model = EncoderModel::read_checkpoint(&mut r);
-        let model = model.and_then(|m| r.finish().map(|()| m));
-        model.map_err(|e| format!("encoder payload: {e}"))
+    fn from_groups(groups: Vec<Vec<u8>>) -> Result<EncoderModel, String> {
+        from_single_group(groups, |bytes| {
+            let mut r = PayloadReader::new(bytes);
+            let model = EncoderModel::read_checkpoint(&mut r);
+            let model = model.and_then(|m| r.finish().map(|()| m));
+            model.map_err(|e| format!("encoder payload: {e}"))
+        })
     }
 }
 

@@ -522,6 +522,10 @@ fn merge_run(
     }
 
     let total: usize = suite.iter().map(|e| e.metas.len()).sum();
+    // Hit counters depend on which worker reached an artifact first, so
+    // the merged manifest zeroes them; the *build* count is scheduling-
+    // invariant (cross-process single-flight) and is the one the bench
+    // asserts against a single-process run.
     let mut summary = RunSummary {
         cells_total: total,
         cells_done: done,
@@ -537,28 +541,7 @@ fn merge_run(
         manifest_path: None,
         metrics_path: None,
     };
-    // Hit counters depend on which worker reached an artifact first, so
-    // the merged manifest zeroes them; the *build* count is scheduling-
-    // invariant (cross-process single-flight) and is the one the bench
-    // asserts against a single-process run.
-    let manifest = RunManifest {
-        cells_total: summary.cells_total,
-        cells_done: summary.cells_done,
-        cells_failed: summary.cells_failed,
-        cells_resumed: 0,
-        failed_cells: summary.failed_cells.clone(),
-        record_write_errors: summary.record_write_errors.clone(),
-        artifact_mem_hits: 0,
-        artifact_disk_hits: 0,
-        artifact_builds,
-        journal_hash,
-    };
-    match manifest.write_atomic(root) {
-        Ok(path) => summary.manifest_path = Some(path),
-        Err(e) => summary
-            .record_write_errors
-            .push(format!("{}: {e}", root.join(crate::engine::journal::MANIFEST_FILE).display())),
-    }
+    RunManifest::write_summary(&mut summary, journal_hash, root);
     Ok(summary)
 }
 

@@ -29,7 +29,9 @@
 //!   are zeroed before a `done` entry is written — journal bytes never
 //!   depend on scheduling or the clock, matching the record contract.
 
+use crate::artifact::{from_single_group, single_group, Artifact, RowGroup};
 use crate::engine::registry::{CellOutput, RecordStats};
+use crate::engine::runner::RunSummary;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -476,16 +478,18 @@ fn output_from_json(j: &Json) -> Result<CellOutput, String> {
 /// directory. The payload reuses the journal's deterministic JSON codec
 /// (timings zeroed before store), so a cached cell is byte-identical to
 /// an executed one.
-impl crate::artifact::Artifact for CellOutput {
+impl Artifact for CellOutput {
     const STAGE: &'static str = "cell";
 
-    fn to_bytes(&self) -> Vec<u8> {
-        output_to_json(self).into_bytes()
+    fn to_groups(&self) -> Vec<RowGroup> {
+        single_group(output_to_json(self).into_bytes())
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<CellOutput, String> {
-        let s = std::str::from_utf8(bytes).map_err(|e| format!("not utf-8: {e}"))?;
-        output_from_json(&parse_json(s)?)
+    fn from_groups(groups: Vec<Vec<u8>>) -> Result<CellOutput, String> {
+        from_single_group(groups, |bytes| {
+            let s = std::str::from_utf8(bytes).map_err(|e| format!("not utf-8: {e}"))?;
+            output_from_json(&parse_json(s)?)
+        })
     }
 }
 
@@ -941,6 +945,30 @@ impl RunManifest {
         nn::envelope::atomic_write(&path, body.as_bytes())?;
         Ok(path)
     }
+
+    /// Write the manifest of `summary` atomically under `dir`. Its path
+    /// lands in `summary.manifest_path`, a failed write in
+    /// `summary.record_write_errors`.
+    pub fn write_summary(summary: &mut RunSummary, journal_hash: u64, dir: &Path) {
+        let manifest = RunManifest {
+            cells_total: summary.cells_total,
+            cells_done: summary.cells_done,
+            cells_failed: summary.cells_failed,
+            cells_resumed: summary.cells_resumed,
+            failed_cells: summary.failed_cells.clone(),
+            record_write_errors: summary.record_write_errors.clone(),
+            artifact_mem_hits: summary.artifacts.mem_hits,
+            artifact_disk_hits: summary.artifacts.disk_hits,
+            artifact_builds: summary.artifacts.builds,
+            journal_hash,
+        };
+        match manifest.write_atomic(dir) {
+            Ok(path) => summary.manifest_path = Some(path),
+            Err(e) => summary
+                .record_write_errors
+                .push(format!("{}: {e}", dir.join(MANIFEST_FILE).display())),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1140,13 +1168,16 @@ mod tests {
 
     #[test]
     fn cell_output_artifact_codec_round_trips() {
-        use crate::artifact::Artifact;
         let out = sample_output();
-        let bytes = Artifact::to_bytes(&out);
-        let back = <CellOutput as Artifact>::from_bytes(&bytes).unwrap();
+        let groups = out.to_groups();
+        assert_eq!((groups.len(), groups[0].rows), (1, 0), "one rows-0 group");
+        let bytes = groups[0].bytes.clone();
+        let back = CellOutput::from_groups(vec![bytes.clone()]).unwrap();
         assert_eq!(output_to_json(&back), output_to_json(&out));
-        assert!(<CellOutput as Artifact>::from_bytes(&bytes[..bytes.len() - 2]).is_err());
-        assert!(<CellOutput as Artifact>::from_bytes(b"{\"stats\":null}").is_err());
+        assert!(CellOutput::from_groups(vec![bytes[..bytes.len() - 2].to_vec()]).is_err());
+        assert!(CellOutput::from_groups(vec![b"{\"stats\":null}".to_vec()]).is_err());
+        assert!(CellOutput::from_groups(vec![bytes.clone(), bytes]).is_err(), "two groups");
+        assert!(CellOutput::from_groups(Vec::new()).is_err(), "no group");
     }
 
     #[test]

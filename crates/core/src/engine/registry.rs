@@ -250,7 +250,7 @@ impl Registry {
     /// one manifest, so a killed sweep resumes from whichever cell it
     /// reached. Errors only when the run cannot *start* (unknown id,
     /// unusable journal); cell failures are isolated and land in the
-    /// returned [`RunSummary`].
+    /// returned [`RunSummary`](crate::engine::runner::RunSummary).
     pub fn run(
         &self,
         filter: &str,

@@ -333,7 +333,6 @@ impl RunSession {
     /// Finish the session: write the manifest atomically and return the
     /// summary. Callers decide the exit code from [`RunSummary::ok`].
     pub fn finish(self) -> RunSummary {
-        let stats = self.artifacts.stats();
         let tally = self.tally.into_inner().unwrap_or_else(|e| e.into_inner());
         let mut summary = RunSummary {
             cells_total: tally.total,
@@ -342,31 +341,14 @@ impl RunSession {
             cells_resumed: tally.resumed,
             failed_cells: tally.failed_cells,
             record_write_errors: tally.record_write_errors,
-            artifacts: stats,
+            artifacts: self.artifacts.stats(),
             manifest_path: None,
             metrics_path: None,
         };
         if let Some(dir) = &self.out_dir {
             let journal_hash =
                 self.journal.as_ref().and_then(|j| j.content_hash().ok()).unwrap_or(0);
-            let manifest = RunManifest {
-                cells_total: summary.cells_total,
-                cells_done: summary.cells_done,
-                cells_failed: summary.cells_failed,
-                cells_resumed: summary.cells_resumed,
-                failed_cells: summary.failed_cells.clone(),
-                record_write_errors: summary.record_write_errors.clone(),
-                artifact_mem_hits: stats.mem_hits,
-                artifact_disk_hits: stats.disk_hits,
-                artifact_builds: stats.builds,
-                journal_hash,
-            };
-            match manifest.write_atomic(dir) {
-                Ok(path) => summary.manifest_path = Some(path),
-                Err(e) => summary
-                    .record_write_errors
-                    .push(format!("{}: {e}", dir.join("run-manifest.json").display())),
-            }
+            RunManifest::write_summary(&mut summary, journal_hash, dir);
         }
         // Metrics are observability, not results: a failed write warns
         // but never fails the run the way a lost record does.

@@ -1,7 +1,7 @@
 //! The concrete experiments of the paper's evaluation, ported from
 //! the former `repro` binary onto the engine. Each experiment exposes
 //! its grid of independent cells; the frozen/unfrozen × split-policy
-//! tables (3, 4, 5) share one [`GridExperiment`] expansion instead of
+//! tables (3, 4, 5) share one `GridExperiment` expansion instead of
 //! per-table loops.
 
 use crate::engine::context::{EncoderSpec, RunContext};

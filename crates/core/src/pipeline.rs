@@ -1,6 +1,6 @@
 //! The prepare chain — generate → clean → parse, then the derived
 //! token matrices, feature matrices and split index sets — served by
-//! the content-addressed [`ArtifactCache`](crate::artifact::ArtifactCache).
+//! the content-addressed [`ArtifactCache`].
 //!
 //! Each stage is defined once here: its key, its per-record row and its
 //! row-group codec. [`PreparedTask`] runs a stage with the whole dataset
@@ -16,7 +16,8 @@
 //! records stay byte-identical at any thread count.
 
 use crate::artifact::{
-    Artifact, ArtifactCache, ArtifactGroupWriter, RowGroup, RowGroupFile, ROW_GROUP_ROWS,
+    from_single_group, single_group, Artifact, ArtifactCache, ArtifactGroupWriter, RowGroup,
+    RowGroupFile, ROW_GROUP_ROWS,
 };
 use crate::experiment::SplitPolicy;
 use dataset::clean::{CleanReport, StreamingCleaner};
@@ -148,25 +149,10 @@ impl DatasetArtifact {
 impl Artifact for DatasetArtifact {
     const STAGE: &'static str = "prepared";
 
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.bytes(&self.data.to_bytes());
-        w.bytes(&self.clean.to_bytes());
-        w.into_bytes()
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Result<DatasetArtifact, String> {
-        let mut r = ByteReader::new(bytes);
-        let data = Prepared::from_bytes(r.bytes()?)?;
-        let clean = CleanReport::from_bytes(r.bytes()?)?;
-        r.finish()?;
-        Ok(DatasetArtifact { data: Arc::new(data), clean: Arc::new(clean) })
-    }
-
-    /// v2 grouping: record chunks first, then one metadata group
-    /// (class table + clean report). The metadata goes **last** because
-    /// the streaming writer only knows the clean report after the final
-    /// record chunk has been tallied.
+    /// Record chunks first, then one metadata group (class table +
+    /// clean report). The metadata goes **last** because the streaming
+    /// writer only knows the clean report after the final record chunk
+    /// has been tallied.
     fn to_groups(&self) -> Vec<RowGroup> {
         let meta = RowGroup { rows: 0, bytes: meta_group(&self.data.classes, &self.clean) };
         encode_groups(&self.data.records).chain([meta]).collect()
@@ -219,14 +205,6 @@ pub(crate) fn stage_rows<S: RowStage>(cfg: S::Config<'_>, records: &[PacketRecor
 /// Every per-record stage stores its rows in [`ROW_GROUP_ROWS`] groups.
 impl<S: RowStage> Artifact for S {
     const STAGE: &'static str = <S as RowStage>::STAGE;
-
-    fn to_bytes(&self) -> Vec<u8> {
-        rows_to_bytes(&self[..])
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Result<S, String> {
-        rows_from_bytes(bytes).map(S::from_rows)
-    }
 
     fn to_groups(&self) -> Vec<RowGroup> {
         encode_groups(&self[..]).collect()
@@ -297,12 +275,12 @@ impl RowStage for FeatureMatrix {
 impl Artifact for Split {
     const STAGE: &'static str = "split";
 
-    fn to_bytes(&self) -> Vec<u8> {
-        Split::to_bytes(self)
+    fn to_groups(&self) -> Vec<RowGroup> {
+        single_group(self.to_bytes())
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Split, String> {
-        Split::from_bytes(bytes)
+    fn from_groups(groups: Vec<Vec<u8>>) -> Result<Split, String> {
+        from_single_group(groups, Split::from_bytes)
     }
 }
 
@@ -486,7 +464,7 @@ impl PreparedTask {
 }
 
 /// Process-wide cache over the prepare chain. Thin handle around an
-/// [`ArtifactCache`]: keyed by dataset ([`dataset_key`]) — *not* by
+/// [`ArtifactCache`]: keyed by dataset (`dataset_key`) — *not* by
 /// `Task`, so tasks sharing a dataset share one build — with
 /// single-flight misses and an optional disk tier.
 #[derive(Default)]
@@ -676,11 +654,43 @@ mod tests {
     fn dataset_artifact_codec_round_trips() {
         let p = PreparedTask::build(Task::UstcBinary, 3, 0.15);
         let art = DatasetArtifact { data: p.data.clone(), clean: p.clean_report.clone() };
-        let bytes = art.to_bytes();
-        let back = DatasetArtifact::from_bytes(&bytes).unwrap();
+        let groups = |a: &DatasetArtifact| -> Vec<Vec<u8>> {
+            a.to_groups().into_iter().map(|g| g.bytes).collect()
+        };
+        let bytes = groups(&art);
+        let back = DatasetArtifact::from_groups(bytes.clone()).unwrap();
         assert_eq!(back.data.records.len(), p.data.records.len());
         assert_eq!(back.clean.total_after, p.clean_report.total_after);
-        assert_eq!(back.to_bytes(), bytes, "canonical re-encoding");
-        assert!(DatasetArtifact::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        assert_eq!(groups(&back), bytes, "canonical re-encoding");
+        for g in [0, bytes.len() - 1] {
+            let mut truncated = bytes.clone();
+            truncated[g].pop();
+            assert!(DatasetArtifact::from_groups(truncated).is_err(), "group {g} truncated");
+        }
+    }
+
+    /// A split is one group: a file holding two under a split key is
+    /// refused and rebuilt, never decoded from either group alone.
+    #[test]
+    fn a_two_group_file_under_a_split_key_is_refused() {
+        let dir = std::env::temp_dir().join("debunk-pipeline-split-groups");
+        std::fs::remove_dir_all(&dir).ok();
+        let split = Split { train: vec![0, 2], test: vec![1] };
+        let writer = ArtifactCache::new(Some(dir.clone()));
+        let mut w = writer.group_writer::<Split>(&["k"]).unwrap();
+        w.push_group(0, &split.to_bytes()).unwrap();
+        w.push_group(0, &split.to_bytes()).unwrap();
+        let path = w.finish().unwrap();
+        let key = crate::artifact::artifact_key::<Split>(&["k"]);
+        let err = RowGroupFile::open(&path, &key).unwrap().decode::<Split>().err();
+        assert!(err.expect("two groups refused").contains("one row group"));
+
+        let cache = ArtifactCache::new(Some(dir.clone()));
+        assert!(cache.lookup::<Split>(&["k"]).is_none(), "a two-group split is not served");
+        let rebuilt = cache.get_or_build(&["k"], || split.clone());
+        assert_eq!((&rebuilt.train, &rebuilt.test), (&split.train, &split.test));
+        assert_eq!(cache.stats().builds, 1);
+        assert_eq!(RowGroupFile::open(&path, &key).unwrap().n_groups(), 1, "rebuilt as one");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

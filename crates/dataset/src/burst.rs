@@ -54,11 +54,6 @@ pub fn segment_flow(data: &Prepared, flow_packets: &[usize], max_gap: f64) -> Ve
     bursts
 }
 
-/// Segment every flow of a dataset; returns `(flow_id, bursts)`.
-pub fn segment_all(data: &Prepared, max_gap: f64) -> Vec<(u64, Vec<Burst>)> {
-    data.flows().into_iter().map(|(id, idxs)| (id, segment_flow(data, &idxs, max_gap))).collect()
-}
-
 /// netFound's flow summarisation (§6.2): pick up to `max_bursts`
 /// bursts around the median-length burst, and up to `max_packets`
 /// packets around each burst's median packet.

@@ -177,35 +177,24 @@ pub trait Row: Sized {
     fn read(r: &mut ByteReader) -> Result<Self, String>;
 }
 
-/// Append a row run.
-pub fn write_rows<R: Row>(w: &mut ByteWriter, rows: &[R]) {
-    w.u64(rows.len() as u64);
-    for row in rows {
-        row.write(w);
-    }
-}
-
-/// Read a [`write_rows`] run.
-pub fn read_rows<R: Row>(r: &mut ByteReader) -> Result<Vec<R>, String> {
-    let n = r.count(R::MIN_BYTES)?;
-    let mut rows = Vec::with_capacity(n);
-    for i in 0..n {
-        rows.push(R::read(r).map_err(|e| format!("row {i}: {e}"))?);
-    }
-    Ok(rows)
-}
-
-/// Encode a standalone row run.
+/// Encode a row run.
 pub fn rows_to_bytes<R: Row>(rows: &[R]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    write_rows(&mut w, rows);
+    w.u64(rows.len() as u64);
+    for row in rows {
+        row.write(&mut w);
+    }
     w.into_bytes()
 }
 
-/// Decode a standalone [`rows_to_bytes`] run (rejects trailing bytes).
+/// Decode a [`rows_to_bytes`] run (rejects trailing bytes).
 pub fn rows_from_bytes<R: Row>(bytes: &[u8]) -> Result<Vec<R>, String> {
     let mut r = ByteReader::new(bytes);
-    let rows = read_rows(&mut r)?;
+    let n = r.count(R::MIN_BYTES)?;
+    let mut rows = Vec::with_capacity(n);
+    for i in 0..n {
+        rows.push(R::read(&mut r).map_err(|e| format!("row {i}: {e}"))?);
+    }
     r.finish()?;
     Ok(rows)
 }

@@ -1,6 +1,6 @@
 //! Packet records: the unit the downstream pipeline operates on.
 
-use crate::codec::{read_rows, write_rows, ByteReader, ByteWriter, Row};
+use crate::codec::{ByteReader, ByteWriter, Row};
 use net_packet::frame::ParsedFrame;
 use traffic_synth::trace::{ClassMeta, Trace, TraceRecord, SPURIOUS_CLASS};
 
@@ -78,29 +78,6 @@ impl Prepared {
         ids.len()
     }
 
-    /// Serialise for the artifact cache. The parsed layer view is not
-    /// stored — it is a deterministic function of the frame bytes and is
-    /// recomputed on decode — so the encoding stays compact and cannot
-    /// drift from the parser.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        write_rows(&mut w, &self.records);
-        write_classes(&mut w, &self.classes);
-        w.into_bytes()
-    }
-
-    /// Decode a [`Prepared::to_bytes`] buffer, re-parsing every frame.
-    /// Any malformed field — including an unparseable frame, which a
-    /// faithful encoding can never contain — is an error, never a
-    /// silently shorter dataset.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Prepared, String> {
-        let mut r = ByteReader::new(bytes);
-        let records = read_rows(&mut r)?;
-        let classes = read_classes(&mut r)?;
-        r.finish()?;
-        Ok(Prepared { records, classes })
-    }
-
     /// Group record indices by flow id, ordered by first appearance.
     pub fn flows(&self) -> Vec<(u64, Vec<usize>)> {
         let mut order: Vec<u64> = Vec::new();
@@ -122,7 +99,11 @@ impl Prepared {
     }
 }
 
-/// Records store their frame; decoding re-parses it (see [`Prepared::to_bytes`]).
+/// Records store their frame, not the parsed layer view: that is a
+/// deterministic function of the frame bytes, recomputed on decode, so
+/// the encoding stays compact and cannot drift from the parser. An
+/// unparseable frame, which a faithful encoding never holds, is an
+/// error, never a silently shorter dataset.
 impl Row for PacketRecord {
     const MIN_BYTES: usize = 23;
     fn write(&self, w: &mut ByteWriter) {
@@ -147,8 +128,7 @@ impl Row for PacketRecord {
     }
 }
 
-/// Write `u64 n` + `n` class-table entries (the class half of the
-/// [`Prepared::to_bytes`] layout).
+/// Write `u64 n` + `n` class-table entries.
 pub fn write_classes(w: &mut ByteWriter, classes: &[ClassMeta]) {
     w.u64(classes.len() as u64);
     for c in classes {
@@ -208,26 +188,31 @@ mod tests {
 
     #[test]
     fn byte_codec_round_trips_and_rejects_corruption() {
+        use crate::codec::{rows_from_bytes, rows_to_bytes};
         let p = prepared();
-        let bytes = p.to_bytes();
-        let back = Prepared::from_bytes(&bytes).unwrap();
-        assert_eq!(back.records.len(), p.records.len());
-        assert_eq!(back.classes.len(), p.classes.len());
-        for (a, b) in p.records.iter().zip(&back.records) {
+        let bytes = rows_to_bytes(&p.records);
+        let back: Vec<PacketRecord> = rows_from_bytes(&bytes).unwrap();
+        assert_eq!(back.len(), p.records.len());
+        for (a, b) in p.records.iter().zip(&back) {
             assert_eq!(a.ts.to_bits(), b.ts.to_bits());
             assert_eq!(a.frame, b.frame);
             assert_eq!((a.class, a.flow_id, a.from_client), (b.class, b.flow_id, b.from_client));
             assert_eq!(a.payload(), b.payload(), "parsed view must be recomputed identically");
         }
-        assert_eq!(back.to_bytes(), bytes, "re-encoding must be byte-identical");
-        assert!(Prepared::from_bytes(&bytes[..bytes.len() - 1]).is_err(), "truncation");
+        assert_eq!(rows_to_bytes(&back), bytes, "re-encoding must be byte-identical");
+        assert!(rows_from_bytes::<PacketRecord>(&bytes[..bytes.len() - 1]).is_err(), "truncation");
         let mut garbled = bytes.clone();
         garbled[10] ^= 0xff;
         // Flipping a byte lands in a frame, a length, or a count — all
         // must fail loudly rather than yield a quietly different dataset.
-        if let Ok(alt) = Prepared::from_bytes(&garbled) {
-            assert_ne!(alt.to_bytes(), bytes);
+        if let Ok(alt) = rows_from_bytes::<PacketRecord>(&garbled) {
+            assert_ne!(rows_to_bytes(&alt), bytes);
         }
+        // A frame that does not parse is refused, not skipped.
+        let mut bad = p.records[0].clone();
+        bad.frame.truncate(6);
+        let err = rows_from_bytes::<PacketRecord>(&rows_to_bytes(&[bad])).unwrap_err();
+        assert!(err.contains("bad frame"), "{err}");
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
         &self.buffer.as_ref()[HEADER_LEN..]
     }
 
-    /// Total frame length.
-    pub fn total_len(&self) -> usize {
-        self.buffer.as_ref().len()
-    }
-
     /// Consume the view, returning the inner buffer.
     pub fn into_inner(self) -> T {
         self.buffer

@@ -1,7 +1,7 @@
 //! The one checksummed file envelope and the one atomic-publish rule
 //! shared by every on-disk format in the workspace: frozen models
-//! (`DBFZ`), artifact-cache files (`DBAF` v1/v2) and shard runs
-//! (`DBSR`). DESIGN.md "On-disk formats" draws the four layouts.
+//! (`DBFZ`), artifact-cache files (`DBAF` v2) and shard runs (`DBSR`).
+//! DESIGN.md "On-disk formats" draws the three layouts.
 //!
 //! Every file opens with the same header (all integers little-endian):
 //!
@@ -9,9 +9,9 @@
 //!
 //! The key is the full canonical identity of the contents, so a file is
 //! never served for the wrong model kind, artifact or shard slot. The
-//! single-payload layout ([`seal`]/[`open`], used by `DBFZ` and `DBAF`
-//! v1) follows the header with `u64 payload_len · payload · u64
-//! fnv64(everything before)`.
+//! single-payload layout ([`seal`]/[`open`], used by `DBFZ`) follows
+//! the header with `u64 payload_len · payload · u64 fnv64(everything
+//! before)`.
 //!
 //! Files are published through [`AtomicFile`]: bytes go to a temp
 //! sibling unique to this process and write (`<file>.<pid>.<seq>.tmp`),

@@ -127,18 +127,6 @@ impl Int8Matrix {
         crate::simd::i8_axpy(dst, self.row(r), self.scales[r] * coeff);
     }
 
-    /// Dequantised copy (for accuracy inspection, not the hot path).
-    pub fn dequantize(&self) -> Tensor {
-        let mut t = Tensor::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let s = self.scales[r];
-            for (d, &q) in t.row_mut(r).iter_mut().zip(self.row(r)) {
-                *d = f32::from(q) * s;
-            }
-        }
-        t
-    }
-
     /// Serialise (shape, scales, data).
     pub fn write(&self, w: &mut PayloadWriter) {
         w.u64(self.rows as u64);

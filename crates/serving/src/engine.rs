@@ -511,9 +511,9 @@ impl<'a> Shard<'a> {
 /// Run the full serve loop over a replay stream: validate the policy
 /// against the initial bundle, then drive one inline shard
 /// (`opts.workers <= 1`) or the flow-hash-sharded worker pool
-/// ([`crate::shard::serve_sharded`]), applying reloads from `reload`
-/// at deterministic packet boundaries. When `sink` writes files, the
-/// run's serving metrics land in its `metrics.json` at the end.
+/// (`shard::serve_sharded`), applying reloads from `reload` at
+/// deterministic packet boundaries. When `sink` writes files, the run's
+/// serving metrics land in its `metrics.json` at the end.
 ///
 /// `packets` is any replay source: a borrowed `&[ReplayPacket]` (the
 /// in-memory benches), or an owning iterator such as the shard-dir
@@ -628,23 +628,6 @@ where
     Ok((stats, vec![totals]))
 }
 
-/// Back-compat single-bundle entry point: no reload source, worker
-/// count from `opts` (historically 1).
-pub fn serve_stream<I>(
-    bundle: &ModelBundle,
-    policy: &Policy,
-    packets: I,
-    opts: &ServeOptions,
-    out: &mut (dyn Write + Send),
-    sink: &ObsSink,
-) -> io::Result<ServeStats>
-where
-    I: IntoIterator,
-    I::Item: std::borrow::Borrow<ReplayPacket>,
-{
-    serve(bundle, policy, packets, opts, ReloadSource::None, out, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,7 +650,8 @@ mod tests {
         let sink = ObsSink::stderr(LogFormat::Text);
         let mut out = Vec::new();
         let opts = ServeOptions { batch, ..Default::default() };
-        let stats = serve_stream(bundle, policy, packets, &opts, &mut out, &sink).unwrap();
+        let stats =
+            serve(bundle, policy, packets, &opts, ReloadSource::None, &mut out, &sink).unwrap();
         (out, stats)
     }
 
@@ -719,9 +703,16 @@ mod tests {
         let policy = Policy::route_all("encoder_int8");
         let sink = ObsSink::stderr(LogFormat::Text);
         let mut out = Vec::new();
-        let err =
-            serve_stream(&bundle, &policy, &packets, &ServeOptions::default(), &mut out, &sink)
-                .unwrap_err();
+        let err = serve(
+            &bundle,
+            &policy,
+            &packets,
+            &ServeOptions::default(),
+            ReloadSource::None,
+            &mut out,
+            &sink,
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("--quant int8"), "{err}");
         assert!(out.is_empty(), "refused before any verdict");
@@ -734,7 +725,8 @@ mod tests {
         let sink = ObsSink::stderr(LogFormat::Text);
         let mut out = Vec::new();
         let opts = ServeOptions { idle_timeout: 0.0, ..Default::default() };
-        let err = serve_stream(&bundle, &policy, &packets, &opts, &mut out, &sink).unwrap_err();
+        let err = serve(&bundle, &policy, &packets, &opts, ReloadSource::None, &mut out, &sink)
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("idle timeout"), "{err}");
         assert!(out.is_empty());
@@ -768,9 +760,16 @@ mod tests {
         let policy = Policy::parse("* -> xgboost").unwrap();
         let sink = ObsSink::stderr(LogFormat::Text);
         let mut out = Vec::new();
-        let err =
-            serve_stream(&bundle, &policy, &packets, &ServeOptions::default(), &mut out, &sink)
-                .unwrap_err();
+        let err = serve(
+            &bundle,
+            &policy,
+            &packets,
+            &ServeOptions::default(),
+            ReloadSource::None,
+            &mut out,
+            &sink,
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(out.is_empty(), "refused before any verdict");
     }

@@ -6,7 +6,7 @@
 //! into flows ([`flow::FlowTable`]), routes each flow through a user
 //! policy ([`policy::Policy`]) when it opens, classifies it when it
 //! retires, and emits a deterministic JSONL
-//! verdict stream ([`engine::serve_stream`]). The `serve` binary wraps
+//! verdict stream ([`engine::serve`]). The `serve` binary wraps
 //! the two entry points: `serve export` trains and freezes a bundle,
 //! `serve run` replays packets against one.
 //!
@@ -27,7 +27,7 @@ pub mod shard;
 pub mod source;
 
 pub use bundle::ModelBundle;
-pub use engine::{serve, serve_stream, EpochBundle, ServeOptions, ServeStats};
+pub use engine::{serve, EpochBundle, ServeOptions, ServeStats};
 pub use flow::{FlowTable, TrackedFlow, MAX_STORED_PACKETS};
 pub use policy::{Policy, PolicyError, Rule};
 pub use reload::{LiveMsg, ReloadSource, ReloadWatcher};

@@ -179,13 +179,14 @@ fn corrupt_artifacts_fall_back_to_identical_rebuild() {
 /// dataset; 0.1669 also resolves to 4 and may reuse the 0.1668 file.
 #[test]
 fn dataset_key_follows_the_resolved_flow_count_not_the_scale() {
+    use debunk::dataset::codec::rows_to_bytes;
     use debunk::debunk_core::artifact::ArtifactCache;
     use debunk::debunk_core::pipeline::{PreparedTask, TaskCache};
     use std::sync::Arc;
 
     let dir = temp("debunk-artifact-scale-key");
     let cache = || Arc::new(ArtifactCache::new(Some(dir.clone())));
-    let bytes = |p: &PreparedTask| p.data.to_bytes();
+    let bytes = |p: &PreparedTask| rows_to_bytes(&p.data.records);
 
     let small = TaskCache::with_artifacts(cache()).get(Task::VpnApp, 1, 0.1665);
     let arts = cache();

@@ -3,14 +3,17 @@
 //! truncation at any offset, a bit flip anywhere, and duplicated or
 //! reordered groups must all be *refused* (open or decode errors) —
 //! never silently mis-decoded. The cache layer then turns a refusal
-//! into a rebuild that reproduces the pristine bytes, and legacy v1
-//! envelopes stay readable under the documented compat policy.
+//! into a rebuild that reproduces the pristine bytes; a legacy v1
+//! envelope is refused the same way and rebuilt as v2.
 
-use debunk::debunk_core::artifact::{artifact_key, Artifact, ArtifactCache, RowGroupFile};
+use debunk::dataset::codec::rows_to_bytes;
+use debunk::debunk_core::artifact::{artifact_key, ArtifactCache, ArtifactStats, RowGroupFile};
+use debunk::debunk_core::obs::{LogFormat, ObsSink};
 use debunk::debunk_core::pipeline::FeatureMatrix;
-use debunk::nn::envelope::fnv64;
+use debunk::nn::envelope::{fnv64, seal};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("debunk-rowgroup-{tag}"));
@@ -198,53 +201,40 @@ fn cache_refuses_corruption_and_rebuilds_pristine_bytes() {
     let cache = ArtifactCache::new(Some(dir.clone()));
     assert!(cache.lookup::<FeatureMatrix>(PARTS).is_none(), "corrupt artifact served");
     let rebuilt = cache.get_or_build::<FeatureMatrix>(PARTS, || sample_matrix(8));
-    assert_eq!(rebuilt.to_bytes(), sample_matrix(8).to_bytes());
+    assert_eq!(rebuilt.0, sample_matrix(8).0);
     assert_eq!(std::fs::read(&path).unwrap(), pristine, "rebuild is not byte-identical");
     assert_eq!(cache.stats().builds, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A DBAF v1 envelope (the single-payload layout written before row
+/// groups) planted at the cache path is refused like any unreadable
+/// file: a warning, one build under the build lock, and a v2 file in
+/// its place.
 #[test]
-fn v1_envelopes_stay_readable_and_upgrade_on_rebuild() {
-    let dir = scratch("v1compat");
-    let value = sample_matrix(8);
+fn v1_envelopes_are_refused_and_rebuilt_as_v2() {
+    let dir = scratch("v1");
     let key = artifact_key::<FeatureMatrix>(PARTS);
-    // Hand-craft a legacy v1 envelope at the exact cache path:
-    //   "DBAF" | u32 1 | u32 key_len | key | u64 payload_len | payload
+    // "DBAF" | u32 1 | u32 key_len | key | u64 payload_len | payload
     //   | u64 fnv64(everything before)
-    let payload = value.to_bytes();
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(b"DBAF");
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    v1.extend_from_slice(key.as_bytes());
-    v1.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    v1.extend_from_slice(&payload);
-    let check = fnv64(&v1);
-    v1.extend_from_slice(&check.to_le_bytes());
-
-    let cache = ArtifactCache::new(Some(dir.clone()));
+    let v1 = seal(b"DBAF", 1, &key, &rows_to_bytes(&sample_matrix(8).0));
+    let cache = ArtifactCache::new(Some(dir.join("cache")));
     let path = cache.artifact_path::<FeatureMatrix>(PARTS).unwrap();
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, &v1).unwrap();
+    let obs = dir.join("obs");
+    cache.set_obs(Arc::new(ObsSink::with_dir(&obs, LogFormat::Text).unwrap()));
 
-    // Compat policy: v1 is still decoded by the full-read path...
-    let loaded = cache.lookup::<FeatureMatrix>(PARTS).expect("v1 envelope must stay readable");
-    assert_eq!(loaded.to_bytes(), value.to_bytes());
-    assert_eq!(cache.stats().disk_hits, 1);
-    // ...but the warm frame reader requires v2, so a v1 file is refused
-    // there (callers fall back to a rebuild, which writes v2).
-    assert!(RowGroupFile::open(&path, &key).is_err(), "v1 must not satisfy the v2 frame reader");
-
-    // A corrupted v1 payload is refused, and the rebuild upgrades the
-    // file to a v2 envelope the frame reader accepts.
-    let mut broken = v1.clone();
-    let mid = broken.len() / 2;
-    broken[mid] ^= 0x01;
-    std::fs::write(&path, &broken).unwrap();
-    let fresh = ArtifactCache::new(Some(dir.clone()));
-    assert!(fresh.lookup::<FeatureMatrix>(PARTS).is_none());
-    fresh.get_or_build::<FeatureMatrix>(PARTS, || sample_matrix(8));
-    assert!(RowGroupFile::open(&path, &key).is_ok(), "rebuild must write a v2 envelope");
+    let built = cache.get_or_build::<FeatureMatrix>(PARTS, || sample_matrix(8));
+    assert_eq!(built.0, sample_matrix(8).0);
+    assert_eq!(cache.stats(), ArtifactStats { mem_hits: 0, disk_hits: 0, builds: 1 });
+    let trace = std::fs::read_to_string(obs.join("trace.jsonl")).unwrap();
+    let warned = trace.lines().any(|l| {
+        l.contains("\"level\":\"warn\"") && l.contains(&format!("ignoring {}", path.display()))
+    });
+    assert!(warned, "no warning names the refused v1 file:\n{trace}");
+    let mut f = RowGroupFile::open(&path, &key).expect("the rebuild publishes a v2 envelope");
+    assert_eq!(f.decode::<FeatureMatrix>().unwrap().0, sample_matrix(8).0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -282,7 +272,7 @@ proptest! {
         let (path, key, _) = written_sample(&dir, rows);
         let mut f = RowGroupFile::open(&path, &key).unwrap();
         let decoded = f.decode::<FeatureMatrix>().unwrap();
-        prop_assert_eq!(decoded.to_bytes(), sample_matrix(rows).to_bytes());
+        prop_assert_eq!(decoded.0, sample_matrix(rows).0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -301,6 +291,6 @@ fn multi_group_artifacts_tile_and_round_trip() {
     let sum: u64 = (0..f.n_groups()).map(|i| f.group_meta(i).rows).sum();
     assert_eq!(sum, rows as u64);
     let decoded = f.decode::<FeatureMatrix>().unwrap();
-    assert_eq!(decoded.to_bytes(), sample_matrix(rows).to_bytes());
+    assert_eq!(decoded.0, sample_matrix(rows).0);
     std::fs::remove_dir_all(&dir).ok();
 }

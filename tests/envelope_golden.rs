@@ -1,14 +1,14 @@
 //! Golden format pins: one tiny file of each on-disk layout (DBFZ,
-//! DBAF v2, DBAF v1, DBSR), written from fixed inputs through the
-//! public writers, must hash to the constants recorded when the layouts
-//! were fixed. Any change to a header, checksum, group framing or
-//! record encoding fails here, even if writer and reader change
-//! together and still round-trip.
+//! DBAF v2, DBSR), written from fixed inputs through the public
+//! writers, must hash to the constants recorded when the layouts were
+//! fixed. Any change to a header, checksum, group framing or record
+//! encoding fails here, even if writer and reader change together and
+//! still round-trip.
 
-use debunk::debunk_core::artifact::{artifact_key, Artifact, ArtifactCache, ROW_GROUP_ROWS};
+use debunk::debunk_core::artifact::{ArtifactCache, ROW_GROUP_ROWS};
 use debunk::debunk_core::outofcore::write_shard_dir;
 use debunk::debunk_core::pipeline::FeatureMatrix;
-use debunk::nn::envelope::{fnv64, seal};
+use debunk::nn::envelope::fnv64;
 use debunk::nn::frozen::FrozenArtifact;
 use debunk::nn::{Dense, Tensor};
 use debunk::shallow::N_FEATURES;
@@ -53,15 +53,6 @@ fn every_layout_matches_its_golden_bytes() {
     cache.store::<FeatureMatrix>(&["golden", "no-ip"], matrix(ROW_GROUP_ROWS + 3));
     let v2 = cache.artifact_path::<FeatureMatrix>(&["golden", "no-ip"]).unwrap();
     assert_eq!(pin(&v2), (0xe21d_509d_0c01_2d53, 639_617), "DBAF v2 layout changed");
-
-    // DBAF v1: the legacy single-payload envelope, still served.
-    let parts = ["golden-v1"];
-    let v1 = seal(b"DBAF", 1, &artifact_key::<FeatureMatrix>(&parts), &matrix(2).to_bytes());
-    assert_eq!((fnv64(&v1), v1.len()), (0x8166_1e97_ad93_1545, 366), "DBAF v1 layout changed");
-    std::fs::write(cache.artifact_path::<FeatureMatrix>(&parts).unwrap(), &v1).unwrap();
-    let fresh = ArtifactCache::new(Some(dir.clone()));
-    let loaded = fresh.lookup::<FeatureMatrix>(&parts).expect("v1 envelope decodes");
-    assert_eq!(loaded.to_bytes(), matrix(2).to_bytes());
 
     // DBSR: the runs of a small two-shard trace.
     let spec = DatasetSpec { kind: DatasetKind::UstcTfc, seed: 11, flows_per_class: 2 };

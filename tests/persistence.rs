@@ -4,7 +4,9 @@
 //! round-trip through their DBFZ export.
 
 use debunk::dataset::record::{PacketRecord, Prepared};
-use debunk::debunk_core::artifact::{Artifact, ArtifactCache};
+use debunk::debunk_core::artifact::{
+    from_single_group, single_group, Artifact, ArtifactCache, RowGroup,
+};
 use debunk::encoders::{EncoderModel, ModelKind};
 use debunk::nn::frozen::FrozenArtifact;
 use debunk::nn::{Mlp, Tensor};
@@ -19,8 +21,20 @@ fn prepared() -> Prepared {
 /// JSON of the model), cut down to one table entry.
 const JSON_ERA: &[u8] = b"{\"kind\":\"YaTc\",\"embedding\":{\"table\":{\"rows\":1,\"cols\":1,\"data\":[0.5]}},\"augment_seed\":7}";
 
+/// The encoder's cached payload: the one row group of its artifact.
+fn checkpoint(enc: &EncoderModel) -> Vec<u8> {
+    let mut groups = enc.to_groups();
+    assert_eq!(groups.len(), 1, "an encoder is a single-payload artifact");
+    groups.remove(0).bytes
+}
+
+/// Decode a cached encoder payload.
+fn from_checkpoint(bytes: &[u8]) -> Result<EncoderModel, String> {
+    EncoderModel::from_groups(vec![bytes.to_vec()])
+}
+
 fn restore(enc: &EncoderModel) -> EncoderModel {
-    EncoderModel::from_bytes(&enc.to_bytes()).expect("valid checkpoint")
+    from_checkpoint(&checkpoint(enc)).expect("valid checkpoint")
 }
 
 #[test]
@@ -29,10 +43,10 @@ fn encoder_checkpoint_round_trips() {
     let recs: Vec<&PacketRecord> = data.records.iter().take(8).collect();
     // YaTC is the narrowest analogue — keeps the checkpoint small
     let enc = EncoderModel::new(ModelKind::YaTc, 9);
-    let bytes = enc.to_bytes();
-    let restored = EncoderModel::from_bytes(&bytes).expect("valid checkpoint");
+    let bytes = checkpoint(&enc);
+    let restored = from_checkpoint(&bytes).expect("valid checkpoint");
     assert_eq!(restored.kind, ModelKind::YaTc);
-    assert_eq!(restored.to_bytes(), bytes, "byte-stable");
+    assert_eq!(checkpoint(&restored), bytes, "byte-stable");
     let a = enc.encode_packets(&recs);
     let b = restored.encode_packets(&recs);
     assert_eq!(a.data, b.data, "restored encoder must embed identically");
@@ -60,16 +74,16 @@ fn checkpoint_keeps_the_augment_seed() {
 #[test]
 fn corrupted_checkpoint_rejected() {
     let enc = EncoderModel::new(ModelKind::YaTc, 2);
-    let good = enc.to_bytes();
-    assert!(EncoderModel::from_bytes(JSON_ERA).is_err(), "JSON-era payload");
-    assert!(EncoderModel::from_bytes(b"not a checkpoint").is_err(), "garbage");
-    assert!(EncoderModel::from_bytes(&[]).is_err(), "empty");
-    assert!(EncoderModel::from_bytes(&good[..good.len() - 1]).is_err(), "truncated");
+    let good = checkpoint(&enc);
+    assert!(from_checkpoint(JSON_ERA).is_err(), "JSON-era payload");
+    assert!(from_checkpoint(b"not a checkpoint").is_err(), "garbage");
+    assert!(from_checkpoint(&[]).is_err(), "empty");
+    assert!(from_checkpoint(&good[..good.len() - 1]).is_err(), "truncated");
     let mut trailing = good.clone();
     trailing.push(0);
-    assert!(EncoderModel::from_bytes(&trailing).is_err(), "trailing bytes");
+    assert!(from_checkpoint(&trailing).is_err(), "trailing bytes");
     // The export alone lacks the augment seed, so it is not a checkpoint.
-    assert!(EncoderModel::from_bytes(&enc.to_frozen_bytes()).is_err(), "DBFZ file");
+    assert!(from_checkpoint(&enc.to_frozen_bytes()).is_err(), "DBFZ file");
 }
 
 /// Artifact under the encoder stage holding arbitrary bytes, to plant a
@@ -78,11 +92,11 @@ struct RawEncoderPayload(Vec<u8>);
 
 impl Artifact for RawEncoderPayload {
     const STAGE: &'static str = EncoderModel::STAGE;
-    fn to_bytes(&self) -> Vec<u8> {
-        self.0.clone()
+    fn to_groups(&self) -> Vec<RowGroup> {
+        single_group(self.0.clone())
     }
-    fn from_bytes(bytes: &[u8]) -> Result<RawEncoderPayload, String> {
-        Ok(RawEncoderPayload(bytes.to_vec()))
+    fn from_groups(groups: Vec<Vec<u8>>) -> Result<RawEncoderPayload, String> {
+        from_single_group(groups, |bytes| Ok(RawEncoderPayload(bytes.to_vec())))
     }
 }
 
@@ -100,7 +114,7 @@ fn json_era_cache_file_is_rebuilt() {
     assert_eq!(cache.stats().builds, 1, "refused file is rebuilt");
     let warm = ArtifactCache::new(Some(dir.clone()));
     let loaded = warm.lookup::<EncoderModel>(&parts).expect("rebuilt file decodes");
-    assert_eq!(loaded.to_bytes(), built.to_bytes());
+    assert_eq!(checkpoint(&loaded), checkpoint(&built));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -119,8 +133,8 @@ fn mlp_head_round_trips() {
 fn checkpoint_preserves_pretrained_weights_not_just_shape() {
     // Two encoders with different seeds checkpoint to different bytes —
     // the checkpoint carries weights, not merely architecture.
-    let a = EncoderModel::new(ModelKind::YaTc, 1).to_bytes();
-    let b = EncoderModel::new(ModelKind::YaTc, 2).to_bytes();
+    let a = checkpoint(&EncoderModel::new(ModelKind::YaTc, 1));
+    let b = checkpoint(&EncoderModel::new(ModelKind::YaTc, 2));
     assert_eq!(a.len(), b.len());
     assert_ne!(a, b);
 }
