@@ -26,8 +26,12 @@
 //! - Serialisation is hand-rolled and deterministic: `u64` values are
 //!   fixed-width hex strings (JSON numbers lose precision past 2^53),
 //!   floats use the shortest round-trip form, and wall-clock timings
-//!   are zeroed before a `done` entry is written — journal bytes never
-//!   depend on scheduling or the clock, matching the record contract.
+//!   are zeroed before a `done` entry is written — no line depends on
+//!   the clock, matching the record contract.
+//! - At `--jobs` > 1 cells append in completion order, so the *order*
+//!   of lines follows scheduling while the set of lines does not. The
+//!   manifest's `journal_hash` is therefore taken over the sorted lines
+//!   ([`Journal::content_hash`]) and is the same at any `--jobs`.
 
 use crate::artifact::{from_single_group, single_group, Artifact, RowGroup};
 use crate::engine::registry::{CellOutput, RecordStats};
@@ -839,11 +843,16 @@ impl Journal {
         &self.path
     }
 
-    /// Stable hash of the journal's current on-disk contents (recorded
-    /// in the manifest so a journal/manifest pair is self-checking).
+    /// Stable hash of the journal's current lines, recorded in the
+    /// manifest so a journal/manifest pair is self-checking. The lines
+    /// are hashed in sorted order: concurrent cells append in
+    /// completion order, and the hash must not depend on it.
     pub fn content_hash(&self) -> io::Result<u64> {
         let content = std::fs::read_to_string(&self.path)?;
-        Ok(fnv64(&[content.as_bytes()]))
+        let mut lines: Vec<&str> = content.lines().collect();
+        lines.sort_unstable();
+        let parts: Vec<&[u8]> = lines.iter().flat_map(|l| [l.as_bytes(), b"\n"]).collect();
+        Ok(fnv64(&parts))
     }
 }
 
@@ -873,7 +882,7 @@ pub struct RunManifest {
     pub artifact_disk_hits: usize,
     /// Artifact-cache cold misses that ran a builder.
     pub artifact_builds: usize,
-    /// Hash of the journal contents at manifest-write time.
+    /// [`Journal::content_hash`] at manifest-write time.
     pub journal_hash: u64,
 }
 
@@ -1163,6 +1172,31 @@ mod tests {
         let missing = dir.join("missing.jsonl");
         let (_, empty) = Journal::resume(&missing, 77).unwrap();
         assert_eq!(empty.n_done(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn content_hash_ignores_line_order() {
+        let dir = std::env::temp_dir().join("debunk-journal-hash-order-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let entries: Vec<JournalEntry> = (0..3)
+            .map(|n| {
+                let id = sample_id(n);
+                JournalEntry::Started { cell: id.hash(), attempt: 1, id }
+            })
+            .collect();
+        let hash_of = |name: &str, order: &[usize]| {
+            let journal = Journal::create(&dir.join(name), 77).unwrap();
+            for &i in order {
+                journal.append(&entries[i]).unwrap();
+            }
+            journal.content_hash().unwrap()
+        };
+        let forward = hash_of("a.jsonl", &[0, 1, 2]);
+        assert_eq!(forward, hash_of("b.jsonl", &[2, 0, 1]), "same lines, another order");
+        assert_ne!(forward, hash_of("c.jsonl", &[0, 1]), "a missing line changes the hash");
+        assert_ne!(forward, hash_of("d.jsonl", &[0, 1, 2, 2]), "so does a repeated one");
         std::fs::remove_dir_all(&dir).ok();
     }
 

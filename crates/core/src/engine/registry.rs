@@ -93,7 +93,8 @@ impl CellOutput {
 
     /// Copy with wall-clock timings zeroed via
     /// [`RecordStats::zero_wallclock`], matching the record contract:
-    /// journal and cache bytes never depend on scheduling or the clock.
+    /// journal lines and cache bytes never depend on scheduling or the
+    /// clock.
     pub fn zero_wallclock(&self) -> CellOutput {
         CellOutput { stats: self.stats.map(RecordStats::zero_wallclock), ..self.clone() }
     }

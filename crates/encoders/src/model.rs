@@ -572,6 +572,44 @@ mod tests {
     }
 
     #[test]
+    fn yatc_fine_tune_bytes_are_pinned() {
+        // Golden digest of an unfrozen YaTC fine-tune that runs the
+        // table's sparse Adam well past 17,321 row updates, the point
+        // from which both bias corrections are exactly 1.0 — so any
+        // optimiser rewrite must keep the trained bytes on both sides
+        // of it.
+        let d = sample();
+        let recs: Vec<&PacketRecord> = d.records.iter().collect();
+        let mut m = EncoderModel::new(ModelKind::YaTc, 3);
+        let mut row_updates = 0usize;
+        for step in 0..40usize {
+            let batch: Vec<&PacketRecord> =
+                (0..32).map(|i| recs[(step * 32 + i) % recs.len()]).collect();
+            let tokens = m.tokenize_training_batch(&batch, step as u64);
+            let rows: std::collections::HashSet<usize> =
+                tokens.iter().flatten().map(|&t| t as usize % VOCAB).collect();
+            row_updates += rows.len();
+            let mut grad = m.forward_tokens(&tokens);
+            for (i, g) in grad.data.iter_mut().enumerate() {
+                *g = *g * 0.5 - (i % 3) as f32 * 0.1;
+            }
+            m.backward(&grad, 2e-3);
+        }
+        assert!(row_updates > 20_000, "only {row_updates} row updates");
+        assert!(m.embedding.table.data.iter().all(|v| v.is_finite()));
+        let bytes: Vec<u8> = m
+            .embedding
+            .table
+            .data
+            .iter()
+            .chain(&m.proj.w.data)
+            .chain(&m.proj.b)
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        assert_eq!(nn::envelope::fnv64(&bytes), 0xfadf_14e6_9c9e_260e);
+    }
+
+    #[test]
     fn fresh_encoder_residual_is_near_identity() {
         // At init the residual branch is small: encoding ≈ pooled
         // random features, so an un-pre-trained encoder is a pure

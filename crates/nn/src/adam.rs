@@ -89,13 +89,18 @@ fn consts(beta1: f32, beta2: f32, eps: f32, t: u64, lr: f32) -> AdamConsts {
 /// Per-row Adam for embedding tables, with lazily materialised state:
 /// each table row gets a compact arena slot on first touch instead of a
 /// dense `rows × dim` mirror (for a 2¹⁶ × 128 table that would be two
-/// 33 MB mostly-zero arrays). The sparse row sweep is memory-bound, so
-/// this matters twice — a first-touch update appends zeroed state at
-/// the cache-hot arena tail (sequential stores, no cold reads), and
+/// 33 MB mostly-zero arrays). A first-touch update appends zeroed state
+/// at the cache-hot arena tail (sequential stores, no cold reads), and
 /// repeat touches land in an arena sized by the rows actually trained.
 /// Arena layout never enters the arithmetic: per-row update values are
 /// bit-identical to dense optimiser state, and the update order is
 /// whatever order the caller sweeps rows in.
+///
+/// The timestep advances per row, so the bias corrections settle fast:
+/// with the fixed β₁ = 0.9, β₂ = 0.999, `1 - β₁ᵗ` is exactly 1.0 from
+/// t = 165 and `1 - β₂ᵗ` from t = 17,321, and neither leaves 1.0 again
+/// up to the timestep cap (pinned by a test). From then on the row
+/// constants are cached instead of recomputed (two `powi` per row).
 #[derive(Debug, Clone, Default)]
 pub struct RowAdam {
     /// Row → arena slot (`u32::MAX` = not yet materialised).
@@ -107,6 +112,9 @@ pub struct RowAdam {
     beta1: f32,
     beta2: f32,
     eps: f32,
+    /// The row constants once both bias corrections are exactly 1.0,
+    /// for the learning rate they were computed with.
+    settled: Option<AdamConsts>,
 }
 
 impl RowAdam {
@@ -121,6 +129,7 @@ impl RowAdam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
+            settled: None,
         }
     }
 
@@ -139,7 +148,16 @@ impl RowAdam {
     pub fn step_row(&mut self, params: &mut [f32], g: &[f32], row: usize, lr: f32) {
         assert_eq!(g.len(), self.dim);
         self.t += 1;
-        let c = consts(self.beta1, self.beta2, self.eps, self.t.min(1_000_000), lr);
+        let c = match self.settled {
+            Some(c) if c.lr.to_bits() == lr.to_bits() => c,
+            _ => {
+                let c = consts(self.beta1, self.beta2, self.eps, self.t.min(1_000_000), lr);
+                if c.b1t == 1.0 && c.b2t == 1.0 {
+                    self.settled = Some(c);
+                }
+                c
+            }
+        };
         let slot = self.slot[row];
         let s = if slot == u32::MAX {
             let s = self.m.len() / self.dim.max(1);
@@ -229,6 +247,65 @@ mod tests {
                 &c,
             );
         }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&params), bits(&reference));
+    }
+
+    #[test]
+    fn bias_corrections_settle_at_one_and_stay() {
+        // `RowAdam` caches its constants once both corrections are
+        // exactly 1.0, which is exact only if they never leave 1.0
+        // again anywhere in the capped timestep range.
+        let opt = RowAdam::new(1, 1);
+        let (mut b1_at, mut both_at) = (None, None);
+        for t in 1..=1_000_000u64 {
+            let c = consts(opt.beta1, opt.beta2, opt.eps, t, 0.01);
+            if b1_at.is_some() {
+                assert_eq!(c.b1t, 1.0, "1 - b1^t left 1.0 at t = {t}");
+            } else if c.b1t == 1.0 {
+                b1_at = Some(t);
+            }
+            if both_at.is_some() {
+                assert!(c.b1t == 1.0 && c.b2t == 1.0, "corrections left 1.0 at t = {t}");
+            } else if c.b1t == 1.0 && c.b2t == 1.0 {
+                both_at = Some(t);
+            }
+        }
+        assert_eq!((b1_at, both_at), (Some(165), Some(17_321)));
+    }
+
+    #[test]
+    fn row_adam_matches_dense_reference_past_the_settle_point() {
+        // Per-call constants against the settled cache, across a rate
+        // change after the corrections reach 1.0 and back again. A
+        // 37-wide row runs both the vector body and the scalar tail of
+        // every SIMD lane.
+        let (rows, dim) = (11usize, 37usize);
+        let mut params: Vec<f32> = (0..rows * dim).map(|i| (i as f32).cos()).collect();
+        let mut reference = params.clone();
+        let mut opt = RowAdam::new(rows, dim);
+        let (mut dm, mut dv) = (vec![0.0f32; rows * dim], vec![0.0f32; rows * dim]);
+        let mut g = vec![0.0f32; dim];
+        for t in 1..=20_000u64 {
+            let row = (t * 7 % rows as u64) as usize;
+            let lr = if (18_001..=19_000).contains(&t) { 0.003 } else { 0.01 };
+            // every fifth gradient row is all zeros
+            let on = if t % 5 == 0 { 0.0 } else { 1.0 };
+            for (i, v) in g.iter_mut().enumerate() {
+                *v = on * ((t as f32) * 0.37 + i as f32).sin();
+            }
+            opt.step_row(&mut params, &g, row, lr);
+            let c = consts(0.9, 0.999, 1e-8, t, lr);
+            let o = row * dim;
+            crate::simd::adam_update_scalar(
+                &mut reference[o..o + dim],
+                &mut dm[o..o + dim],
+                &mut dv[o..o + dim],
+                &g,
+                &c,
+            );
+        }
+        assert!(opt.settled.is_some_and(|c| c.lr == 0.01));
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&params), bits(&reference));
     }

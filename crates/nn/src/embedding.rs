@@ -248,12 +248,15 @@ impl Embedding {
         let mut start = 0usize;
         for (slot, &row) in self.touched.iter().enumerate() {
             let end = self.bucket_pos[slot] as usize;
-            // The sweep is latency-bound on the table and optimiser
+            // The sweep is latency-bound on the table (and optimiser)
             // rows; pull a row a few steps ahead first, so the fetch
             // overlaps this row's gradient accumulation and update.
-            if adam {
-                if let Some(&next) = self.touched.get(slot + 3) {
+            if let Some(&next) = self.touched.get(slot + 3) {
+                if adam {
                     self.opt.prefetch_row(&self.table.data, next as usize);
+                } else {
+                    let base = next as usize * dim;
+                    simd::prefetch_read(&self.table.data[base..base + dim]);
                 }
             }
             self.grads.iter_mut().for_each(|v| *v = 0.0);

@@ -212,7 +212,8 @@ pub fn adam_update(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &A
 /// Hint the cache hierarchy to pull `slice` toward L1. A pure memory
 /// hint (`prefetcht0`): no architectural effect, so results are
 /// unchanged on every lane — used to hide the row-fetch latency of the
-/// sparse Adam sweep over the (much larger than cache) optimiser state.
+/// sparse embedding sweeps over the (much larger than cache) token table
+/// and optimiser state.
 /// No-op on non-x86 targets and with the `simd` feature off.
 #[inline]
 pub fn prefetch_read(slice: &[f32]) {
@@ -276,6 +277,16 @@ pub fn i8_axpy(dst: &mut [f32], q: &[i8], s: f32) {
 mod x86 {
     use super::AdamConsts;
     use core::arch::x86_64::*;
+
+    /// True once both bias corrections are exactly 1.0. The lanes then
+    /// skip the two correction divides: `x / 1.0 == x` bit for bit in
+    /// IEEE 754 (no FTZ/DAZ is enabled, and `m`, `v` are results of
+    /// arithmetic, so never signalling NaNs). The scalar reference keeps
+    /// its divides, and the lanes are tested against it.
+    #[inline(always)]
+    fn settled(c: &AdamConsts) -> bool {
+        c.b1t == 1.0 && c.b2t == 1.0
+    }
 
     // ---- AVX-512F (16-wide) ----
 
@@ -355,6 +366,7 @@ mod x86 {
         let b2t = _mm512_set1_ps(c.b2t);
         let lr = _mm512_set1_ps(c.lr);
         let eps = _mm512_set1_ps(c.eps);
+        let settled = settled(c);
         let mut i = 0;
         while i + 16 <= n {
             unsafe {
@@ -371,8 +383,11 @@ mod x86 {
                     _mm512_mul_ps(_mm512_mul_ps(c2, gv), gv),
                 );
                 _mm512_storeu_ps(vp.add(i), vv);
-                let mhat = _mm512_div_ps(mv, b1t);
-                let vhat = _mm512_div_ps(vv, b2t);
+                let (mhat, vhat) = if settled {
+                    (mv, vv)
+                } else {
+                    (_mm512_div_ps(mv, b1t), _mm512_div_ps(vv, b2t))
+                };
                 let step = _mm512_div_ps(
                     _mm512_mul_ps(lr, mhat),
                     _mm512_add_ps(_mm512_sqrt_ps(vhat), eps),
@@ -482,6 +497,7 @@ mod x86 {
         let b2t = _mm256_set1_ps(c.b2t);
         let lr = _mm256_set1_ps(c.lr);
         let eps = _mm256_set1_ps(c.eps);
+        let settled = settled(c);
         let mut i = 0;
         while i + 8 <= n {
             unsafe {
@@ -496,8 +512,11 @@ mod x86 {
                     _mm256_mul_ps(_mm256_mul_ps(c2, gv), gv),
                 );
                 _mm256_storeu_ps(vp.add(i), vv);
-                let mhat = _mm256_div_ps(mv, b1t);
-                let vhat = _mm256_div_ps(vv, b2t);
+                let (mhat, vhat) = if settled {
+                    (mv, vv)
+                } else {
+                    (_mm256_div_ps(mv, b1t), _mm256_div_ps(vv, b2t))
+                };
                 let step = _mm256_div_ps(
                     _mm256_mul_ps(lr, mhat),
                     _mm256_add_ps(_mm256_sqrt_ps(vhat), eps),
@@ -537,6 +556,34 @@ mod tests {
 
     fn floats(len: usize) -> impl Strategy<Value = Vec<f32>> {
         proptest::collection::vec(-1.0e3f32..1.0e3, len)
+    }
+
+    /// A float of the class `kind` picks (±0.0, subnormal, large or
+    /// ordinary), sign and payload from `bits`. Large magnitudes stay
+    /// below 2⁶¹ so `(1-β₂)·g·g` is finite.
+    fn edge_float(kind: u8, bits: u32) -> f32 {
+        let sign = bits & 0x8000_0000;
+        match kind % 4 {
+            0 => f32::from_bits(sign),
+            1 => f32::from_bits(sign | (bits & 0x007f_ffff).max(1)),
+            2 => f32::from_bits(sign | (0x5d00_0000 + (bits & 0x00ff_ffff))),
+            _ => (bits % 2_000_001) as f32 / 1000.0 - 1000.0,
+        }
+    }
+
+    /// Every Adam kernel this machine can run: the dispatched lane, plus
+    /// the AVX2 kernel explicitly when the dispatcher picks AVX-512.
+    type AdamKernel = fn(&mut [f32], &mut [f32], &mut [f32], &[f32], &AdamConsts);
+
+    fn adam_kernels() -> Vec<AdamKernel> {
+        #[allow(unused_mut)]
+        let mut kernels: Vec<AdamKernel> = vec![adam_update];
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            // SAFETY: both features were detected at runtime just above.
+            kernels.push(|p, m, v, g, c| unsafe { x86::adam_update_avx2(p, m, v, g, c) });
+        }
+        kernels
     }
 
     proptest! {
@@ -584,6 +631,32 @@ mod tests {
             for (x, y) in [(&p1, &p2), (&m1, &m2), (&v1, &v2)] {
                 prop_assert_eq!(x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                                 y.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            }
+        }
+
+        #[test]
+        fn settled_adam_update_matches_scalar_bitwise(
+            len in 0usize..70,
+            p0 in floats(70),
+            kinds in proptest::collection::vec(0u8..4, 210),
+            bits in proptest::collection::vec(any::<u32>(), 210),
+        ) {
+            // Bias corrections of exactly 1.0: the lanes skip the
+            // divides the scalar reference still performs.
+            let c = AdamConsts { beta1: 0.9, beta2: 0.999, eps: 1e-8, b1t: 1.0, b2t: 1.0, lr: 0.01 };
+            let edge = |k: usize| edge_float(kinds[k], bits[k]);
+            let m0: Vec<f32> = (0..len).map(edge).collect();
+            let v0: Vec<f32> = (0..len).map(|i| edge(70 + i).abs()).collect();
+            let g: Vec<f32> = (0..len).map(|i| edge(140 + i)).collect();
+            let (mut p2, mut m2, mut v2) = (p0[..len].to_vec(), m0.clone(), v0.clone());
+            adam_update_scalar(&mut p2, &mut m2, &mut v2, &g, &c);
+            for kernel in adam_kernels() {
+                let (mut p1, mut m1, mut v1) = (p0[..len].to_vec(), m0.clone(), v0.clone());
+                kernel(&mut p1, &mut m1, &mut v1, &g, &c);
+                for (x, y) in [(&p1, &p2), (&m1, &m2), (&v1, &v2)] {
+                    prop_assert_eq!(x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                    y.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+                }
             }
         }
 
