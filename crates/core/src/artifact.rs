@@ -30,7 +30,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use traffic_synth::stream::fnv64;
 
 /// A cacheable prepare-stage product: a stage name plus a row-group
@@ -174,11 +174,16 @@ impl ArtifactCache {
     /// Get the artifact addressed by `parts` (joined with `A::STAGE`
     /// into the canonical key), building it with `build` at most once
     /// per process. Concurrent callers for the same key block until the
-    /// first build finishes; different keys proceed in parallel.
+    /// first build finishes; different keys proceed in parallel. The
+    /// time a caller spends blocked on another thread's build goes to
+    /// the sink's `wait` stage — observability only, never counted in
+    /// [`ArtifactStats`].
     pub fn get_or_build<A: Artifact>(&self, parts: &[&str], build: impl FnOnce() -> A) -> Arc<A> {
         let key = canonical_key(A::STAGE, parts);
         let fingerprint = fingerprint(&key);
         let slot = self.slot(fingerprint);
+        let ready = slot.get().is_some();
+        let started = Instant::now();
         let mut invoked = false;
         let any = slot
             .get_or_init(|| {
@@ -188,6 +193,9 @@ impl ArtifactCache {
             .clone();
         if !invoked {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
+            if !ready {
+                self.obs().add_stage("wait", started.elapsed().as_secs_f64());
+            }
         }
         // The fingerprint covers the canonical key, which starts with the
         // stage, and each stage has exactly one payload type — so a
@@ -933,6 +941,38 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.builds, 1);
         assert_eq!(stats.mem_hits, 7);
+    }
+
+    /// A caller blocked on another thread's in-flight build records the
+    /// blocked time under the sink's `wait` stage; the builder and a
+    /// later hit on the finished slot record none, and the hit/build
+    /// counters are what they were without the stage.
+    #[test]
+    fn blocking_on_an_in_flight_build_is_timed_as_a_wait() {
+        let cache = ArtifactCache::new(None);
+        let sink = Arc::new(ObsSink::stderr(crate::obs::LogFormat::Text));
+        cache.set_obs(sink.clone());
+        let building = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cache.get_or_build::<Blob>(&["k"], || {
+                    building.wait();
+                    // Long enough that the waiter reaches the slot while
+                    // this build is still in flight.
+                    std::thread::sleep(Duration::from_millis(100));
+                    Blob(vec![1])
+                })
+            });
+            building.wait();
+            let value = cache.get_or_build::<Blob>(&["k"], || panic!("the build is shared"));
+            assert_eq!(value.0, vec![1]);
+        });
+        let (count, secs) = sink.stage("wait").expect("the waiter recorded a wait");
+        assert_eq!(count, 1, "only the blocked caller waits");
+        assert!(secs > 0.0, "blocked time recorded: {secs}");
+        cache.get_or_build::<Blob>(&["k"], || panic!("the slot is full"));
+        assert_eq!(sink.stage("wait").map(|(n, _)| n), Some(1), "a ready hit waits for nothing");
+        assert_eq!(cache.stats(), ArtifactStats { mem_hits: 2, disk_hits: 0, builds: 1 });
     }
 
     /// Two cache instances over one directory are two processes,

@@ -238,16 +238,21 @@ impl RunContext {
     /// `"encoder"` artifact keyed by its provenance, so it is built at
     /// most once per provenance (across processes sharing a cache
     /// directory, too) and a memory or disk hit logs no `[pretrain]`
-    /// line.
-    pub fn encoder(&self, spec: EncoderSpec) -> EncoderModel {
+    /// line. Every caller shares the cached model; a caller that
+    /// trains the encoder in place clones it first.
+    pub fn encoder(&self, spec: EncoderSpec) -> Arc<EncoderModel> {
         self.encoder_with_budget(spec, self.budget)
     }
 
     /// Same as [`RunContext::encoder`] with an explicit budget (the
     /// calibration probes sweep budgets).
-    pub fn encoder_with_budget(&self, spec: EncoderSpec, budget: PretrainBudget) -> EncoderModel {
+    pub fn encoder_with_budget(
+        &self,
+        spec: EncoderSpec,
+        budget: PretrainBudget,
+    ) -> Arc<EncoderModel> {
         let provenance = spec.pretrain_key(budget, self.pretrain_seed()).provenance();
-        let model = self.artifacts().get_or_build::<EncoderModel>(&[&provenance], || {
+        self.artifacts().get_or_build::<EncoderModel>(&[&provenance], || {
             let obs = self.obs();
             obs.info(
                 "pretrain",
@@ -255,8 +260,7 @@ impl RunContext {
                 &[("provenance", provenance.clone().into())],
             );
             obs.time_stage("pretrain", || spec.build(budget, self.pretrain_seed()))
-        });
-        EncoderModel::clone(&model)
+        })
     }
 
     /// Seed used for encoder pre-training (kept distinct from the cell
@@ -331,6 +335,15 @@ mod tests {
             "per-flow/frozen",
         );
         assert_ne!(a, d, "different base seed, different cell seed");
+    }
+
+    #[test]
+    fn encoder_callers_share_one_cached_model() {
+        let ctx = RunContext::from_preset(Preset::Fast, 42, None);
+        let spec = EncoderSpec::fresh(ModelKind::YaTc);
+        assert!(Arc::ptr_eq(&ctx.encoder(spec), &ctx.encoder(spec)), "shared, not cloned");
+        let other = ctx.encoder(EncoderSpec::fresh(ModelKind::NetMamba));
+        assert!(!Arc::ptr_eq(&ctx.encoder(spec), &other), "one model per provenance");
     }
 
     #[test]

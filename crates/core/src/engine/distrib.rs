@@ -577,6 +577,7 @@ mod tests {
                         setting: "s".into(),
                         emit_record: true,
                         seed_as: None,
+                        encoder: None,
                         run: Arc::new(
                             move |_ctx: &RunContext, cfg: &crate::experiment::CellConfig| {
                                 if boom {

@@ -1,10 +1,11 @@
 //! The `Experiment` trait and the registry all tables/figures/ablations
 //! register into.
 
-use crate::engine::context::RunContext;
+use crate::engine::context::{EncoderSpec, RunContext};
 use crate::engine::journal::CellId;
 use crate::experiment::{CellConfig, CellResult};
 use crate::shallow_baselines::ShallowResult;
+use encoders::model::EncoderModel;
 use std::sync::Arc;
 
 /// Accuracy/F1/timing statistics of one executed cell. Fractions are in
@@ -135,6 +136,11 @@ pub struct CellSpec {
     /// cell takes (see [`CellSpec::arm_of`]); `None` seeds the cell
     /// from its own identity.
     pub seed_as: Option<(String, String, String)>,
+    /// The shared encoder the work function consumes, when it draws
+    /// one from the context (see [`CellSpec::with_encoder`]). The
+    /// parallel runner starts each distinct encoder's first consumer
+    /// early, so its pre-training overlaps the cells that need none.
+    pub encoder: Option<EncoderSpec>,
     /// The work function.
     pub run: CellFn,
 }
@@ -153,8 +159,25 @@ impl CellSpec {
             setting: setting.into(),
             emit_record: true,
             seed_as: None,
+            encoder: None,
             run: Arc::new(run),
         }
+    }
+
+    /// A record-emitting cell that consumes the shared encoder `spec`:
+    /// when it runs, the cell resolves [`RunContext::encoder`] and hands
+    /// the cached model to `run`, so the encoder a cell declares is the
+    /// one it uses.
+    pub fn with_encoder(
+        task: impl Into<String>,
+        model: impl Into<String>,
+        setting: impl Into<String>,
+        spec: EncoderSpec,
+        run: impl Fn(&RunContext, &CellConfig, &EncoderModel) -> CellOutput + Send + Sync + 'static,
+    ) -> CellSpec {
+        let cell =
+            CellSpec::new(task, model, setting, move |ctx, cfg| run(ctx, cfg, &ctx.encoder(spec)));
+        CellSpec { encoder: Some(spec), ..cell }
     }
 
     /// This cell as an ablation arm of `control`: it takes the
@@ -191,7 +214,13 @@ impl CellSpec {
         setting: impl Into<String>,
         run: impl Fn(&RunContext, &CellConfig) -> CellOutput + Send + Sync + 'static,
     ) -> CellSpec {
-        CellSpec { emit_record: false, ..CellSpec::new(task, model, setting, run) }
+        CellSpec::new(task, model, setting, run).without_record()
+    }
+
+    /// This cell with its output feeding `render` only (no serialised
+    /// record).
+    pub fn without_record(self) -> CellSpec {
+        CellSpec { emit_record: false, ..self }
     }
 }
 

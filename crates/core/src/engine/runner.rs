@@ -19,7 +19,7 @@
 //! in the manifest and the exit code, never just a warning.
 
 use crate::artifact::{ArtifactCache, ArtifactStats};
-use crate::engine::context::RunContext;
+use crate::engine::context::{EncoderSpec, RunContext};
 use crate::engine::journal::{
     CellId, Journal, JournalEntry, JournalError, JournalState, RunManifest, JOURNAL_FILE,
 };
@@ -391,23 +391,23 @@ impl RunSession {
             return (0..n).map(run_one).collect();
         }
 
-        // std-only work-stealing-ish pool: an atomic next-cell index and
-        // a slot vector filled by cell index, so collection order never
-        // depends on completion order.
+        // std-only work-stealing-ish pool: an atomic cursor into a fixed
+        // cell order and a slot vector filled by cell index, so
+        // collection order never depends on completion order.
+        let needs: Vec<Option<EncoderSpec>> = cells.iter().map(|c| c.encoder).collect();
+        let order = first_consumer_order(&needs);
         let next = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<CellOutput>>> = Mutex::new((0..n).map(|_| None).collect());
         std::thread::scope(|scope| {
             for _ in 0..jobs.min(n) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+                scope.spawn(|| {
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let out = run_one(i);
+                        // Recover from poisoning like `tally()` does: the
+                        // slots hold plain data, and aborting the sweep
+                        // here would lose every in-flight cell's output.
+                        slots.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(out);
                     }
-                    let out = run_one(i);
-                    // Recover from poisoning like `tally()` does: the
-                    // slots hold plain data, and aborting the sweep here
-                    // would lose every in-flight cell's output.
-                    slots.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(out);
                 });
             }
         });
@@ -722,6 +722,32 @@ pub(crate) fn write_records<'a>(
     }
 }
 
+/// The order a parallel pool takes cells in, given the shared encoder
+/// each cell consumes (`needs[i]`): first the first consumer of each
+/// distinct encoder, in index order, then every other cell in index
+/// order. A shared encoder is pre-trained by its first consumer (the
+/// cache's single-flight build makes every later consumer wait on it),
+/// so starting all first consumers up front overlaps the long
+/// pre-trainings with each other and with the cells that need none,
+/// instead of leaving the last encoder's pre-training to start late and
+/// stall the workers queued behind it. A pure function of the cell
+/// list: every run of one grid takes the same order.
+pub(crate) fn first_consumer_order<K: PartialEq>(needs: &[Option<K>]) -> Vec<usize> {
+    let mut seen: Vec<&K> = Vec::new();
+    let (mut first, mut rest) = (Vec::new(), Vec::new());
+    for (i, need) in needs.iter().enumerate() {
+        match need {
+            Some(k) if !seen.contains(&k) => {
+                seen.push(k);
+                first.push(i);
+            }
+            _ => rest.push(i),
+        }
+    }
+    first.extend(rest);
+    first
+}
+
 /// Deterministic retry backoff in milliseconds: exponential in the
 /// attempt with a seed-derived jitter, capped well under a second. No
 /// wall-clock feeds into it, so retry schedules are reproducible.
@@ -757,7 +783,11 @@ pub fn run_experiment(
 mod tests {
     use super::*;
     use crate::engine::context::Preset;
+    use crate::engine::journal::MANIFEST_FILE;
     use crate::engine::registry::RecordStats;
+    use crate::experiment::CellConfig;
+    use encoders::model::ModelKind;
+    use std::sync::atomic::AtomicBool;
 
     struct Synthetic;
     impl Experiment for Synthetic {
@@ -979,6 +1009,122 @@ mod tests {
         let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
         assert!(journal.contains("soft timeout"), "timeout recorded in journal");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn first_consumers_of_each_encoder_run_first() {
+        let needs = [None, Some('A'), Some('A'), Some('B'), Some('B'), Some('C'), Some('C')];
+        assert_eq!(first_consumer_order(&needs), vec![1, 3, 5, 0, 2, 4, 6]);
+        // A later consumer of an encoder seen earlier keeps its place.
+        let needs = [Some('B'), None, Some('A'), Some('B'), Some('A'), None];
+        assert_eq!(first_consumer_order(&needs), vec![0, 2, 1, 3, 4, 5]);
+        let none: [Option<char>; 4] = [None; 4];
+        assert_eq!(first_consumer_order(&none), vec![0, 1, 2, 3], "no encoders, index order");
+        assert!(first_consumer_order::<char>(&[]).is_empty());
+    }
+
+    /// Two workers, two encoder-free cells ahead of an encoder's only
+    /// consumer: each free cell waits (up to 10 s) for the consumer to
+    /// start. In index order both workers would sit in the free cells
+    /// and time out; in first-consumer order the consumer runs at once.
+    #[test]
+    fn parallel_pool_starts_first_consumers_ahead_of_index_order() {
+        static CONSUMER_STARTED: AtomicBool = AtomicBool::new(false);
+        fn wait_for_consumer(_ctx: &RunContext, _cfg: &CellConfig) -> CellOutput {
+            let t0 = Instant::now();
+            while !CONSUMER_STARTED.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(10)
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let saw = CONSUMER_STARTED.load(Ordering::SeqCst);
+            CellOutput::values(vec![("saw consumer".into(), f64::from(u8::from(saw)))])
+        }
+        let consumer = CellSpec::new("T", "consumer", "s", |_ctx, _cfg| {
+            CONSUMER_STARTED.store(true, Ordering::SeqCst);
+            CellOutput::empty()
+        });
+        let cells = vec![
+            CellSpec::new("T", "free0", "s", wait_for_consumer),
+            CellSpec::new("T", "free1", "s", wait_for_consumer),
+            CellSpec { encoder: Some(EncoderSpec::fresh(ModelKind::YaTc)), ..consumer },
+        ];
+        let ctx = RunContext::from_preset(Preset::Fast, 42, None);
+        let opts = RunOptions { jobs: 2, out_dir: None, ..Default::default() };
+        let session = start_session(&ctx, &opts).expect("no out dir, no journal to fail");
+        let outputs = session.execute_cells("order", &cells, &ctx, 2, &opts);
+        for out in &outputs[..2] {
+            assert_eq!(out.values, vec![("saw consumer".to_string(), 1.0)]);
+        }
+    }
+
+    /// Cells that declare shared encoders, with every encoder's first
+    /// consumer behind cells that need none, so a parallel pool takes
+    /// them out of index order. Each output echoes its seed and an
+    /// embedding of its encoder.
+    struct SharedEncoders;
+    impl Experiment for SharedEncoders {
+        fn id(&self) -> &'static str {
+            "shared_encoders"
+        }
+        fn description(&self) -> &'static str {
+            "cells sharing two encoders behind encoder-free cells"
+        }
+        fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
+            let plain = (0..3).map(|i| {
+                CellSpec::new("T", format!("plain{i}"), "s", |_ctx, cfg| {
+                    CellOutput::stats(RecordStats::of((cfg.seed % 1000) as f64 / 1000.0, 0.5))
+                })
+            });
+            let shared = [ModelKind::YaTc, ModelKind::NetMamba].into_iter().flat_map(|kind| {
+                ["a", "b", "c"].map(|setting| {
+                    let spec = EncoderSpec::fresh(kind);
+                    CellSpec::with_encoder("T", kind.name(), setting, spec, |_ctx, cfg, enc| {
+                        let embedded = f64::from(enc.encode_tokens(&[vec![1, 2, 3]]).data[0]);
+                        CellOutput::stats(RecordStats::of(
+                            (cfg.seed % 1000) as f64 / 1000.0,
+                            embedded,
+                        ))
+                    })
+                })
+            });
+            plain.chain(shared).collect()
+        }
+        fn render(&self, _ctx: &RunContext, _outputs: &[CellOutput]) {}
+    }
+
+    /// `(records, manifest, journal)` bytes of one cold run.
+    fn shared_encoder_run(jobs: usize, dir: &Path) -> (String, String, String) {
+        std::fs::remove_dir_all(dir).ok();
+        let ctx = RunContext::from_preset(Preset::Fast, 42, None);
+        let opts = RunOptions { jobs, out_dir: Some(dir.to_path_buf()), ..Default::default() };
+        let summary = run_experiment(&SharedEncoders, &ctx, &opts).expect("session starts");
+        assert!(summary.ok(), "jobs={jobs}: {:?}", summary.failed_cells);
+        // Each encoder is built once, by its first consumer, and hit by
+        // the other two; the nine cell outputs are stored as builds.
+        let stats = summary.artifacts;
+        assert_eq!((stats.builds, stats.mem_hits, stats.disk_hits), (2 + 9, 4, 0), "jobs={jobs}");
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        let out = (read("shared_encoders.json"), read(MANIFEST_FILE), read(JOURNAL_FILE));
+        std::fs::remove_dir_all(dir).ok();
+        out
+    }
+
+    #[test]
+    fn reordered_pool_keeps_records_manifest_and_journal() {
+        let dir = |jobs: usize| std::env::temp_dir().join(format!("debunk-runner-shared-j{jobs}"));
+        let serial = shared_encoder_run(1, &dir(1));
+        assert_eq!(serial, shared_encoder_run(1, &dir(1)), "jobs=1 journal is byte-stable");
+        let sorted = |journal: &str| {
+            let mut lines: Vec<&str> = journal.lines().collect();
+            lines.sort_unstable();
+            lines.join("\n")
+        };
+        for jobs in [2, 4] {
+            let (records, manifest, journal) = shared_encoder_run(jobs, &dir(jobs));
+            assert_eq!(records, serial.0, "jobs={jobs}: records");
+            assert_eq!(manifest, serial.1, "jobs={jobs}: manifest");
+            assert_eq!(sorted(&journal), sorted(&serial.2), "jobs={jobs}: journal lines");
+        }
     }
 
     #[test]

@@ -175,14 +175,14 @@ impl Experiment for GridExperiment {
         for kind in ModelKind::ALL {
             for &task in &self.tasks {
                 for &(split, frozen) in &self.variants {
-                    cells.push(CellSpec::new(
+                    cells.push(CellSpec::with_encoder(
                         task.name(),
                         kind.name(),
                         setting_str(split, frozen),
-                        move |ctx: &RunContext, cfg: &CellConfig| {
+                        EncoderSpec::pretrained(kind),
+                        move |ctx, cfg, enc| {
                             let prep = ctx.prep(task);
-                            let enc = ctx.encoder(EncoderSpec::pretrained(kind));
-                            run_cell(&prep, &enc, split, frozen, cfg).into()
+                            run_cell(&prep, enc, split, frozen, cfg).into()
                         },
                     ));
                 }
@@ -323,12 +323,11 @@ impl Experiment for Table6 {
         TABLE6_ROWS
             .iter()
             .map(|&(setting, _, split, ablation, pretrained)| {
-                CellSpec::new("TLS-120", "ET-BERT", setting, move |ctx, cfg| {
+                let spec = EncoderSpec::Standard { kind: ModelKind::EtBert, pretrained };
+                CellSpec::with_encoder("TLS-120", "ET-BERT", setting, spec, move |ctx, cfg, enc| {
                     let prep = ctx.prep(Task::Tls120);
-                    let enc =
-                        ctx.encoder(EncoderSpec::Standard { kind: ModelKind::EtBert, pretrained });
                     let cfg = CellConfig { flow_id_ablation: ablation, ..*cfg };
-                    run_cell(&prep, &enc, split, false, &cfg).into()
+                    run_cell(&prep, enc, split, false, &cfg).into()
                 })
             })
             .collect()
@@ -371,12 +370,17 @@ impl Experiment for Table7 {
         let mut cells = Vec::new();
         for &(label, ablation) in &TABLE7_ROWS {
             for task in PACKET_TASKS {
-                cells.push(CellSpec::new(task.name(), "Pcap-Encoder", label, move |ctx, cfg| {
-                    let prep = ctx.prep(task);
-                    let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
-                    let cfg = CellConfig { input_ablation: ablation, ..*cfg };
-                    run_cell(&prep, &enc, SplitPolicy::PerFlow, true, &cfg).into()
-                }));
+                cells.push(CellSpec::with_encoder(
+                    task.name(),
+                    "Pcap-Encoder",
+                    label,
+                    EncoderSpec::pretrained(ModelKind::PcapEncoder),
+                    move |ctx, cfg, enc| {
+                        let prep = ctx.prep(task);
+                        let cfg = CellConfig { input_ablation: ablation, ..*cfg };
+                        run_cell(&prep, enc, SplitPolicy::PerFlow, true, &cfg).into()
+                    },
+                ));
             }
         }
         cells
@@ -470,27 +474,27 @@ impl Experiment for Table9 {
         for kind in ModelKind::ALL {
             for task in PACKET_TASKS {
                 if kind == ModelKind::PcapEncoder {
-                    cells.push(CellSpec::new(
+                    cells.push(CellSpec::with_encoder(
                         task.name(),
                         kind.name(),
                         "frozen majority-vote",
-                        move |ctx: &RunContext, cfg: &CellConfig| {
+                        EncoderSpec::pretrained(kind),
+                        move |ctx, cfg, enc| {
                             let prep = ctx.prep(task);
-                            let enc = ctx.encoder(EncoderSpec::pretrained(kind));
-                            run_flow_cell_majority_vote(&prep, &enc, cfg).into()
+                            run_flow_cell_majority_vote(&prep, enc, cfg).into()
                         },
                     ));
                 } else {
                     for frozen in [true, false] {
                         let setting = if frozen { "frozen" } else { "unfrozen" };
-                        cells.push(CellSpec::new(
+                        cells.push(CellSpec::with_encoder(
                             task.name(),
                             kind.name(),
                             setting,
-                            move |ctx: &RunContext, cfg: &CellConfig| {
+                            EncoderSpec::pretrained(kind),
+                            move |ctx, cfg, enc| {
                                 let prep = ctx.prep(task);
-                                let enc = ctx.encoder(EncoderSpec::pretrained(kind));
-                                run_flow_cell(&prep, &enc, frozen, cfg).into()
+                                run_flow_cell(&prep, enc, frozen, cfg).into()
                             },
                         ));
                     }
@@ -610,14 +614,14 @@ impl Experiment for Table11 {
         let mut cells = Vec::new();
         for variant in TABLE11_VARIANTS {
             for task in PACKET_TASKS {
-                cells.push(CellSpec::new(
+                cells.push(CellSpec::with_encoder(
                     task.name(),
                     variant.name(),
                     "per-flow/frozen",
-                    move |ctx: &RunContext, cfg: &CellConfig| {
+                    EncoderSpec::PcapVariant(variant),
+                    move |ctx, cfg, enc| {
                         let prep = ctx.prep(task);
-                        let enc = ctx.encoder(EncoderSpec::PcapVariant(variant));
-                        run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
+                        run_cell(&prep, enc, SplitPolicy::PerFlow, true, cfg).into()
                     },
                 ));
             }
@@ -703,14 +707,14 @@ impl Experiment for Fig1 {
         let mut cells = Vec::new();
         for kind in FIG1_KINDS {
             for (split, frozen) in [(SplitPolicy::PerPacket, false), (SplitPolicy::PerFlow, true)] {
-                cells.push(CellSpec::new(
+                cells.push(CellSpec::with_encoder(
                     "TLS-120",
                     kind.name(),
                     setting_str(split, frozen),
-                    move |ctx: &RunContext, cfg: &CellConfig| {
+                    EncoderSpec::pretrained(kind),
+                    move |ctx, cfg, enc| {
                         let prep = ctx.prep(Task::Tls120);
-                        let enc = ctx.encoder(EncoderSpec::pretrained(kind));
-                        run_cell(&prep, &enc, split, frozen, cfg).into()
+                        run_cell(&prep, enc, split, frozen, cfg).into()
                     },
                 ));
             }
@@ -775,19 +779,19 @@ impl Experiment for Fig4 {
     }
 
     fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
+        let et_bert = EncoderSpec::pretrained(ModelKind::EtBert);
         vec![
-            CellSpec::silent("TLS-120", "ET-BERT", "frozen", |ctx, cfg| {
+            CellSpec::with_encoder("TLS-120", "ET-BERT", "frozen", et_bert, |ctx, cfg, enc| {
                 let prep = ctx.prep(Task::Tls120);
-                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::EtBert));
                 let n = cfg.max_test.min(1200);
-                let (emb, labels) = embeddings_for_purity(&prep, &enc, n, cfg.seed);
+                let (emb, labels) = embeddings_for_purity(&prep, enc, n, cfg.seed);
                 purity_output(&emb, &labels)
-            }),
-            CellSpec::silent("TLS-120", "ET-BERT", "unfrozen", |ctx, cfg| {
+            })
+            .without_record(),
+            CellSpec::with_encoder("TLS-120", "ET-BERT", "unfrozen", et_bert, |ctx, cfg, enc| {
                 // Fine-tune end-to-end on the per-packet split first,
                 // then embed the same sample (the paper's procedure).
                 let prep = ctx.prep(Task::Tls120);
-                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::EtBert));
                 let n = cfg.max_test.min(1200);
                 let split = prep.split(
                     SplitPolicy::PerPacket,
@@ -796,8 +800,10 @@ impl Experiment for Fig4 {
                     cfg.seed,
                 );
                 let sample = CellSample::balanced(prep.task, &prep.data, &split, cfg);
+                // Fine-tuning trains in place: a copy, not the shared
+                // cached encoder.
                 let (enc, _) = fine_tune(
-                    enc,
+                    enc.clone(),
                     &sample.train,
                     &sample.train_labels,
                     sample.n_classes,
@@ -807,7 +813,8 @@ impl Experiment for Fig4 {
                 );
                 let (emb, labels) = embeddings_for_purity(&prep, &enc, n, cfg.seed);
                 purity_output(&emb, &labels)
-            }),
+            })
+            .without_record(),
         ]
     }
 
@@ -924,14 +931,14 @@ impl Experiment for Fig6 {
         for kind in ModelKind::ALL {
             for frozen in [true, false] {
                 let setting = if frozen { "frozen" } else { "unfrozen" };
-                cells.push(CellSpec::new(
+                cells.push(CellSpec::with_encoder(
                     "VPN-app",
                     kind.name(),
                     setting,
-                    move |ctx: &RunContext, cfg: &CellConfig| {
+                    EncoderSpec::pretrained(kind),
+                    move |ctx, cfg, enc| {
                         let prep = ctx.prep(Task::VpnApp);
-                        let enc = ctx.encoder(EncoderSpec::pretrained(kind));
-                        run_cell(&prep, &enc, SplitPolicy::PerFlow, frozen, cfg).into()
+                        run_cell(&prep, enc, SplitPolicy::PerFlow, frozen, cfg).into()
                     },
                 ));
             }
@@ -1036,16 +1043,17 @@ impl Experiment for RepeatVsPad {
     }
 
     fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
-        let repeat = CellSpec::silent("VPN-app", "YaTC", "repeat", |ctx, cfg| {
+        let yatc = EncoderSpec::pretrained(ModelKind::YaTc);
+        let repeat = CellSpec::with_encoder("VPN-app", "YaTC", "repeat", yatc, |ctx, cfg, enc| {
             let prep = ctx.prep(Task::VpnApp);
-            let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::YaTc));
-            run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
-        });
-        let pad = CellSpec::silent("VPN-app", "YaTC", "pad", |ctx, cfg| {
-            let prep = ctx.prep(Task::VpnApp);
-            let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::YaTc));
-            frozen_arm(&prep, cfg, token_embedding(&prep, &enc, TokenVariant::Padded)).into()
+            run_cell(&prep, enc, SplitPolicy::PerFlow, true, cfg).into()
         })
+        .without_record();
+        let pad = CellSpec::with_encoder("VPN-app", "YaTC", "pad", yatc, |ctx, cfg, enc| {
+            let prep = ctx.prep(Task::VpnApp);
+            frozen_arm(&prep, cfg, token_embedding(&prep, enc, TokenVariant::Padded)).into()
+        })
+        .without_record()
         .arm_of(&repeat);
         vec![repeat, pad]
     }
@@ -1078,19 +1086,24 @@ impl Experiment for BalanceAblation {
     }
 
     fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
-        let balanced = CellSpec::silent("TLS-120", "Pcap-Encoder", "balanced", |ctx, cfg| {
+        let pcap = EncoderSpec::pretrained(ModelKind::PcapEncoder);
+        let cell =
+            |setting: &'static str,
+             run: fn(&RunContext, &CellConfig, &EncoderModel) -> CellOutput| {
+                CellSpec::with_encoder("TLS-120", "Pcap-Encoder", setting, pcap, run)
+                    .without_record()
+            };
+        let balanced = cell("balanced", |ctx, cfg, enc| {
             let prep = ctx.prep(Task::Tls120);
-            let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
-            run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
+            run_cell(&prep, enc, SplitPolicy::PerFlow, true, cfg).into()
         });
-        let natural = CellSpec::silent("TLS-120", "Pcap-Encoder", "natural", |ctx, cfg| {
+        let natural = cell("natural", |ctx, cfg, enc| {
             // The control's protocol, minus balanced undersampling.
             let prep = ctx.prep(Task::Tls120);
-            let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
             let split =
                 prep.split(SplitPolicy::PerFlow, cfg.train_frac, cfg.max_flow_packets, cfg.seed);
             let sample = CellSample::from_pool(prep.task, &prep.data, &split, &split.train, cfg);
-            let embed = token_embedding(&prep, &enc, TokenVariant::Repeated);
+            let embed = token_embedding(&prep, enc, TokenVariant::Repeated);
             run_frozen(&sample, cfg, embed).into()
         })
         .arm_of(&balanced);
@@ -1126,15 +1139,21 @@ impl Experiment for PoolingAblation {
 
     fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
         let cell = |mode: PoolingMode| {
-            CellSpec::silent("VPN-app", "Pcap-Encoder", mode.name(), move |ctx, cfg| {
-                let prep = ctx.prep(Task::VpnApp);
-                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
-                let tokens = prep.tokens(&enc, TokenVariant::Repeated);
-                let embed = |rows: &[usize]| {
-                    pool_batch(&enc.embedding, &gather(&tokens, rows), mode, cfg.seed)
-                };
-                frozen_arm(&prep, cfg, embed).into()
-            })
+            CellSpec::with_encoder(
+                "VPN-app",
+                "Pcap-Encoder",
+                mode.name(),
+                EncoderSpec::pretrained(ModelKind::PcapEncoder),
+                move |ctx, cfg, enc| {
+                    let prep = ctx.prep(Task::VpnApp);
+                    let tokens = prep.tokens(enc, TokenVariant::Repeated);
+                    let embed = |rows: &[usize]| {
+                        pool_batch(&enc.embedding, &gather(&tokens, rows), mode, cfg.seed)
+                    };
+                    frozen_arm(&prep, cfg, embed).into()
+                },
+            )
+            .without_record()
         };
         // Mean pooling, the paper's choice, is the control; the other
         // modes are its arms. Cells stay in paper order.
@@ -1274,11 +1293,16 @@ impl Experiment for ExtendedModels {
         ModelKind::EXTENDED
             .into_iter()
             .map(|kind| {
-                CellSpec::new("VPN-app", kind.name(), "per-flow/frozen", move |ctx, cfg| {
-                    let prep = ctx.prep(Task::VpnApp);
-                    let enc = ctx.encoder(EncoderSpec::pretrained(kind));
-                    run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
-                })
+                CellSpec::with_encoder(
+                    "VPN-app",
+                    kind.name(),
+                    "per-flow/frozen",
+                    EncoderSpec::pretrained(kind),
+                    move |ctx, cfg, enc| {
+                        let prep = ctx.prep(Task::VpnApp);
+                        run_cell(&prep, enc, SplitPolicy::PerFlow, true, cfg).into()
+                    },
+                )
             })
             .collect()
     }
@@ -1403,21 +1427,23 @@ impl Experiment for QuantInt8 {
     }
 
     fn cells(&self, _ctx: &RunContext) -> Vec<CellSpec> {
-        let f32_cell =
-            CellSpec::new("VPN-app", QUANT_VARIANTS[0], "per-flow/frozen", |ctx, cfg| {
-                let prep = ctx.prep(Task::VpnApp);
-                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
-                run_cell(&prep, &enc, SplitPolicy::PerFlow, true, cfg).into()
-            });
-        let int8_cell =
-            CellSpec::new("VPN-app", QUANT_VARIANTS[1], "per-flow/frozen", |ctx, cfg| {
-                let prep = ctx.prep(Task::VpnApp);
-                let enc = ctx.encoder(EncoderSpec::pretrained(ModelKind::PcapEncoder));
-                let tokens = prep.tokens(&enc, TokenVariant::Repeated);
-                let quant = enc.quantize();
-                frozen_arm(&prep, cfg, |rows| quant.encode_tokens(&gather(&tokens, rows))).into()
-            })
-            .arm_of(&f32_cell);
+        let pcap = EncoderSpec::pretrained(ModelKind::PcapEncoder);
+        let cell =
+            |variant: &'static str,
+             run: fn(&RunContext, &CellConfig, &EncoderModel) -> CellOutput| {
+                CellSpec::with_encoder("VPN-app", variant, "per-flow/frozen", pcap, run)
+            };
+        let f32_cell = cell(QUANT_VARIANTS[0], |ctx, cfg, enc| {
+            let prep = ctx.prep(Task::VpnApp);
+            run_cell(&prep, enc, SplitPolicy::PerFlow, true, cfg).into()
+        });
+        let int8_cell = cell(QUANT_VARIANTS[1], |ctx, cfg, enc| {
+            let prep = ctx.prep(Task::VpnApp);
+            let tokens = prep.tokens(enc, TokenVariant::Repeated);
+            let quant = enc.quantize();
+            frozen_arm(&prep, cfg, |rows| quant.encode_tokens(&gather(&tokens, rows))).into()
+        })
+        .arm_of(&f32_cell);
         vec![f32_cell, int8_cell]
     }
 
@@ -1536,6 +1562,23 @@ mod tests {
             let own = ctx.cell_seed("fig6", &cell.task, &cell.model, &cell.setting);
             assert_eq!(cell.identity("fig6", &ctx).1.seed, own);
         }
+    }
+
+    #[test]
+    fn fig6_cells_declare_their_encoders_and_pretrain_first() {
+        let ctx = RunContext::from_preset(Preset::Fast, 42, None);
+        let cells = default_registry().get("fig6").unwrap().cells(&ctx);
+        let needs: Vec<Option<EncoderSpec>> = cells.iter().map(|c| c.encoder).collect();
+        assert_eq!(needs[0], None, "the RF baseline needs no encoder");
+        for (i, kind) in ModelKind::ALL.iter().enumerate() {
+            for cell in &cells[1 + 2 * i..3 + 2 * i] {
+                assert_eq!(cell.model, kind.name());
+                assert_eq!(cell.encoder, Some(EncoderSpec::pretrained(*kind)), "{}", cell.model);
+            }
+        }
+        // A parallel pool starts every pre-training before the RF cell.
+        let order = crate::engine::runner::first_consumer_order(&needs);
+        assert_eq!(order, vec![1, 3, 5, 7, 9, 11, 0, 2, 4, 6, 8, 10, 12]);
     }
 
     #[test]

@@ -357,12 +357,19 @@ impl ObsSink {
     }
 
     /// Add `secs` to a named pipeline stage (trace, clean, tokenize,
-    /// featurize, split, pretrain, train, infer).
+    /// featurize, split, pretrain, train, infer, and `wait`: time blocked
+    /// on another thread's artifact build).
     pub fn add_stage(&self, stage: &str, secs: f64) {
         let mut agg = self.agg();
         let entry = agg.stages.entry(stage.to_string()).or_default();
         entry.count += 1;
         entry.secs += secs;
+    }
+
+    /// The `(count, secs)` recorded under `stage` so far, if any.
+    #[cfg(test)]
+    pub(crate) fn stage(&self, stage: &str) -> Option<(u64, f64)> {
+        self.agg().stages.get(stage).map(|st| (st.count, st.secs))
     }
 
     /// Run `f`, recording its wall-clock under `stage` and emitting a

@@ -436,17 +436,14 @@ impl EncoderModel {
             .iter()
             .map(|r| {
                 if self.kind == ModelKind::TrafficFormer {
+                    // A flow embedder: repeat the augmented packet with
+                    // packet-index shifts, like inference.
                     let toks = self.tokenize_packet(r, Some(&mut rng));
-                    if self.kind.is_flow_embedder() {
-                        // repeat with packet-index shifts, like inference
-                        let mut out = Vec::with_capacity(toks.len() * 5);
-                        for pi in 0..5u32 {
-                            out.extend(toks.iter().map(|t| (t + (pi << 10)) % VOCAB as u32));
-                        }
-                        out
-                    } else {
-                        toks
+                    let mut out = Vec::with_capacity(toks.len() * 5);
+                    for pi in 0..5u32 {
+                        out.extend(toks.iter().map(|t| (t + (pi << 10)) % VOCAB as u32));
                     }
+                    out
                 } else {
                     self.tokenize_packet_repeated(r)
                 }

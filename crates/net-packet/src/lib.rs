@@ -38,7 +38,6 @@ pub mod icmp;
 pub mod ident;
 pub mod ipv4;
 pub mod ipv6;
-pub mod ndp;
 pub mod pcap;
 pub mod spurious;
 pub mod tcp;
