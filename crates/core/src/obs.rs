@@ -688,14 +688,27 @@ pub fn trace_report(metrics: &str) -> Result<String, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Peak-RSS measurement (out-of-core budget guard + bench_json rows)
+// Peak-RSS measurement (out-of-core budget guard)
 // ---------------------------------------------------------------------------
 
+/// Run `f` with the kernel's peak-RSS watermark (`VmHWM`) reset first,
+/// returning its result plus the high-water mark (bytes) the run
+/// reached, or `None` where procfs is unavailable. This is the
+/// measurement the `#[ignore]`d peak-RSS regression test in
+/// `tests/outofcore.rs` gates on. The reset (writing `5` to
+/// `/proc/self/clear_refs`) is best-effort and needs a sufficiently new
+/// kernel; without it the watermark covers the whole process life — an
+/// overestimate, never an underestimate, so budget guards built on this
+/// stay sound.
+pub fn measure_peak_rss<T>(f: impl FnOnce() -> T) -> (T, Option<u64>) {
+    std::fs::write("/proc/self/clear_refs", b"5").ok();
+    let out = f();
+    (out, peak_rss_bytes())
+}
+
 /// Peak resident-set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`), or `None` where procfs is unavailable. Shared
-/// by the `#[ignore]`d peak-RSS regression test and `bench_json
-/// --pipeline`, so both report the same measurement.
-pub fn peak_rss_bytes() -> Option<u64> {
+/// `/proc/self/status`).
+fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix("VmHWM:") {
@@ -704,25 +717,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
         }
     }
     None
-}
-
-/// Reset the kernel's peak-RSS watermark (`VmHWM`) so a subsequent
-/// [`peak_rss_bytes`] reflects only allocations made after this call.
-/// Best-effort: writing `5` to `/proc/self/clear_refs` needs a
-/// sufficiently new kernel; returns whether the reset took.
-pub fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", b"5").is_ok()
-}
-
-/// Run `f` with the peak-RSS watermark reset first, returning its
-/// result plus the high-water mark (bytes) the run reached. When the
-/// reset is unsupported the watermark covers the whole process life —
-/// an overestimate, never an underestimate, so budget guards built on
-/// this stay sound.
-pub fn measure_peak_rss<T>(f: impl FnOnce() -> T) -> (T, Option<u64>) {
-    reset_peak_rss();
-    let out = f();
-    (out, peak_rss_bytes())
 }
 
 #[cfg(test)]

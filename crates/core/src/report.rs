@@ -72,12 +72,6 @@ impl TableBuilder {
         self
     }
 
-    /// Append a row of percentages formatted to one decimal.
-    pub fn row_pct(&mut self, label: &str, values: &[f64]) -> &mut Self {
-        let v: Vec<String> = values.iter().map(|x| format!("{:.1}", x * 100.0)).collect();
-        self.row(label, &v)
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let label_w =
@@ -133,8 +127,8 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let mut t = TableBuilder::new("Table X", &["AC", "F1"]);
-        t.row_pct("ET-BERT", &[0.847, 0.846]);
-        t.row_pct("Pcap-Encoder", &[0.999, 0.999]);
+        t.row("ET-BERT", &["84.7".into(), "84.6".into()]);
+        t.row("Pcap-Encoder", &["99.9".into(), "99.9".into()]);
         let s = t.render();
         assert!(s.contains("Table X"));
         assert!(s.contains("84.7"));

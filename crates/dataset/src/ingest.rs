@@ -165,19 +165,6 @@ pub fn label_by_server_port(ports: &[u16]) -> impl Fn(&ParsedFrame, &[u8]) -> Op
     }
 }
 
-/// A labeller extracting TLS SNI host names and mapping them through a
-/// lookup table (website-fingerprinting ground truth).
-pub fn label_by_sni(
-    table: &HashMap<String, u16>,
-) -> impl Fn(&ParsedFrame, &[u8]) -> Option<u16> + '_ {
-    move |parsed, frame| {
-        let payload = parsed.payload_of(frame);
-        let record = net_packet::tls::TlsRecord::new_checked(payload).ok()?;
-        let sni = record.sni()?;
-        table.get(&sni).copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,37 +214,6 @@ mod tests {
             let (sp, dp) = (r.parsed.transport.src_port(), r.parsed.transport.dst_port());
             assert!(sp == 443 || dp == 443);
         }
-    }
-
-    #[test]
-    fn sni_labeller_finds_hellos() {
-        // ISCX keeps TLS handshakes but our profiles carry no SNI; the
-        // CSTNET recipe has SNIs but strips them. Build a custom flow
-        // with an SNI to exercise the labeller.
-        use net_packet::pcap::PcapPacket;
-        let mut profile = traffic_synth::profile::AppProfile::derive(
-            1,
-            0,
-            4,
-            traffic_synth::profile::TransportKind::TlsTcp,
-        );
-        profile.sni = Some("www.example.org".into());
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        let flow = traffic_synth::flow::synth_flow(
-            &profile,
-            net_packet::ipv4::Ipv4Addr::new(10, 0, 0, 5),
-            0.0,
-            &mut rng,
-            false,
-        );
-        let packets: Vec<PcapPacket> =
-            flow.packets.iter().map(|p| PcapPacket::at(p.ts, p.frame.clone())).collect();
-        let mut table = HashMap::new();
-        table.insert("www.example.org".to_string(), 3u16);
-        let labeller = label_by_sni(&table);
-        let (data, stats) = ingest_packets(&packets, &labeller);
-        assert!(stats.kept >= 1, "the ClientHello packet must be labelled");
-        assert!(data.records.iter().all(|r| r.class == 3));
     }
 
     #[test]

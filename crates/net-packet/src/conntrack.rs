@@ -26,7 +26,6 @@ pub enum TcpState {
 pub struct ConnTracker {
     state: TcpState,
     syn_ts: Option<f64>,
-    synack_ts: Option<f64>,
     ack_ts: Option<f64>,
     fin_seen_fwd: bool,
     fin_seen_bwd: bool,
@@ -46,7 +45,6 @@ impl ConnTracker {
         ConnTracker {
             state: TcpState::None,
             syn_ts: None,
-            synack_ts: None,
             ack_ts: None,
             fin_seen_fwd: false,
             fin_seen_bwd: false,
@@ -78,7 +76,6 @@ impl ConnTracker {
             (true, true) => {
                 if self.state == TcpState::SynSent {
                     self.state = TcpState::SynReceived;
-                    self.synack_ts = Some(ts);
                 }
             }
             _ => {
@@ -117,11 +114,6 @@ impl ConnTracker {
         Some(self.ack_ts? - self.syn_ts?)
     }
 
-    /// SYN → SYN-ACK latency (server-side distance), if observed.
-    pub fn syn_synack_latency(&self) -> Option<f64> {
-        Some(self.synack_ts? - self.syn_ts?)
-    }
-
     /// Packets seen.
     pub fn packets(&self) -> usize {
         self.packets
@@ -158,7 +150,6 @@ mod tests {
         c.push(&parse(&packet(TcpFlags::ACK)), 0.05, true);
         assert_eq!(c.state(), TcpState::Established);
         assert!((c.handshake_rtt().unwrap() - 0.05).abs() < 1e-9);
-        assert!((c.syn_synack_latency().unwrap() - 0.03).abs() < 1e-9);
         c.push(&parse(&packet(TcpFlags::FIN | TcpFlags::ACK)), 1.0, true);
         assert_eq!(c.state(), TcpState::FinWait);
         c.push(&parse(&packet(TcpFlags::FIN | TcpFlags::ACK)), 1.1, false);
@@ -187,9 +178,8 @@ mod tests {
         use rand::SeedableRng;
         // Track a generator flow end-to-end: must establish and close,
         // with a positive handshake RTT.
-        let profile = super::test_support::tls_profile();
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let flow = super::test_support::synth(&profile, &mut rng);
+        let flow = super::test_support::synth(&mut rng);
         let mut c = ConnTracker::new();
         for p in &flow {
             let parsed = ParsedFrame::parse(&p.1).unwrap();
@@ -206,12 +196,9 @@ mod tests {
 #[cfg(test)]
 mod test_support {
     /// Minimal TLS-like flow: handshake, two data packets, teardown —
-    /// hand-built with the frame builder.
-    #[allow(clippy::unused_unit)]
-    pub fn tls_profile() {}
-
-    /// Returns (ts, frame, from_client) triples.
-    pub fn synth(_: &(), rng: &mut rand::rngs::StdRng) -> Vec<(f64, Vec<u8>, bool)> {
+    /// hand-built with the frame builder. Returns (ts, frame,
+    /// from_client) triples.
+    pub fn synth(rng: &mut rand::rngs::StdRng) -> Vec<(f64, Vec<u8>, bool)> {
         use crate::builder::FrameBuilder;
         use crate::tcp::TcpFlags;
         use rand::Rng;

@@ -138,22 +138,6 @@ pub fn emit_query(id: u16, name: &str, qtype: RecordType) -> Vec<u8> {
     out
 }
 
-/// Build a response echoing the question with `answers` A records.
-pub fn emit_response(id: u16, name: &str, addrs: &[[u8; 4]]) -> Vec<u8> {
-    let mut out = emit_query(id, name, RecordType::A);
-    out[2] |= 0x80; // QR
-    out[6..8].copy_from_slice(&(addrs.len() as u16).to_be_bytes());
-    for a in addrs {
-        out.extend_from_slice(&[0xc0, 0x0c]); // name pointer to question
-        out.extend_from_slice(&1u16.to_be_bytes()); // type A
-        out.extend_from_slice(&1u16.to_be_bytes()); // class IN
-        out.extend_from_slice(&60u32.to_be_bytes()); // TTL
-        out.extend_from_slice(&4u16.to_be_bytes()); // RDLENGTH
-        out.extend_from_slice(a);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +156,12 @@ mod tests {
 
     #[test]
     fn response_has_answers() {
-        let raw = emit_response(7, "example.org", &[[93, 184, 216, 34]]);
+        // The query with QR set, ANCOUNT 1 and one A record whose name
+        // points back at the question.
+        let mut raw = emit_query(7, "example.org", RecordType::A);
+        raw[2] |= 0x80;
+        raw[6..8].copy_from_slice(&1u16.to_be_bytes());
+        raw.extend_from_slice(&[0xc0, 0x0c, 0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 93, 184, 216, 34]);
         let m = DnsMessage::new_checked(&raw[..]).unwrap();
         assert!(m.is_response());
         assert_eq!(m.answer_count(), 1);

@@ -58,21 +58,6 @@ impl Adam {
         }
         simd::adam_update(params, &mut self.m, &mut self.v, grads, &c);
     }
-
-    /// Sparse update restricted to the given indices.
-    pub fn step_sparse(&mut self, params: &mut [f32], grads: &[f32], indices: &[usize], lr: f32) {
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for &i in indices {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = self.m[i] / b1t;
-            let vhat = self.v[i] / b2t;
-            params[i] -= lr * mhat / (vhat.sqrt() + self.eps);
-        }
-    }
 }
 
 fn consts(beta1: f32, beta2: f32, eps: f32, t: u64, lr: f32) -> AdamConsts {
@@ -211,16 +196,6 @@ mod tests {
             opt.step(&mut x, &g, 0.01);
         }
         assert!((x[0] - 3.0).abs() < 0.01, "x = {}", x[0]);
-    }
-
-    #[test]
-    fn sparse_step_only_touches_indices() {
-        let mut x = vec![1.0f32, 1.0];
-        let g = vec![1.0f32, 1.0];
-        let mut opt = Adam::new(2);
-        opt.step_sparse(&mut x, &g, &[0], 0.1);
-        assert!(x[0] < 1.0);
-        assert_eq!(x[1], 1.0);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The versioned, checksummed binary format trained models ship in.
 //!
 //! A model's frozen export is its weights and nothing else — no Adam
-//! moments, no dropout masks, no cached activations or gradient
-//! scratch — so an exported model is exactly the bytes inference
-//! needs. The layers themselves ([`crate::Dense`], [`crate::Embedding`],
-//! [`crate::Mlp`]) implement [`FrozenArtifact`]: decoding builds the
-//! trainable type with empty training state, created lazily on the
-//! first update, so there is one weights struct and one forward path
-//! per layer and a loaded model is bit-identical to the one saved.
+//! moments, no cached activations or gradient scratch — so an exported
+//! model is exactly the bytes inference needs. The layers themselves
+//! ([`crate::Dense`], [`crate::Embedding`], [`crate::Mlp`]) implement
+//! [`FrozenArtifact`]: decoding builds the trainable type with empty
+//! training state, created lazily on the first update, so there is one
+//! weights struct and one forward path per layer and a loaded model is
+//! bit-identical to the one saved.
 //!
 //! The on-disk format is the shared single-payload envelope of
 //! [`crate::envelope`] under magic `DBFZ`, keyed by the model's kind

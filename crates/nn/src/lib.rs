@@ -31,7 +31,6 @@
 
 pub mod adam;
 pub mod dense;
-pub mod dropout;
 pub mod embedding;
 pub mod envelope;
 pub mod frozen;
@@ -44,7 +43,6 @@ pub mod tensor;
 
 pub use adam::{Adam, RowAdam};
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use frozen::{FrozenArtifact, FrozenError, Int8Matrix};
 pub use kernel::{kernel_stats, kernel_threads, set_kernel_threads, KernelStats, Workspace};

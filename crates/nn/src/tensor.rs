@@ -153,13 +153,6 @@ impl Tensor {
         }));
     }
 
-    /// Select a subset of rows into a new tensor.
-    pub fn select_rows(&self, idx: &[usize]) -> Tensor {
-        let mut out = Tensor::default();
-        self.select_rows_into(idx, &mut out);
-        out
-    }
-
     /// Select a subset of rows into a reusable output tensor.
     pub fn select_rows_into(&self, idx: &[usize], out: &mut Tensor) {
         out.resize(idx.len(), self.cols);
@@ -247,7 +240,8 @@ mod tests {
     #[test]
     fn select_rows_picks() {
         let a = Tensor::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
-        let s = a.select_rows(&[2, 0]);
+        let mut s = Tensor::default();
+        a.select_rows_into(&[2, 0], &mut s);
         assert_eq!(s.data, vec![3.0, 1.0]);
     }
 

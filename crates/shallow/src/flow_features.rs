@@ -8,34 +8,6 @@ use dataset::record::PacketRecord;
 /// Number of flow-level features.
 pub const N_FLOW_FEATURES: usize = 22;
 
-/// Names of the flow features (reporting/importance plots).
-pub fn flow_feature_names() -> [&'static str; N_FLOW_FEATURES] {
-    [
-        "N PKTS",
-        "N FWD",
-        "N BWD",
-        "FWD RATIO",
-        "BYTES",
-        "FWD BYTES",
-        "BWD BYTES",
-        "LEN MEAN",
-        "LEN STD",
-        "LEN MIN",
-        "LEN MAX",
-        "FWD LEN MEAN",
-        "BWD LEN MEAN",
-        "IAT MEAN",
-        "IAT STD",
-        "IAT MIN",
-        "IAT MAX",
-        "DURATION",
-        "SRV PORT",
-        "TTL FWD",
-        "TTL BWD",
-        "PROTO",
-    ]
-}
-
 fn mean_std(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
         return (0.0, 0.0);
@@ -98,11 +70,6 @@ mod tests {
     fn prepared() -> Prepared {
         let t = DatasetSpec { kind: DatasetKind::IscxVpn, seed: 6, flows_per_class: 2 }.generate();
         Prepared::from_trace(&t)
-    }
-
-    #[test]
-    fn names_cover_vector() {
-        assert_eq!(flow_feature_names().len(), N_FLOW_FEATURES);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Labelled trace container and spurious-traffic injection.
 
-use crate::flow::FlowPacket;
 use net_packet::ethernet::MacAddr;
 use net_packet::ipv4::Ipv4Addr;
 use net_packet::pcap::{self, PcapPacket};
@@ -60,19 +59,6 @@ impl Trace {
     /// Number of spurious packets.
     pub fn spurious_len(&self) -> usize {
         self.records.len() - self.labelled_len()
-    }
-
-    /// Append the packets of a synthesised flow under `class`/`flow_id`.
-    pub fn push_flow(&mut self, class: u16, flow_id: u32, packets: Vec<FlowPacket>) {
-        for p in packets {
-            self.records.push(TraceRecord {
-                ts: p.ts,
-                frame: p.frame,
-                class,
-                flow_id,
-                from_client: p.from_client,
-            });
-        }
     }
 
     /// Sort records chronologically (generation appends flow-by-flow).
@@ -163,7 +149,13 @@ mod tests {
             crate::profile::AppProfile::derive(1, 0, 4, crate::profile::TransportKind::TlsTcp);
         let mut rng = StdRng::seed_from_u64(1);
         let f = crate::flow::synth_flow(&prof, Ipv4Addr::new(10, 0, 0, 9), 0.0, &mut rng, false);
-        t.push_flow(0, 0, f.packets);
+        t.records.extend(f.packets.into_iter().map(|p| TraceRecord {
+            ts: p.ts,
+            frame: p.frame,
+            class: 0,
+            flow_id: 0,
+            from_client: p.from_client,
+        }));
         t
     }
 

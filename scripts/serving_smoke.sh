@@ -5,17 +5,17 @@
 # contract must hold end to end through the real binary — (b) a
 # policy-routed run that reproduces itself byte-for-byte at
 # --serve-workers 1 and 2, (c) out-of-band serving metrics whose
-# counters reconcile with each other and with the verdict file, (d) a
-# quick bench_json --serving pass that reports the latency keys.
+# counters reconcile with each other and with the verdict file, (d) an
+# int8-quantised export whose `default -> encoder_int8` replay is
+# byte-identical across batch sizes and worker counts and whose metrics
+# reconcile too.
 #
 # Environment knobs:
 #   SERVE_BIN   path to the serve binary (default target/release/serve)
-#   BENCH_BIN   path to bench_json (default alongside SERVE_BIN)
 #   WORK_DIR    scratch directory (default: fresh mktemp -d)
 set -euo pipefail
 
 SERVE_BIN="${SERVE_BIN:-target/release/serve}"
-BENCH_BIN="${BENCH_BIN:-$(dirname "$SERVE_BIN")/bench_json}"
 WORK_DIR="${WORK_DIR:-$(mktemp -d)}"
 
 models="$WORK_DIR/models"
@@ -91,14 +91,28 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "ok: verdict stream is well-formed JSONL"
 
-# The serving bench group must run and report the latency keys.
-if [ -x "$BENCH_BIN" ]; then
-    "$BENCH_BIN" --quick --serving --out "$WORK_DIR/bench_serving.json"
-    for key in serve_packet_p99_us serve_flows_per_sec serve_mixed_e2e; do
-        grep -q "\"$key\"" "$WORK_DIR/bench_serving.json" \
-            || { echo "FAIL: bench lacks $key" >&2; exit 1; }
-    done
-    echo "ok: bench_json --serving reports latency and throughput"
+# (d) The int8 serving path: a quantised export adds the int8 encoder,
+# and routing every flow to it must not depend on batching or sharding.
+int8_models="$WORK_DIR/models-int8"
+"$SERVE_BIN" export --out "$int8_models" --synth ustc:7:4 --quant int8 >/dev/null 2>&1
+[ -s "$int8_models/encoder_int8.frozen" ] \
+    || { echo "FAIL: --quant int8 export wrote no encoder_int8.frozen" >&2; exit 1; }
+echo "default -> encoder_int8" > "$WORK_DIR/policy-int8.txt"
+for run in b1:1:1 b32:32:1 w2:32:2; do
+    IFS=: read -r tag batch workers <<<"$run"
+    "$SERVE_BIN" run --models "$int8_models" --synth "$REPLAY" \
+        --policy "$WORK_DIR/policy-int8.txt" --batch "$batch" \
+        --serve-workers "$workers" --out "$WORK_DIR/int8-$tag.jsonl" \
+        --metrics-dir "$WORK_DIR/int8-$tag-obs" >/dev/null 2>&1
+    reconcile "$WORK_DIR/int8-$tag-obs/metrics.json" "$WORK_DIR/int8-$tag.jsonl"
+done
+cmp "$WORK_DIR/int8-b1.jsonl" "$WORK_DIR/int8-b32.jsonl"
+cmp "$WORK_DIR/int8-b32.jsonl" "$WORK_DIR/int8-w2.jsonl"
+[ -s "$WORK_DIR/int8-b1.jsonl" ] || { echo "FAIL: empty int8 verdicts" >&2; exit 1; }
+if grep -qv '"target":"encoder_int8"' "$WORK_DIR/int8-b1.jsonl"; then
+    echo "FAIL: a verdict did not come from encoder_int8" >&2
+    exit 1
 fi
+echo "ok: int8 verdicts byte-identical at --batch 1/32 and 1/2 workers; metrics reconcile"
 
 echo "serving smoke passed (replay $REPLAY, work dir $WORK_DIR)"

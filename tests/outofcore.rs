@@ -168,8 +168,8 @@ fn concurrent_prepare_matches_serial_prepare() {
 /// peak is a function of shard size, not dataset size. Ignored by
 /// default (it generates a few hundred thousand packets); run it via
 /// `cargo test --release -- --ignored peak_rss` or the out-of-core
-/// smoke script. Shares `obs::measure_peak_rss` with `bench_json`, so
-/// the guard and the benchmark report cannot drift apart.
+/// smoke script with `RSS_GUARD=1`. The measurement is
+/// `obs::measure_peak_rss`.
 #[test]
 #[ignore]
 fn peak_rss_is_bounded_in_flow_count() {
