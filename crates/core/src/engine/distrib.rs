@@ -310,7 +310,7 @@ pub fn run_coordinator(
     let max_waves = copts.max_waves.max(1);
     let mut artifact_builds = 0usize;
     let mut wave = 0;
-    let state = loop {
+    loop {
         wave += 1;
         log.info(
             "distrib",
@@ -364,7 +364,7 @@ pub fn run_coordinator(
             .filter(|m| state.done_output(m.cell).is_none() && state.last_error(m.cell).is_none())
             .count();
         if unfinished == 0 || wave >= max_waves {
-            break state;
+            break;
         }
         log.warn(
             "distrib",
@@ -375,8 +375,8 @@ pub fn run_coordinator(
             &[("unfinished", unfinished.into()), ("wave", wave.into())],
         );
         sweep_stale_claims(&root);
-    };
-    merge_run(&root, fingerprint, &suite, &state, ctx, opts, artifact_builds)
+    }
+    merge_workers(registry, filter, ctx, opts, artifact_builds)
 }
 
 fn spawn_worker(cmd: &[String], index: usize, wdir: &Path) -> io::Result<std::process::Child> {

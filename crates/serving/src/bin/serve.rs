@@ -20,6 +20,9 @@
 //!     verdict per flow (stdout by default). `--shard-dir` streams an
 //!     on-disk flow-sharded trace (written by `traffic-gen --shards`)
 //!     in bounded memory — the million-flow replay source.
+//!     `--batch N` (default 16) caps the flows per model call; it never
+//!     delays a verdict: whenever the source keeps the engine waiting,
+//!     pending flows are classified below the cap.
 //!     `--serve-workers N` shards ingest across N worker threads by
 //!     flow hash (verdict bytes identical at any N). `--reload-dir`
 //!     hot-swaps any new bundle subdirectory at a recorded packet
@@ -53,7 +56,9 @@ const USAGE: &str = "usage:
             [--reload-poll-ms MS] [--throttle-pps N]
             [--out FILE] [--metrics-dir DIR] [--log-format text|json]
 
-SPEC = <iscx|ustc|cstnet>:<seed>:<flows_per_class>, e.g. ustc:7:4";
+SPEC = <iscx|ustc|cstnet>:<seed>:<flows_per_class>, e.g. ustc:7:4
+--batch N (default 16) caps flows per model call; a verdict never
+waits for a batch to fill while the engine waits on its source";
 
 fn usage_err(msg: &str) -> ExitCode {
     eprintln!("serve: {msg}\n{USAGE}");

@@ -11,8 +11,11 @@
 //! sequence number of the packet whose arrival retired the flow,
 //! tie-broken by flow id. That is exactly the order the single-worker
 //! loop produces naturally, and the order the sharded k-way merge
-//! ([`crate::shard`]) reconstructs. All observability goes through the
-//! out-of-band [`ObsSink`], never into the verdict stream.
+//! ([`crate::shard`]) reconstructs. The batch size is a cap, never a
+//! wait: whenever a serve loop would otherwise wait on its source it
+//! classifies what is pending below the cap (DESIGN.md §7.4). All
+//! observability goes through the out-of-band [`ObsSink`], never into
+//! the verdict stream.
 //!
 //! Epochs: a model hot-reload takes effect at a packet-sequence
 //! boundary `B` — every flow retired at `evict_seq >= B` is classified
@@ -41,8 +44,12 @@ use std::time::Instant;
 /// Engine knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Flows classified per model invocation. Affects throughput only;
-    /// the verdict stream is identical at any value.
+    /// Most flows classified per model invocation: a cap, never a
+    /// wait. A full batch runs as soon as it fills; whatever is pending
+    /// runs early whenever the engine would otherwise wait on its
+    /// source, so a verdict is not held back for flows that have not
+    /// retired yet. Affects throughput only; the verdict stream is
+    /// identical at any value.
     pub batch: usize,
     /// Seconds of silence before a flow is retired as idle.
     pub idle_timeout: f64,
@@ -103,11 +110,14 @@ impl ServeStats {
 }
 
 /// One shard's end-of-run counts, including those that depend on
-/// scheduling: how many classification batches it ran and how long it
-/// was busy. Reported per shard in `metrics.json`, never compared.
+/// scheduling: how many classification batches it ran, how many of
+/// those ran below the cap because the shard would otherwise have
+/// waited, and how long it was busy. Reported per shard in
+/// `metrics.json`, never compared.
 pub(crate) struct ShardTotals {
     pub(crate) stats: ServeStats,
     pub(crate) batches: u64,
+    pub(crate) partial: u64,
     pub(crate) busy_secs: f64,
 }
 
@@ -352,6 +362,8 @@ pub(crate) struct Shard<'a> {
     stats: ServeStats,
     /// Classification batches run.
     batches: u64,
+    /// Of those, batches [`Shard::drain`] ran below the cap.
+    partial: u64,
 }
 
 impl<'a> Shard<'a> {
@@ -373,12 +385,13 @@ impl<'a> Shard<'a> {
             boundaries: Vec::new(),
             stats: ServeStats::default(),
             batches: 0,
+            partial: 0,
         })
     }
 
     /// This shard's counts, with `busy_secs` as measured by its driver.
     pub(crate) fn totals(self, busy_secs: f64) -> ShardTotals {
-        ShardTotals { stats: self.stats, batches: self.batches, busy_secs }
+        ShardTotals { stats: self.stats, batches: self.batches, partial: self.partial, busy_secs }
     }
 
     /// Install a reloaded bundle taking effect at packet `boundary`.
@@ -433,6 +446,32 @@ impl<'a> Shard<'a> {
             self.classify(&batch, sink, emit)?;
         }
         Ok(())
+    }
+
+    /// Classify everything pending now, below the cap: a serve loop
+    /// calls this when the shard would otherwise wait for input, so a
+    /// retired flow never waits for others to fill its batch. Verdicts and
+    /// their order are those a later full batch would have produced.
+    pub(crate) fn drain(
+        &mut self,
+        sink: &ObsSink,
+        emit: &mut dyn FnMut(u64, u64, String) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let batches = self.batches;
+        let mut pending = std::mem::take(&mut self.pending);
+        for batch in pending.chunks(self.batch_size) {
+            self.classify(batch, sink, emit)?;
+        }
+        self.partial += self.batches - batches;
+        // hand the emptied queue back so its capacity is reused
+        pending.clear();
+        self.pending = pending;
+        Ok(())
+    }
+
+    /// Whether any retired flow awaits classification.
+    pub(crate) fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
     }
 
     /// End-of-stream: retire everything still tracked (at the flush
@@ -569,18 +608,26 @@ where
     let mut shard = Shard::new(EpochBundle::Borrowed(bundle), policy, opts)?;
     let mut reload = reload;
     let mut stats = ServeStats::default();
-    let mut ingest_secs = 0.0f64;
-    let mut classify_secs = 0.0f64;
+    let mut wait_secs = 0.0f64;
+    let mut work_secs = 0.0f64;
     let t_run = Instant::now();
 
-    // Two clock reads per packet, chained: `serve:ingest` runs from the
-    // previous stamp through the source's `next()`, reload polling and
-    // `frame()`; `serve:classify` covers `tick()`. The two add up to the
-    // loop's wall time.
+    // Two clock reads per packet, chained: `serve:wait` runs from the
+    // previous stamp until the source's `next()` returns, `serve:work`
+    // through reload polling, `frame()`, `tick()`, any early drain and
+    // freeing the packet. The two add up to the loop's wall time, and
+    // they are the whole batching rule: when the source kept the engine
+    // waiting for this packet longer than the engine works on a packet
+    // on average, the source is the bottleneck, so every pending flow
+    // is classified now instead of waiting for its batch to fill.
     let mut t_prev = t_run;
     let mut seq = 0u64;
-    for p in packets {
-        let p = std::borrow::Borrow::borrow(&p);
+    let mut write = |_, _, line: String| out.write_all(line.as_bytes());
+    for item in packets {
+        let t_next = Instant::now();
+        let waited = (t_next - t_prev).as_secs_f64();
+        wait_secs += waited;
+        let p: &ReplayPacket = std::borrow::Borrow::borrow(&item);
         // Reloads bind to the next unprocessed packet: candidates are
         // validated off the hot path (planned: before the stream; live:
         // by the watcher + target check here), and a refused candidate
@@ -592,11 +639,15 @@ where
         if shard.frame(seq, p.ts, &p.frame) == Ingest::NonIp {
             stats.non_ip += 1;
         }
-        let t_frame = Instant::now();
-        ingest_secs += (t_frame - t_prev).as_secs_f64();
-        shard.tick(seq, p.ts, sink, &mut |_, _, line| out.write_all(line.as_bytes()))?;
+        let ts = p.ts;
+        // An owned packet is freed on the work side of the stamp.
+        drop(item);
+        shard.tick(seq, ts, sink, &mut write)?;
+        if waited * seq as f64 > work_secs {
+            shard.drain(sink, &mut write)?;
+        }
         t_prev = Instant::now();
-        classify_secs += (t_prev - t_frame).as_secs_f64();
+        work_secs += (t_prev - t_next).as_secs_f64();
         seq += 1;
     }
     // Boundaries landing exactly on the flush sequence (the packet
@@ -605,15 +656,15 @@ where
         shard.add_epoch(boundary, bundle);
     }
     let t_flush = Instant::now();
-    ingest_secs += (t_flush - t_prev).as_secs_f64();
-    shard.finish(seq, sink, &mut |_, _, line| out.write_all(line.as_bytes()))?;
-    classify_secs += t_flush.elapsed().as_secs_f64();
+    wait_secs += (t_flush - t_prev).as_secs_f64();
+    shard.finish(seq, sink, &mut write)?;
+    work_secs += t_flush.elapsed().as_secs_f64();
     out.flush()?;
 
     let totals = shard.totals(t_run.elapsed().as_secs_f64());
     stats.absorb(&totals.stats);
-    sink.add_stage("serve:ingest", ingest_secs);
-    sink.add_stage("serve:classify", classify_secs);
+    sink.add_stage("serve:wait", wait_secs);
+    sink.add_stage("serve:work", work_secs);
     sink.debug(
         "serve",
         "replay complete",

@@ -3,9 +3,11 @@
 //!
 //! The serving counters live in the serve loop itself: the dispatcher
 //! and each shard count into their own [`ServeStats`], and each shard
-//! also keeps its batch count and busy time ([`ShardTotals`]). This
-//! module only formats those totals, then lets the sink append the
-//! blocks every metrics file carries (`events`, `simd`, `stages`).
+//! also keeps its batch count, how many of those batches ran below the
+//! cap because the shard would otherwise have waited (`partial`), and
+//! its busy time ([`ShardTotals`]). This module only formats those
+//! totals, then lets the sink append the blocks every metrics file
+//! carries (`events`, `simd`, `stages`).
 //! Nothing here reaches the verdict stream.
 
 use crate::engine::{ServeStats, ShardTotals};
@@ -21,6 +23,7 @@ pub(crate) fn render(
     total_secs: f64,
 ) -> String {
     let batches: u64 = shards.iter().map(|sh| sh.batches).sum();
+    let partial: u64 = shards.iter().map(|sh| sh.partial).sum();
     let boundaries: Vec<String> = stats.reload_boundaries.iter().map(u64::to_string).collect();
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"debunk-serving-metrics-v2\",\n");
@@ -35,7 +38,7 @@ pub(crate) fn render(
         stats.flows, stats.evicted_closed, stats.evicted_idle, stats.flushed
     ));
     s.push_str(&format!(
-        "  \"batches\": {{\"count\": {batches}, \"verdicts\": {}}},\n",
+        "  \"batches\": {{\"count\": {batches}, \"partial\": {partial}, \"verdicts\": {}}},\n",
         stats.verdicts
     ));
     s.push_str(&format!(
@@ -51,10 +54,11 @@ pub(crate) fn render(
         }
         let fps = if sh.busy_secs > 0.0 { sh.stats.flows as f64 / sh.busy_secs } else { 0.0 };
         s.push_str(&format!(
-            "\n    \"{idx}\": {{\"flows\": {}, \"verdicts\": {}, \"busy_secs\": {}, \
-             \"flows_per_sec\": {}}}",
+            "\n    \"{idx}\": {{\"flows\": {}, \"verdicts\": {}, \"partial\": {}, \
+             \"busy_secs\": {}, \"flows_per_sec\": {}}}",
             sh.stats.flows,
             sh.stats.verdicts,
+            sh.partial,
             format_f64(sh.busy_secs),
             format_f64(fps)
         ));

@@ -30,11 +30,13 @@ use debunk_core::obs::{ObsSink, Value};
 use net_packet::frame::{FlowKey, ParsedFrame};
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Instant;
 
-/// Events per channel send: large enough to amortise channel overhead,
-/// small enough that verdict merging stays pipelined with ingest.
+/// Most events per channel send: large enough to amortise channel
+/// overhead, small enough that verdict merging stays pipelined with
+/// ingest. A cap, not a wait: partial buffers go out whenever the
+/// source is slower than the dispatcher.
 const EVENT_BATCH: usize = 256;
 
 /// FNV-1a 64 ([`nn::envelope::Fnv`]) over the canonical flow-key
@@ -87,7 +89,10 @@ enum MergeMsg {
 
 /// Drive one worker: apply events in order, buffer emitted verdicts,
 /// and after every event batch publish them plus a fresh watermark.
-/// Returns this shard's totals.
+/// Before blocking on an empty event channel the worker classifies its
+/// pending flows (below the batch cap) and publishes those verdicts
+/// too, so a retired flow never waits on a worker that has nothing else
+/// to do. Returns this shard's totals.
 fn run_worker<'a>(
     idx: usize,
     mut shard: EngineShard<'a>,
@@ -95,9 +100,40 @@ fn run_worker<'a>(
     tx: &Sender<(usize, MergeMsg)>,
     sink: &ObsSink,
 ) -> io::Result<ShardTotals> {
+    // Verdicts, then the watermark (or `Done`) that follows them.
+    let publish = |verdicts: Vec<(u64, u64, String)>, then: MergeMsg| {
+        if !verdicts.is_empty() {
+            let _ = tx.send((idx, MergeMsg::Verdicts(verdicts)));
+        }
+        let _ = tx.send((idx, then));
+    };
+    let watermark = |shard: &EngineShard<'a>, last_seq: u64| {
+        let (s, id) = shard.emit_bound(last_seq);
+        MergeMsg::Watermark(s, id)
+    };
     let mut busy = 0.0f64;
     let mut last_seq = 0u64;
-    while let Ok(events) = rx.recv() {
+    loop {
+        let events = match rx.try_recv() {
+            Ok(events) => events,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                if shard.has_pending() {
+                    let t0 = Instant::now();
+                    let mut verdicts: Vec<(u64, u64, String)> = Vec::new();
+                    shard.drain(sink, &mut |s, id, line| {
+                        verdicts.push((s, id, line));
+                        Ok(())
+                    })?;
+                    busy += t0.elapsed().as_secs_f64();
+                    publish(verdicts, watermark(&shard, last_seq));
+                }
+                match rx.recv() {
+                    Ok(events) => events,
+                    Err(_) => break,
+                }
+            }
+        };
         let t0 = Instant::now();
         let mut verdicts: Vec<(u64, u64, String)> = Vec::new();
         let mut finished = false;
@@ -126,15 +162,11 @@ fn run_worker<'a>(
             }
         }
         busy += t0.elapsed().as_secs_f64();
-        if !verdicts.is_empty() {
-            let _ = tx.send((idx, MergeMsg::Verdicts(verdicts)));
-        }
         if finished {
-            let _ = tx.send((idx, MergeMsg::Done));
+            publish(verdicts, MergeMsg::Done);
             return Ok(shard.totals(busy));
         }
-        let (s, id) = shard.emit_bound(last_seq);
-        let _ = tx.send((idx, MergeMsg::Watermark(s, id)));
+        publish(verdicts, watermark(&shard, last_seq));
     }
     Err(io::Error::other("event channel closed before End"))
 }
@@ -258,11 +290,18 @@ where
 
         let mut bufs: Vec<Vec<Event<'_>>> = (0..n).map(|_| Vec::new()).collect();
         let mut dispatch_secs = 0.0f64;
+        // Two chained stamps per packet, as in the inline loop: when the
+        // source kept the dispatcher waiting for this packet longer than
+        // it works on a packet on average, the partial buffers go out
+        // now rather than at `EVENT_BATCH`, so no event sits behind a
+        // source that is slower than the dispatcher.
+        let mut t_prev = t_run;
         let mut seq = 0u64;
-        for p in packets {
-            let p = std::borrow::Borrow::borrow(&p);
-            broadcast_reloads(reload.poll(seq, policy, &mut stats, sink), &mut bufs);
+        for item in packets {
             let t0 = Instant::now();
+            let send_partial = (t0 - t_prev).as_secs_f64() * seq as f64 > dispatch_secs;
+            let p: &ReplayPacket = std::borrow::Borrow::borrow(&item);
+            broadcast_reloads(reload.poll(seq, policy, &mut stats, sink), &mut bufs);
             stats.packets += 1;
             // The dispatcher parses every frame once to place it; the
             // owner re-parses on push (parsing is deterministic, so
@@ -282,12 +321,15 @@ where
                     buf.push(Event::Tick { seq, ts: p.ts });
                 }
             }
+            // An owned packet is freed on the work side of the stamp.
+            drop(item);
             for w in 0..n {
-                if bufs[w].len() >= EVENT_BATCH {
+                if send_partial || bufs[w].len() >= EVENT_BATCH {
                     let _ = event_txs[w].send(std::mem::take(&mut bufs[w]));
                 }
             }
-            dispatch_secs += t0.elapsed().as_secs_f64();
+            t_prev = Instant::now();
+            dispatch_secs += (t_prev - t0).as_secs_f64();
             seq += 1;
         }
         // Boundaries landing exactly on the flush sequence still cover

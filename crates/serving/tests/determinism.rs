@@ -2,17 +2,23 @@
 //! identical bundle and policy produces a byte-identical verdict
 //! stream — at any batch size, at any worker count, across process
 //! reruns (synth replay is seeded), across a mid-replay hot-reload,
-//! and whether the bundle is the freshly trained object or its frozen
-//! save→load round trip.
+//! whether the bundle is the freshly trained object or its frozen
+//! save→load round trip, and whether the source keeps up with the
+//! engine or makes it wait (the batch size caps a model call but never
+//! holds a verdict back).
 
 use dataset::record::Prepared;
-use debunk_core::obs::{LogFormat, ObsSink};
+use debunk_core::engine::journal::{parse_json, Json};
+use debunk_core::obs::{LogFormat, ObsSink, METRICS_FILE};
 use serving::engine::{serve as serve_engine, EpochBundle, ServeOptions, ServeStats};
 use serving::policy::Policy;
 use serving::reload::{LiveMsg, ReloadSource};
-use serving::source::SynthSpec;
+use serving::source::{ReplayPacket, SynthSpec};
 use serving::ModelBundle;
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// One bundle shared across every test in this file — training is the
 /// expensive part and the tests only ever read it.
@@ -201,4 +207,125 @@ fn every_model_target_serves_deterministically() {
         assert_eq!(sa, sb);
         assert_eq!(sa.verdicts, sa.flows, "{target} must classify every flow");
     }
+}
+
+/// A replay that sleeps `pause` before handing out each packet (a
+/// source slower than the engine, as live traffic is) and counts the
+/// packets handed out so far in `pulled`.
+struct Paced<'a> {
+    packets: std::slice::Iter<'a, ReplayPacket>,
+    pause: Duration,
+    pulled: Arc<AtomicU64>,
+}
+
+impl<'a> Iterator for Paced<'a> {
+    type Item = &'a ReplayPacket;
+
+    fn next(&mut self) -> Option<&'a ReplayPacket> {
+        let p = self.packets.next()?;
+        std::thread::sleep(self.pause);
+        self.pulled.fetch_add(1, Ordering::SeqCst);
+        Some(p)
+    }
+}
+
+/// Verdict sink recording, for every line, how many packets the source
+/// had handed out when the line was written (the engine writes each
+/// verdict line with one `write_all`).
+struct PullStamped {
+    bytes: Vec<u8>,
+    pulled_at: Vec<u64>,
+    pulled: Arc<AtomicU64>,
+}
+
+impl Write for PullStamped {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.pulled_at.push(self.pulled.load(Ordering::SeqCst));
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Serve `packets` with `pause` before each one; returns the verdict
+/// bytes, the packets pulled at each verdict's write, and the stats.
+fn serve_paced(
+    packets: &[ReplayPacket],
+    policy: &Policy,
+    batch: usize,
+    workers: usize,
+    pause: Duration,
+) -> (Vec<u8>, Vec<u64>, ServeStats) {
+    let pulled = Arc::new(AtomicU64::new(0));
+    let source = Paced { packets: packets.iter(), pause, pulled: Arc::clone(&pulled) };
+    let mut out = PullStamped { bytes: Vec::new(), pulled_at: Vec::new(), pulled };
+    let sink = ObsSink::stderr(LogFormat::Text);
+    let opts = ServeOptions { batch, idle_timeout: 15.0, workers };
+    let stats =
+        serve_engine(bundle(), policy, source, &opts, ReloadSource::None, &mut out, &sink).unwrap();
+    (out.bytes, out.pulled_at, stats)
+}
+
+#[test]
+fn a_paced_source_gets_every_verdict_before_its_next_packet() {
+    let policy = Policy::parse("*:udp -> knn\ndefault -> forest\n").unwrap();
+    let mut packets = SynthSpec::parse("ustc:11:2").unwrap().replay();
+    packets.truncate(300);
+    let n = packets.len() as u64;
+    // Closed loop at batch 1, every verdict is written while its
+    // retiring packet is the last one pulled: the reference timing.
+    let (reference, reference_at, stats) = serve_paced(&packets, &policy, 1, 1, Duration::ZERO);
+    let live = reference_at.iter().filter(|&&at| at < n).count();
+    assert!(live > 0, "some flows must retire before the end-of-stream flush");
+    assert_eq!(reference_at.len() as u64, stats.verdicts);
+    for workers in [1, 2] {
+        for batch in [1, 16, 4096] {
+            let (bytes, pulled_at, s) =
+                serve_paced(&packets, &policy, batch, workers, Duration::from_millis(1));
+            assert_eq!(reference, bytes, "paced workers={workers} batch={batch}");
+            assert_eq!(stats, s, "paced stats at workers={workers} batch={batch}");
+            if workers == 1 {
+                assert_eq!(
+                    reference_at, pulled_at,
+                    "paced batch={batch}: a verdict waited past its retiring packet"
+                );
+            } else {
+                // Worker and merger threads sit between the source and
+                // the write, so allow a few packets for the hops.
+                for (i, (&at, &due)) in pulled_at.iter().zip(&reference_at).enumerate() {
+                    assert!(
+                        at <= due + 16,
+                        "paced workers={workers} batch={batch}: verdict {i} written at \
+                         pull {at}, its flow retired at pull {due}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_closed_loop_replay_still_fills_its_batches() {
+    let policy = Policy::parse("*:tcp:443 -> encoder\n*:udp -> knn\ndefault -> gbdt\n").unwrap();
+    let dir = std::env::temp_dir().join(format!("debunk-serving-fill-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let sink = ObsSink::with_dir(&dir, LogFormat::Text).expect("sink opens");
+    let packets = SynthSpec::parse("ustc:11:2").unwrap().replay();
+    let opts = ServeOptions { batch: 16, idle_timeout: 15.0, workers: 1 };
+    let mut out = Vec::new();
+    let stats =
+        serve_engine(bundle(), &policy, &packets, &opts, ReloadSource::None, &mut out, &sink)
+            .unwrap();
+    let text = std::fs::read_to_string(dir.join(METRICS_FILE)).expect("metrics written");
+    std::fs::remove_dir_all(&dir).ok();
+    let j = parse_json(&text).expect("metrics parse");
+    let Some(Json::Num(count)) = j.get("batches").and_then(|b| b.get("count")) else {
+        panic!("no batches.count: {text}")
+    };
+    let full = stats.verdicts.div_ceil(16);
+    assert!(full > 1, "{stats:?}");
+    assert!(*count as u64 <= full + full.div_ceil(100), "{count} batches for {full} full: {text}");
 }

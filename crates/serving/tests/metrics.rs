@@ -1,7 +1,9 @@
 //! `serve()`'s out-of-band `metrics.json` reconciles with the
 //! [`ServeStats`] it returns: the flow counts partition the opened
-//! flows, the batch block counts every verdict, and the per-shard
-//! totals sum to the run's — at every worker count.
+//! flows, the batch block counts every verdict in at least
+//! `ceil(verdicts / batch)` batches with no more partial batches than
+//! batches, and the per-shard totals sum to the run's — at every worker
+//! count.
 
 use dataset::record::Prepared;
 use debunk_core::engine::journal::{parse_json, Json};
@@ -11,6 +13,9 @@ use serving::policy::Policy;
 use serving::reload::ReloadSource;
 use serving::source::SynthSpec;
 use serving::ModelBundle;
+
+/// The batch cap of every run here.
+const BATCH: usize = 8;
 
 fn num(j: &Json, path: &[&str]) -> u64 {
     let mut at = j;
@@ -37,7 +42,7 @@ fn serve_with_metrics(
     let packets = SynthSpec::parse("ustc:11:2").unwrap().replay();
     let reload =
         ReloadSource::planned(vec![(boundary, EpochBundle::Borrowed(bundles.1), "b".to_string())]);
-    let opts = ServeOptions { batch: 8, idle_timeout: 15.0, workers };
+    let opts = ServeOptions { batch: BATCH, idle_timeout: 15.0, workers };
     let mut out = Vec::new();
     let stats = serve(bundles.0, policy, &packets, &opts, reload, &mut out, &sink).unwrap();
     assert_eq!(String::from_utf8(out).unwrap().lines().count() as u64, stats.verdicts);
@@ -70,7 +75,9 @@ fn metrics_json_reconciles_with_serve_stats_at_every_worker_count() {
             (stats.flows, stats.evicted_closed, stats.evicted_idle, stats.flushed)
         );
         assert_eq!(num(&j, &["batches", "verdicts"]), stats.verdicts);
-        assert!(num(&j, &["batches", "count"]) > 0);
+        let (count, partial) = (num(&j, &["batches", "count"]), num(&j, &["batches", "partial"]));
+        assert!(partial <= count, "workers={workers}: {text}");
+        assert!(count >= stats.verdicts.div_ceil(BATCH as u64), "workers={workers}: {text}");
         assert!(stats.dropped > 0 && stats.verdicts > 0, "{stats:?}");
         assert_eq!(stats.verdicts + stats.dropped, stats.flows);
         assert_eq!(num(&j, &["packets", "seen"]), stats.packets);
@@ -83,9 +90,10 @@ fn metrics_json_reconciles_with_serve_stats_at_every_worker_count() {
         assert_eq!(shards.len(), workers, "one entry per shard");
         let flows: u64 = shards.iter().map(|(_, sh)| num(sh, &["flows"])).sum();
         let verdicts: u64 = shards.iter().map(|(_, sh)| num(sh, &["verdicts"])).sum();
+        let shard_partial: u64 = shards.iter().map(|(_, sh)| num(sh, &["partial"])).sum();
         assert_eq!(
-            (flows, verdicts),
-            (opened, stats.verdicts),
+            (flows, verdicts, shard_partial),
+            (opened, stats.verdicts, partial),
             "per-shard sums, workers={workers}"
         );
 
