@@ -310,7 +310,7 @@ pub fn run_coordinator(
     let max_waves = copts.max_waves.max(1);
     let mut artifact_builds = 0usize;
     let mut wave = 0;
-    loop {
+    let state = loop {
         wave += 1;
         log.info(
             "distrib",
@@ -364,7 +364,7 @@ pub fn run_coordinator(
             .filter(|m| state.done_output(m.cell).is_none() && state.last_error(m.cell).is_none())
             .count();
         if unfinished == 0 || wave >= max_waves {
-            break;
+            break state;
         }
         log.warn(
             "distrib",
@@ -375,8 +375,8 @@ pub fn run_coordinator(
             &[("unfinished", unfinished.into()), ("wave", wave.into())],
         );
         sweep_stale_claims(&root);
-    }
-    merge_workers(registry, filter, ctx, opts, artifact_builds)
+    };
+    merge_run(&root, fingerprint, &suite, &state, ctx, opts, artifact_builds)
 }
 
 fn spawn_worker(cmd: &[String], index: usize, wdir: &Path) -> io::Result<std::process::Child> {
@@ -407,29 +407,11 @@ fn consume_worker_manifests(root: &Path, n_workers: usize) -> usize {
     builds
 }
 
-/// Merge an already-populated worker state into the canonical outputs
-/// under `opts.out_dir`, without spawning anything. `run_coordinator`
-/// calls this after its waves; tests drive [`run_worker`] in-process
-/// and then merge directly.
-pub fn merge_workers(
-    registry: &Registry,
-    filter: &str,
-    ctx: &RunContext,
-    opts: &RunOptions,
-    artifact_builds: usize,
-) -> Result<RunSummary, RunError> {
-    check_filter(registry, filter)?;
-    let root = out_root(opts)?;
-    let fingerprint = ctx.run_fingerprint();
-    let suite = enumerate(registry, filter, ctx);
-    let state = combined_state(&root, fingerprint, opts.resume)?;
-    merge_run(&root, fingerprint, &suite, &state, ctx, opts, artifact_builds)
-}
-
-/// The deterministic k-way merge: canonical journal, record files and
-/// manifest reconstructed purely from the folded worker state, in suite
-/// enumeration order — completion order, worker count and cache state
-/// leave no trace in the bytes.
+/// The deterministic k-way merge, the one merge entry point: canonical
+/// journal, record files and manifest reconstructed purely from the
+/// folded worker state (which the coordinator's last wave has already
+/// read), in suite enumeration order — completion order, worker count
+/// and cache state leave no trace in the bytes.
 fn merge_run(
     root: &Path,
     fingerprint: u64,
@@ -551,6 +533,23 @@ mod tests {
     use crate::engine::context::Preset;
     use crate::engine::registry::{CellSpec, RecordStats};
     use std::sync::Arc;
+
+    /// Merge worker state populated in-process by [`run_worker`], as
+    /// `run_coordinator` does after its waves, without spawning anything.
+    fn merge_workers(
+        registry: &Registry,
+        filter: &str,
+        ctx: &RunContext,
+        opts: &RunOptions,
+        artifact_builds: usize,
+    ) -> Result<RunSummary, RunError> {
+        check_filter(registry, filter)?;
+        let root = out_root(opts)?;
+        let fingerprint = ctx.run_fingerprint();
+        let suite = enumerate(registry, filter, ctx);
+        let state = combined_state(&root, fingerprint, opts.resume)?;
+        merge_run(&root, fingerprint, &suite, &state, ctx, opts, artifact_builds)
+    }
 
     /// A small deterministic grid: value derived from the cell seed, so
     /// merged outputs are checkable and identical however scheduled.

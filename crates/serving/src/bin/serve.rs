@@ -20,9 +20,10 @@
 //!     verdict per flow (stdout by default). `--shard-dir` streams an
 //!     on-disk flow-sharded trace (written by `traffic-gen --shards`)
 //!     in bounded memory — the million-flow replay source.
-//!     `--batch N` (default 16) caps the flows per model call; it never
-//!     delays a verdict: whenever the source keeps the engine waiting,
-//!     pending flows are classified below the cap.
+//!     `--batch N` (default 16) caps the flows per model call. Once
+//!     the source has kept the engine waiting longer than the engine
+//!     has worked, pending flows are classified below the cap after
+//!     every packet, so no verdict waits for its batch to fill.
 //!     `--serve-workers N` shards ingest across N worker threads by
 //!     flow hash (verdict bytes identical at any N). `--reload-dir`
 //!     hot-swaps any new bundle subdirectory at a recorded packet
@@ -57,8 +58,9 @@ const USAGE: &str = "usage:
             [--out FILE] [--metrics-dir DIR] [--log-format text|json]
 
 SPEC = <iscx|ustc|cstnet>:<seed>:<flows_per_class>, e.g. ustc:7:4
---batch N (default 16) caps flows per model call; a verdict never
-waits for a batch to fill while the engine waits on its source";
+--batch N (default 16) caps flows per model call; once the source has
+kept the engine waiting longer than it worked, no verdict waits for a
+batch to fill";
 
 fn usage_err(msg: &str) -> ExitCode {
     eprintln!("serve: {msg}\n{USAGE}");

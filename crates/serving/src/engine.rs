@@ -11,11 +11,11 @@
 //! sequence number of the packet whose arrival retired the flow,
 //! tie-broken by flow id. That is exactly the order the single-worker
 //! loop produces naturally, and the order the sharded k-way merge
-//! ([`crate::shard`]) reconstructs. The batch size is a cap, never a
-//! wait: whenever a serve loop would otherwise wait on its source it
-//! classifies what is pending below the cap (DESIGN.md §7.4). All
-//! observability goes through the out-of-band [`ObsSink`], never into
-//! the verdict stream.
+//! ([`crate::shard`]) reconstructs. The batch size is a cap: once the
+//! source has kept a serve loop waiting longer than the engine has
+//! worked, the loop classifies what is pending below the cap after
+//! every packet (DESIGN.md §7.4). All observability goes through the
+//! out-of-band [`ObsSink`], never into the verdict stream.
 //!
 //! Epochs: a model hot-reload takes effect at a packet-sequence
 //! boundary `B` — every flow retired at `evict_seq >= B` is classified
@@ -44,12 +44,14 @@ use std::time::Instant;
 /// Engine knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Most flows classified per model invocation: a cap, never a
-    /// wait. A full batch runs as soon as it fills; whatever is pending
-    /// runs early whenever the engine would otherwise wait on its
-    /// source, so a verdict is not held back for flows that have not
-    /// retired yet. Affects throughput only; the verdict stream is
-    /// identical at any value.
+    /// Most flows classified per model invocation. A full batch runs as
+    /// soon as it fills. Once the source has kept the engine waiting
+    /// longer than the engine has worked (summed over the run), whatever
+    /// is pending also runs after every packet, so each verdict is
+    /// written before the next packet is pulled; while the engine is
+    /// the slower side, a verdict waits for its batch to fill. Affects
+    /// throughput and latency only; the verdict stream is identical at
+    /// any value.
     pub batch: usize,
     /// Seconds of silence before a flow is retired as idle.
     pub idle_timeout: f64,
@@ -111,8 +113,8 @@ impl ServeStats {
 
 /// One shard's end-of-run counts, including those that depend on
 /// scheduling: how many classification batches it ran, how many of
-/// those ran below the cap because the shard would otherwise have
-/// waited, and how long it was busy. Reported per shard in
+/// those [`Shard::drain`] ran below the cap because the source was the
+/// slower side, and how long it was busy. Reported per shard in
 /// `metrics.json`, never compared.
 pub(crate) struct ShardTotals {
     pub(crate) stats: ServeStats,
@@ -449,23 +451,18 @@ impl<'a> Shard<'a> {
     }
 
     /// Classify everything pending now, below the cap: a serve loop
-    /// calls this when the shard would otherwise wait for input, so a
-    /// retired flow never waits for others to fill its batch. Verdicts and
-    /// their order are those a later full batch would have produced.
+    /// calls this when it has found its source slower than itself
+    /// (DESIGN.md §7.4), so a retired flow does not wait for others to
+    /// fill its batch. Verdicts and their order are those a later full
+    /// batch would have produced.
     pub(crate) fn drain(
         &mut self,
         sink: &ObsSink,
         emit: &mut dyn FnMut(u64, u64, String) -> io::Result<()>,
     ) -> io::Result<()> {
         let batches = self.batches;
-        let mut pending = std::mem::take(&mut self.pending);
-        for batch in pending.chunks(self.batch_size) {
-            self.classify(batch, sink, emit)?;
-        }
+        self.classify_pending(sink, emit)?;
         self.partial += self.batches - batches;
-        // hand the emptied queue back so its capacity is reused
-        pending.clear();
-        self.pending = pending;
         Ok(())
     }
 
@@ -485,10 +482,22 @@ impl<'a> Shard<'a> {
         for (flow, reason) in self.table.flush() {
             self.retire(flow, reason, flush_seq);
         }
-        let pending = std::mem::take(&mut self.pending);
+        self.classify_pending(sink, emit)
+    }
+
+    /// Classify every pending flow, in batches of at most the cap.
+    fn classify_pending(
+        &mut self,
+        sink: &ObsSink,
+        emit: &mut dyn FnMut(u64, u64, String) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut pending = std::mem::take(&mut self.pending);
         for batch in pending.chunks(self.batch_size) {
             self.classify(batch, sink, emit)?;
         }
+        // hand the emptied queue back so its capacity is reused
+        pending.clear();
+        self.pending = pending;
         Ok(())
     }
 
@@ -616,17 +625,18 @@ where
     // previous stamp until the source's `next()` returns, `serve:work`
     // through reload polling, `frame()`, `tick()`, any early drain and
     // freeing the packet. The two add up to the loop's wall time, and
-    // they are the whole batching rule: when the source kept the engine
-    // waiting for this packet longer than the engine works on a packet
-    // on average, the source is the bottleneck, so every pending flow
-    // is classified now instead of waiting for its batch to fill.
+    // their running sums are the whole batching rule: once the source
+    // has kept the engine waiting longer than the engine has worked,
+    // the engine is the faster side, so every pending flow is
+    // classified after each packet instead of waiting for its batch to
+    // fill. Summed over the run, a one-off stall inside `next()` (a
+    // buffer refill, a page fault) cannot tip the rule in a closed loop.
     let mut t_prev = t_run;
     let mut seq = 0u64;
     let mut write = |_, _, line: String| out.write_all(line.as_bytes());
     for item in packets {
         let t_next = Instant::now();
-        let waited = (t_next - t_prev).as_secs_f64();
-        wait_secs += waited;
+        wait_secs += (t_next - t_prev).as_secs_f64();
         let p: &ReplayPacket = std::borrow::Borrow::borrow(&item);
         // Reloads bind to the next unprocessed packet: candidates are
         // validated off the hot path (planned: before the stream; live:
@@ -643,7 +653,7 @@ where
         // An owned packet is freed on the work side of the stamp.
         drop(item);
         shard.tick(seq, ts, sink, &mut write)?;
-        if waited * seq as f64 > work_secs {
+        if wait_secs > work_secs && shard.has_pending() {
             shard.drain(sink, &mut write)?;
         }
         t_prev = Instant::now();

@@ -30,13 +30,14 @@ use debunk_core::obs::{ObsSink, Value};
 use net_packet::frame::{FlowKey, ParsedFrame};
 use std::collections::VecDeque;
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Instant;
 
 /// Most events per channel send: large enough to amortise channel
 /// overhead, small enough that verdict merging stays pipelined with
-/// ingest. A cap, not a wait: partial buffers go out whenever the
-/// source is slower than the dispatcher.
+/// ingest. A cap, not a wait, once the source is the slower side: then
+/// the dispatcher sends its buffers after every packet.
 const EVENT_BATCH: usize = 256;
 
 /// FNV-1a 64 ([`nn::envelope::Fnv`]) over the canonical flow-key
@@ -87,17 +88,41 @@ enum MergeMsg {
     Done,
 }
 
+/// A worker's time, from two chained clock stamps around every stretch
+/// of work: `idle` (waiting on the event channel) and `busy` add up to
+/// its wall time.
+struct WorkerClock {
+    t_prev: Instant,
+    idle: f64,
+    busy: f64,
+}
+
+impl WorkerClock {
+    /// Close a stretch of work that began at `t0`; its time also goes
+    /// into `engine_busy`.
+    fn worked(&mut self, t0: Instant, engine_busy: &AtomicU64) {
+        self.idle += (t0 - self.t_prev).as_secs_f64();
+        self.t_prev = Instant::now();
+        let dt = self.t_prev - t0;
+        self.busy += dt.as_secs_f64();
+        engine_busy.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
+    }
+}
+
 /// Drive one worker: apply events in order, buffer emitted verdicts,
 /// and after every event batch publish them plus a fresh watermark.
-/// Before blocking on an empty event channel the worker classifies its
-/// pending flows (below the batch cap) and publishes those verdicts
-/// too, so a retired flow never waits on a worker that has nothing else
-/// to do. Returns this shard's totals.
+/// Once the worker has waited on its event channel longer than it has
+/// worked, summed over the run, it classifies its pending flows (below
+/// the batch cap) before blocking on an empty channel and publishes
+/// those verdicts too, so a retired flow does not wait on a worker that
+/// has nothing else to do. Its busy time also goes into `engine_busy`
+/// (nanoseconds, shared by all workers). Returns this shard's totals.
 fn run_worker<'a>(
     idx: usize,
     mut shard: EngineShard<'a>,
     rx: Receiver<Vec<Event<'a>>>,
     tx: &Sender<(usize, MergeMsg)>,
+    engine_busy: &AtomicU64,
     sink: &ObsSink,
 ) -> io::Result<ShardTotals> {
     // Verdicts, then the watermark (or `Done`) that follows them.
@@ -111,21 +136,21 @@ fn run_worker<'a>(
         let (s, id) = shard.emit_bound(last_seq);
         MergeMsg::Watermark(s, id)
     };
-    let mut busy = 0.0f64;
+    let mut clock = WorkerClock { t_prev: Instant::now(), idle: 0.0, busy: 0.0 };
     let mut last_seq = 0u64;
     loop {
         let events = match rx.try_recv() {
             Ok(events) => events,
             Err(TryRecvError::Disconnected) => break,
             Err(TryRecvError::Empty) => {
-                if shard.has_pending() {
+                if clock.idle > clock.busy && shard.has_pending() {
                     let t0 = Instant::now();
                     let mut verdicts: Vec<(u64, u64, String)> = Vec::new();
                     shard.drain(sink, &mut |s, id, line| {
                         verdicts.push((s, id, line));
                         Ok(())
                     })?;
-                    busy += t0.elapsed().as_secs_f64();
+                    clock.worked(t0, engine_busy);
                     publish(verdicts, watermark(&shard, last_seq));
                 }
                 match rx.recv() {
@@ -161,10 +186,10 @@ fn run_worker<'a>(
                 }
             }
         }
-        busy += t0.elapsed().as_secs_f64();
+        clock.worked(t0, engine_busy);
         if finished {
             publish(verdicts, MergeMsg::Done);
-            return Ok(shard.totals(busy));
+            return Ok(shard.totals(clock.busy));
         }
         publish(verdicts, watermark(&shard, last_seq));
     }
@@ -273,6 +298,8 @@ where
         shards.push(EngineShard::new(EpochBundle::Borrowed(bundle), policy, opts)?);
     }
     let mut stats = ServeStats::default();
+    // Busy nanoseconds of all workers, for the dispatcher's send rule.
+    let engine_busy = AtomicU64::new(0);
     let t_run = Instant::now();
 
     let result: io::Result<Vec<ShardTotals>> = std::thread::scope(|scope| {
@@ -283,23 +310,32 @@ where
             let (tx, rx) = channel::<Vec<Event<'_>>>();
             event_txs.push(tx);
             let merge_tx = merge_tx.clone();
-            workers.push(scope.spawn(move || run_worker(idx, shard, rx, &merge_tx, sink)));
+            let engine_busy = &engine_busy;
+            workers.push(
+                scope.spawn(move || run_worker(idx, shard, rx, &merge_tx, engine_busy, sink)),
+            );
         }
         drop(merge_tx);
         let merger = scope.spawn(move || run_merger(n, merge_rx, out));
 
         let mut bufs: Vec<Vec<Event<'_>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut wait_secs = 0.0f64;
         let mut dispatch_secs = 0.0f64;
-        // Two chained stamps per packet, as in the inline loop: when the
-        // source kept the dispatcher waiting for this packet longer than
-        // it works on a packet on average, the partial buffers go out
-        // now rather than at `EVENT_BATCH`, so no event sits behind a
-        // source that is slower than the dispatcher.
+        // Two chained stamps per packet, as in the inline loop: once the
+        // source has kept the dispatcher waiting longer than the whole
+        // engine (dispatcher and workers) has worked, summed over the
+        // run, the partial buffers go out after every packet rather than
+        // at `EVENT_BATCH`, so no event sits behind a source that is
+        // slower than the engine. The workers' work counts because they
+        // pay for every send; a source that parses on this thread costs
+        // about as much per packet as dispatching does.
         let mut t_prev = t_run;
         let mut seq = 0u64;
         for item in packets {
             let t0 = Instant::now();
-            let send_partial = (t0 - t_prev).as_secs_f64() * seq as f64 > dispatch_secs;
+            wait_secs += (t0 - t_prev).as_secs_f64();
+            let workers_secs = engine_busy.load(Ordering::Relaxed) as f64 * 1e-9;
+            let send_partial = wait_secs > dispatch_secs + workers_secs;
             let p: &ReplayPacket = std::borrow::Borrow::borrow(&item);
             broadcast_reloads(reload.poll(seq, policy, &mut stats, sink), &mut bufs);
             stats.packets += 1;

@@ -4,8 +4,8 @@
 //! reruns (synth replay is seeded), across a mid-replay hot-reload,
 //! whether the bundle is the freshly trained object or its frozen
 //! save→load round trip, and whether the source keeps up with the
-//! engine or makes it wait (the batch size caps a model call but never
-//! holds a verdict back).
+//! engine or makes it wait (then the batch size caps a model call but
+//! holds no verdict back).
 
 use dataset::record::Prepared;
 use debunk_core::engine::journal::{parse_json, Json};
@@ -209,11 +209,13 @@ fn every_model_target_serves_deterministically() {
     }
 }
 
-/// A replay that sleeps `pause` before handing out each packet (a
-/// source slower than the engine, as live traffic is) and counts the
-/// packets handed out so far in `pulled`.
+/// A replay slower than the engine, as live traffic is: it sleeps
+/// `pause` before every `every`-th packet (before each packet at
+/// `every = 1`; bursts of `every` back-to-back packets otherwise) and
+/// counts the packets handed out so far in `pulled`.
 struct Paced<'a> {
-    packets: std::slice::Iter<'a, ReplayPacket>,
+    packets: std::iter::Enumerate<std::slice::Iter<'a, ReplayPacket>>,
+    every: usize,
     pause: Duration,
     pulled: Arc<AtomicU64>,
 }
@@ -222,8 +224,10 @@ impl<'a> Iterator for Paced<'a> {
     type Item = &'a ReplayPacket;
 
     fn next(&mut self) -> Option<&'a ReplayPacket> {
-        let p = self.packets.next()?;
-        std::thread::sleep(self.pause);
+        let (i, p) = self.packets.next()?;
+        if i % self.every == 0 {
+            std::thread::sleep(self.pause);
+        }
         self.pulled.fetch_add(1, Ordering::SeqCst);
         Some(p)
     }
@@ -250,20 +254,20 @@ impl Write for PullStamped {
     }
 }
 
-/// Serve `packets` with `pause` before each one; returns the verdict
-/// bytes, the packets pulled at each verdict's write, and the stats.
+/// Serve `packets` paced as [`Paced`]; returns the verdict bytes, the
+/// packets pulled at each verdict's write, and the stats.
 fn serve_paced(
     packets: &[ReplayPacket],
     policy: &Policy,
-    batch: usize,
-    workers: usize,
+    opts: ServeOptions,
+    every: usize,
     pause: Duration,
 ) -> (Vec<u8>, Vec<u64>, ServeStats) {
     let pulled = Arc::new(AtomicU64::new(0));
-    let source = Paced { packets: packets.iter(), pause, pulled: Arc::clone(&pulled) };
+    let source =
+        Paced { packets: packets.iter().enumerate(), every, pause, pulled: Arc::clone(&pulled) };
     let mut out = PullStamped { bytes: Vec::new(), pulled_at: Vec::new(), pulled };
     let sink = ObsSink::stderr(LogFormat::Text);
-    let opts = ServeOptions { batch, idle_timeout: 15.0, workers };
     let stats =
         serve_engine(bundle(), policy, source, &opts, ReloadSource::None, &mut out, &sink).unwrap();
     (out.bytes, out.pulled_at, stats)
@@ -275,32 +279,43 @@ fn a_paced_source_gets_every_verdict_before_its_next_packet() {
     let mut packets = SynthSpec::parse("ustc:11:2").unwrap().replay();
     packets.truncate(300);
     let n = packets.len() as u64;
+    let opts = |batch, workers| ServeOptions { batch, idle_timeout: 15.0, workers };
     // Closed loop at batch 1, every verdict is written while its
     // retiring packet is the last one pulled: the reference timing.
-    let (reference, reference_at, stats) = serve_paced(&packets, &policy, 1, 1, Duration::ZERO);
-    let live = reference_at.iter().filter(|&&at| at < n).count();
-    assert!(live > 0, "some flows must retire before the end-of-stream flush");
+    let (reference, reference_at, stats) =
+        serve_paced(&packets, &policy, opts(1, 1), 1, Duration::ZERO);
+    let live = reference_at.iter().filter(|&&at| at + 64 < n).count();
+    assert!(live > 0, "some flows must retire well before the end-of-stream flush");
     assert_eq!(reference_at.len() as u64, stats.verdicts);
-    for workers in [1, 2] {
-        for batch in [1, 16, 4096] {
-            let (bytes, pulled_at, s) =
-                serve_paced(&packets, &policy, batch, workers, Duration::from_millis(1));
-            assert_eq!(reference, bytes, "paced workers={workers} batch={batch}");
-            assert_eq!(stats, s, "paced stats at workers={workers} batch={batch}");
-            if workers == 1 {
-                assert_eq!(
-                    reference_at, pulled_at,
-                    "paced batch={batch}: a verdict waited past its retiring packet"
-                );
-            } else {
-                // Worker and merger threads sit between the source and
-                // the write, so allow a few packets for the hops.
-                for (i, (&at, &due)) in pulled_at.iter().zip(&reference_at).enumerate() {
-                    assert!(
-                        at <= due + 16,
-                        "paced workers={workers} batch={batch}: verdict {i} written at \
-                         pull {at}, its flow retired at pull {due}"
+    // A pause before every packet, and bursts of ten packets after a
+    // longer pause: in both the source keeps the engine waiting far
+    // longer than the engine works, also for a flow retired mid-burst.
+    for (every, pause) in [(1, Duration::from_millis(1)), (10, Duration::from_millis(10))] {
+        for workers in [1, 2] {
+            for batch in [1, 16, 4096] {
+                let what = format!("every={every} workers={workers} batch={batch}");
+                let (bytes, pulled_at, s) =
+                    serve_paced(&packets, &policy, opts(batch, workers), every, pause);
+                assert_eq!(reference, bytes, "paced {what}");
+                assert_eq!(stats, s, "paced stats at {what}");
+                if workers == 1 {
+                    assert_eq!(
+                        reference_at, pulled_at,
+                        "paced {what}: a verdict waited past its retiring packet"
                     );
+                } else {
+                    // Worker and merger threads sit between the source
+                    // and the write; 64 pulls give them at least 60 ms
+                    // of pauses, room for a loaded two-core host, and
+                    // still fail a verdict held for its batch to fill
+                    // (at batch 4096, until the end-of-stream flush).
+                    for (i, (&at, &due)) in pulled_at.iter().zip(&reference_at).enumerate() {
+                        assert!(
+                            at <= due + 64,
+                            "paced {what}: verdict {i} written at pull {at}, \
+                             its flow retired at pull {due}"
+                        );
+                    }
                 }
             }
         }
@@ -325,7 +340,11 @@ fn a_closed_loop_replay_still_fills_its_batches() {
     let Some(Json::Num(count)) = j.get("batches").and_then(|b| b.get("count")) else {
         panic!("no batches.count: {text}")
     };
+    // The engine drains early only once its source has kept it waiting
+    // longer than it has worked, summed over the run, which a slice
+    // never does; the slack of two batches absorbs a stray preemption
+    // inside `next()` near the start of the run.
     let full = stats.verdicts.div_ceil(16);
     assert!(full > 1, "{stats:?}");
-    assert!(*count as u64 <= full + full.div_ceil(100), "{count} batches for {full} full: {text}");
+    assert!(*count as u64 <= full + 2, "{count} batches for {full} full: {text}");
 }
